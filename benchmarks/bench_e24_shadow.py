@@ -15,9 +15,9 @@ prices that mirror and measures its detection power:
   buggy pair, reporting how many steps and how many wall-seconds pass
   before the first :class:`DivergenceReport` lands (and that its trace
   replays).
-* ``check_every``: the slow-profile ``fraud-detection`` scenario (one
-  BSR decision per audited step) with the auditor amortized to every
-  4th step; ``check_every_amortization_speedup`` is the measured win.
+* ``check_every``: the slow-profile ``fraud-detection`` scenario with
+  the auditor amortized to every 4th step;
+  ``check_every_amortization_speedup`` is the measured win.
 
 Run as a script to emit the ``BENCH_e24.json`` perf record::
 
@@ -149,7 +149,7 @@ def measure_divergence_detection(sessions: int, steps: int) -> dict:
 
 
 def measure_check_every(sessions: int, steps: int) -> dict:
-    """Amortizing the BSR-heavy fraud-detection auditor to every k-th step."""
+    """Amortizing the fraud-detection auditor to every k-th step."""
     eager = run_scenario(
         "fraud-detection",
         sessions=sessions,

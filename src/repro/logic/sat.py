@@ -43,9 +43,10 @@ class SatSolver:
         max_var = 0
         self._has_empty = False
         for clause in clauses:
-            unique = sorted(set(clause), key=abs)
-            if any(-lit in unique for lit in unique):
+            literals = set(clause)
+            if any(-lit in literals for lit in literals):
                 continue  # tautology
+            unique = sorted(literals, key=abs)
             if not unique:
                 self._has_empty = True
                 continue
@@ -119,7 +120,6 @@ class SatSolver:
                     return False
                 if current is None:
                     assign(lit)
-            queue = [l for l in queue]
             # Re-scan from the units just placed on the trail.
             pending = list(queue)
             while pending:

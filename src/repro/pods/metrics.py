@@ -70,6 +70,7 @@ class RuntimeMetrics:
     audited_steps: int = 0
     audit_checks: int = 0
     audit_violations: int = 0
+    audit_bsr_decisions: int = 0
     started_at: float = field(default_factory=time.perf_counter)
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
@@ -129,15 +130,16 @@ class RuntimeMetrics:
 
         ``outcome`` is an :class:`~repro.verify.api.auditor.AuditOutcome`
         (duck-typed to keep :mod:`repro.pods` import-free of the verify
-        layer): spec checks and violations count into the audit
-        counters, and the monitors' plan/evaluation work folds into the
-        same ``plans_*`` / ``*_rule_evals`` counters as session
-        stepping -- audit joins are ordinary plan executions.
+        layer): spec checks, violations, and BSR decisions count into
+        the audit counters, and the monitors' plan/evaluation work
+        folds into the same ``plans_*`` / ``*_rule_evals`` counters as
+        session stepping -- audit joins are ordinary plan executions.
         """
         with self._lock:
             self.audited_steps += 1
             self.audit_checks += outcome.checks
             self.audit_violations += len(outcome.findings)
+            self.audit_bsr_decisions += outcome.bsr_decisions
         self.record_eval(outcome.eval_delta)
 
     # -- aggregation -----------------------------------------------------------
@@ -170,6 +172,7 @@ class RuntimeMetrics:
             total.audited_steps += p.audited_steps
             total.audit_checks += p.audit_checks
             total.audit_violations += p.audit_violations
+            total.audit_bsr_decisions += p.audit_bsr_decisions
             if p.step_seconds_min < total.step_seconds_min:
                 total.step_seconds_min = p.step_seconds_min
             if p.step_seconds_max > total.step_seconds_max:
@@ -235,6 +238,7 @@ class RuntimeMetrics:
             "audited_steps": self.audited_steps,
             "audit_checks": self.audit_checks,
             "audit_violations": self.audit_violations,
+            "audit_bsr_decisions": self.audit_bsr_decisions,
         }
 
 
@@ -260,6 +264,7 @@ _SUMMED_KEYS = (
     "audited_steps",
     "audit_checks",
     "audit_violations",
+    "audit_bsr_decisions",
 )
 
 #: snapshot() keys that are point-in-time gauges: merging takes the max

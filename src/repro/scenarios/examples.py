@@ -9,9 +9,12 @@ under compliant traffic, audited both by the transducer's own
 
 ``fraud-detection`` serves SHORT under mistake-laden shopping traffic
 with a :class:`~repro.verify.api.LogValidity` audit, the online twin
-of ``examples/fraud_detection.py``'s offline log checking.  Log
-validation decides a BSR sentence per step, so the scenario is marked
-``bench_profile = "slow"`` and only runs at test sizes.
+of ``examples/fraud_detection.py``'s offline log checking.  The audit
+is witness-first: each step's observed inputs are replayed through the
+reference, and a BSR sentence is decided only when that replay
+diverges, which clean traffic never does.  The scenario keeps
+``bench_profile = "slow"`` (the benchmarks select scenarios by it) and
+its small test-size catalog.
 """
 
 from __future__ import annotations
@@ -82,7 +85,7 @@ class GuardedStoreScenario(Scenario):
 class FraudDetectionScenario(Scenario):
     name = "fraud-detection"
     description = (
-        "SHORT with a per-step LogValidity audit (BSR-backed; test sizes)"
+        "SHORT with a per-step witness-first LogValidity audit (test sizes)"
     )
     bench_profile = "slow"
     default_scale = 4
@@ -97,7 +100,9 @@ class FraudDetectionScenario(Scenario):
         return (LogValidity(name="session logs validate against SHORT"),)
 
     def session_length(self, index: int, *, seed: int, mean_steps: int) -> int:
-        # Every step pays a BSR decision; keep the tail bounded.
+        # A step whose audit replay diverges decides a BSR sentence over
+        # the whole prefix, at a cost growing with its length; keep the
+        # tail bounded.
         rng = random.Random(f"{self.name}:length:{seed}:{index}")
         return min(mean_steps + rng.randrange(2), 2 * mean_steps)
 

@@ -99,8 +99,11 @@ def make_auditor(
 ) -> "OnlineAuditor | None":
     """A fresh auditor over the scenario's specs (None if it has none).
 
-    ``check_every=k`` amortizes the BSR-backed (latching) monitors to
-    every k-th step of each session; per-step monitors are unaffected.
+    ``check_every=k`` runs the latching monitors (log validity, goal
+    reachability) on every k-th step of each session only; per-step
+    monitors are unaffected.  Log validity replays the observed inputs
+    and decides a BSR sentence only when the replay diverges, so on
+    clean traffic ``k`` saves replay work, not BSR decisions.
     """
     scenario = resolve_scenario(scenario)
     specs = scenario.specs()

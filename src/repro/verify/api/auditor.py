@@ -59,18 +59,24 @@ class AuditFinding:
 
 @dataclass
 class AuditOutcome:
-    """What one audited step produced (consumed by RuntimeMetrics)."""
+    """What one audited step produced (consumed by RuntimeMetrics).
+
+    ``bsr_decisions`` counts the BSR sentences the step's monitors
+    decided -- the fallback of witness-first log validation, and every
+    goal-reachability check.
+    """
 
     findings: tuple[AuditFinding, ...] = ()
     checks: int = 0
     eval_delta: EvalCounters = field(default_factory=EvalCounters)
+    bsr_decisions: int = 0
 
 
 class _SessionAudit:
     """Per-session monitor set plus the observed history for traces."""
 
     __slots__ = ("monitors", "inputs", "log", "resume_steps", "resume_state",
-                 "counters_seen", "needs_history", "seed_inputs")
+                 "counters_seen", "bsr_seen", "needs_history", "seed_inputs")
 
     def __init__(
         self,
@@ -95,6 +101,7 @@ class _SessionAudit:
         # (not from a first-observe snapshot) charges the monitors'
         # build-time plan compiles/cache hits to the first audited step.
         self.counters_seen = EvalCounters()
+        self.bsr_seen = 0
         # The O(step) so-far tuples are only materialized for monitors
         # that actually read history (log/reachability audits).
         self.needs_history = any(m.needs_history for m in monitors)
@@ -133,10 +140,13 @@ class OnlineAuditor:
         self.reference = reference
         self.strict = strict
         # Amortization: monitors that *latch* (LogValidity /
-        # GoalReachability re-decide a permanent property of the whole
+        # GoalReachability judge a permanent property of the whole
         # prefix, so a violation at step i is still a violation at every
-        # j > i) are re-decided only every k-th step of a session.
-        # Detection is delayed to the next multiple of k, never lost.
+        # j > i) run only every k-th step of a session.  Detection is
+        # delayed to the next multiple of k, never lost.  GoalReachability
+        # decides a BSR sentence per check, so k divides that cost; the
+        # witness-first LogValidity monitor catches up by replaying the
+        # skipped steps and decides only when the replay diverges.
         # Per-step monitors (temporal safety, disciplines) always run.
         self.check_every = check_every
         self._transducer: "RelationalTransducer | None" = None
@@ -347,6 +357,7 @@ class OnlineAuditor:
                 else ()
             ),
             log_so_far=tuple(audit.log) if audit.needs_history else (),
+            resume_steps=audit.resume_steps,
         )
         findings: list[AuditFinding] = []
         checks = 0
@@ -374,6 +385,9 @@ class OnlineAuditor:
         current = sum_counters(m.eval_counters() for m in audit.monitors)
         delta = current - audit.counters_seen
         audit.counters_seen = current
+        decided = sum(m.bsr_decisions for m in audit.monitors)
+        bsr_delta = decided - audit.bsr_seen
+        audit.bsr_seen = decided
         if findings:
             with self._lock:
                 self._findings.extend(findings)
@@ -384,6 +398,7 @@ class OnlineAuditor:
             findings=tuple(findings),
             checks=checks,
             eval_delta=delta,
+            bsr_decisions=bsr_delta,
         )
 
     def _trace_of(

@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
+from repro.core.run import log_of_step
 from repro.core.spocus import stage_store
 from repro.datalog.ast import (
     Atom,
@@ -45,7 +46,7 @@ from repro.datalog.ast import (
 )
 from repro.datalog.plan import EvalCounters, compile_program, incremental_executor_for
 from repro.datalog.safety import check_rule_safety
-from repro.errors import SafetyError, SpecError
+from repro.errors import SafetyError, SchemaError, SpecError, VerificationError
 from repro.logic.fol import (
     And,
     Bottom,
@@ -77,6 +78,10 @@ class StageView:
     ``step`` is 1-based; ``state_before``/``state_after`` bracket the
     transition; ``inputs_so_far``/``log_so_far`` include the current
     step (their last elements are ``inputs`` and ``log_entry``).
+    ``resume_steps`` counts the leading ``log_so_far`` entries whose
+    inputs were never observed (a session resumed mid-run): the
+    trailing observed inputs of ``inputs_so_far`` align with the
+    trailing log entries from there on.
     """
 
     step: int
@@ -87,6 +92,7 @@ class StageView:
     log_entry: "Instance | None"
     inputs_so_far: tuple = ()
     log_so_far: tuple = ()
+    resume_steps: int = 0
 
 
 class StepMonitor:
@@ -103,6 +109,10 @@ class StepMonitor:
     #: delays detection to the next multiple of k, never loses it.
     #: Per-step monitors (temporal safety, disciplines) must stay False.
     amortizable = False
+
+    #: Cumulative count of BSR sentences this monitor has decided; the
+    #: auditor reports the per-step delta as ``audit_bsr_decisions``.
+    bsr_decisions = 0
 
     def __init__(self, spec: "PropertySpec") -> None:
         self.spec = spec
@@ -421,7 +431,22 @@ class ErrorFreenessMonitor(StepMonitor):
 class LogValidityMonitor(StepMonitor):
     """Audit the session's growing log against a reference transducer.
 
-    Each stage re-decides Theorem 3.1 on the log so far.  A produced
+    Witness-first.  Theorem 3.1 asks whether *some* input sequence makes
+    the reference produce the log, and the session's own observed
+    inputs are the obvious candidate.  The monitor keeps its own run of
+    the reference -- step context, cumulative state, and the length of
+    the log prefix reproduced so far (the *anchor*) -- and replays every
+    not-yet-replayed stage's inputs through it.  When each produced
+    entry equals the observed one, the replay is a concrete witness and
+    the prefix is valid without deciding any sentence.  The replay
+    never reads the service's ``state_before``/``state_after``, so a
+    corrupted or rehydrated serving state cannot vouch for itself.
+
+    Only when the replay cannot answer -- an entry differs, an input
+    does not fit the reference's schema, or a resumed session's
+    pre-restart inputs are unknown -- is the whole prefix decided by
+    the complete BSR procedure (:func:`check_log_validity`).  A valid
+    verdict re-anchors the replay on the decoded witness.  A produced
     log can only become invalid when the serving implementation
     diverges from the reference model (the audit scenario); since an
     invalid prefix never becomes valid again, the monitor latches on
@@ -429,29 +454,98 @@ class LogValidityMonitor(StepMonitor):
     """
 
     needs_history = True
-    amortizable = True  # BSR re-decision over the prefix; latches
+    amortizable = True  # re-decides a permanent prefix property; latches
 
     def __init__(self, spec, reference, database: "Instance") -> None:
         super().__init__(spec)
         self._reference = reference
         self._database = database
+        # The reference run, started on first use.  ``_retired`` keeps
+        # the evaluation counters of step contexts a re-anchor replaced.
+        self._replay_database: "Instance | None" = None
+        self._context = None
+        self._state: "Instance | None" = None
+        self._anchor = 0
+        self._retired = EvalCounters()
+
+    def eval_counters(self) -> EvalCounters:
+        if self._context is None:
+            return self._retired.copy()
+        return sum_counters((self._retired, self._context.counters))
 
     def observe(self, stage: StageView) -> list[str]:
-        if self.latched:
+        if self.latched or self._replay(stage):
             return []
         from repro.verify.api.specs import coerce_log_entries
 
         entries = coerce_log_entries(self._reference, stage.log_so_far)
+        self.bsr_decisions += 1
         result = check_log_validity(
             self._reference, self._database, entries, replay=False
         )
         if result.valid:
+            self._reanchor(result.witness_inputs, entries)
             return []
         self.latched = (
             f"log through stage {stage.step} is not a valid log of the "
             "reference transducer"
         )
         return [self.latched]
+
+    def _replay(self, stage: StageView) -> bool:
+        """Reproduce the unreplayed log entries; False when one differs."""
+        from repro.verify.api.specs import coerce_log_entries
+
+        if self._anchor < stage.resume_steps:
+            return False
+        if self._state is None:
+            self._restart()
+        reference = self._reference
+        log = stage.log_so_far
+        offset = len(stage.inputs_so_far) - len(log)
+        try:
+            for index in range(self._anchor, len(log)):
+                inputs = reference.coerce_input(
+                    stage.inputs_so_far[index + offset]
+                )
+                (expected,) = coerce_log_entries(reference, (log[index],))
+                if not self._advance(inputs, expected):
+                    return False
+        except SchemaError:
+            return False
+        return True
+
+    def _reanchor(self, witness: "list[Instance]", entries) -> None:
+        """Rebuild the reference run from a decoded witness."""
+        self._restart()
+        for inputs, expected in zip(witness, entries):
+            if not self._advance(inputs, expected):
+                raise VerificationError(
+                    "internal error: decoded witness does not reproduce the "
+                    "log (encoder/semantics mismatch)"
+                )
+
+    def _restart(self) -> None:
+        reference = self._reference
+        if self._replay_database is None:
+            self._replay_database = reference.coerce_database(self._database)
+        self._retired = self.eval_counters()
+        self._context = reference.new_step_context(self._replay_database)
+        self._state = reference.initial_state()
+        self._anchor = 0
+
+    def _advance(self, inputs: "Instance", expected: "Instance") -> bool:
+        """One reference step, kept only when it logs ``expected``."""
+        reference = self._reference
+        database = self._replay_database
+        output = reference.output_with_context(
+            self._context, inputs, self._state, database
+        )
+        if log_of_step(inputs, output, reference.schema.log_schema) != expected:
+            return False
+        self._state = reference.state_function(inputs, self._state, database)
+        self._anchor += 1
+        return True
 
 
 class GoalReachabilityMonitor(StepMonitor):
@@ -472,6 +566,7 @@ class GoalReachabilityMonitor(StepMonitor):
     def observe(self, stage: StageView) -> list[str]:
         if self.latched:
             return []
+        self.bsr_decisions += 1
         result = check_goal_reachability(
             self._reference,
             self._database,
@@ -500,6 +595,10 @@ class AllOfMonitor(StepMonitor):
     def eval_counters(self) -> EvalCounters:
         return sum_counters(m.eval_counters() for m in self.monitors)
 
+    @property
+    def bsr_decisions(self) -> int:
+        return sum(m.bsr_decisions for m in self.monitors)
+
     def observe(self, stage: StageView) -> list[str]:
         out: list[str] = []
         for monitor in self.monitors:
@@ -523,6 +622,10 @@ class AnyOfMonitor(StepMonitor):
 
     def eval_counters(self) -> EvalCounters:
         return sum_counters(m.eval_counters() for m in self.monitors)
+
+    @property
+    def bsr_decisions(self) -> int:
+        return sum(m.bsr_decisions for m in self.monitors)
 
     def observe(self, stage: StageView) -> list[str]:
         if self.latched:
