@@ -51,35 +51,6 @@ def parse_int(
     return value
 
 
-_FLAG_TRUE = frozenset({"1", "true", "yes", "on"})
-_FLAG_FALSE = frozenset({"0", "false", "no", "off"})
-
-
-def env_flag(
-    name: str,
-    *,
-    default: bool,
-    error: Type[Exception] = SessionError,
-) -> bool:
-    """The boolean value of environment variable ``name``.
-
-    Unset or empty returns ``default``; otherwise the value must spell a
-    boolean (``1/true/yes/on`` or ``0/false/no/off``, case-insensitive).
-    The kill switches of the evaluation stack
-    (``REPRO_COMPILED_KERNELS``, ``REPRO_JOINGRAPH``) parse through
-    here.
-    """
-    raw = os.environ.get(name, "")
-    text = raw.strip().lower()
-    if not text:
-        return default
-    if text in _FLAG_TRUE:
-        return True
-    if text in _FLAG_FALSE:
-        return False
-    raise error(f"invalid {name}={raw!r}: need a boolean flag (0 or 1)")
-
-
 def env_int(
     name: str,
     *,

@@ -4,16 +4,17 @@ As of the QueryPlan redesign this module is a thin, stable wrapper over
 the typed plan API in :mod:`repro.datalog.plan`: programs are compiled
 (once, process-wide) into a
 :class:`~repro.datalog.plan.physical.PhysicalPlan` whose ``execute``
-runs the stratified semi-naive fixpoint with hash-indexed joins and
+runs the stratified semi-naive fixpoint with compiled rule kernels and
 cost-based join ordering (greedy selectivity order when statistics are
 absent).  ``evaluate_program`` / ``evaluate_rule`` keep their original
 signatures and exact semantics; callers that want planning, explain
 output, or cross-step incremental evaluation use the plan API directly.
 
 :func:`evaluate_rule_naive` / :func:`evaluate_program_naive` keep the
-original scan-based nested-loop join as an executable reference; the
-property-based tests cross-check the planned paths against it and the
-benchmarks report the speedup.
+original scan-based nested-loop join as the one reference oracle: the
+property-based tests pin the compiled kernels to it, and
+:func:`naive_evaluation` routes whole workloads through it so log
+digests can be compared end to end.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ from repro.datalog.ast import (
 from repro.datalog.plan.logical import RuleNode
 from repro.datalog.plan.physical import (
     CompiledRule,
+    Orderer,
     coerce_store,
     derive_rule,
-    make_orderer,
 )
 from repro.datalog.plan.planner import ORDERING_COST, compile_program
 from repro.datalog.safety import check_rule_safety
@@ -80,7 +81,7 @@ def evaluate_rule(
     """
     crule = _compiled_rule(rule)
     store = coerce_store(facts)
-    orderer = make_orderer(ORDERING_COST, store)
+    orderer = Orderer(ORDERING_COST, store)
     return frozenset(derive_rule(crule, store, orderer, delta=delta))
 
 

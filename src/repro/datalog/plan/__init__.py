@@ -2,12 +2,11 @@
 
 The evaluation pipeline is explicit and typed:
 
-``Program`` -> :class:`LogicalPlan` (stratification + per-rule atom
-graphs) -> :class:`Planner` (join ordering: cost-based over
-:class:`~repro.relalg.indexes.FactStore` index statistics with
-connected-subgraph expansion over the rule's join graph, greedy
+``Program`` -> :class:`LogicalPlan` (stratification + per-rule body
+analysis) -> :class:`Planner` (join ordering: cost-based over
+:class:`~repro.relalg.indexes.FactStore` index statistics, greedy
 fallback) -> :class:`PhysicalPlan` (``execute`` / ``execute_delta`` /
-``explain``; hot bodies run as compiled closures, see
+``explain``; every body runs as a compiled kernel, see
 :mod:`repro.datalog.plan.kernels`) -> optionally an
 :class:`IncrementalExecutor` for cross-step delta evaluation of flat
 programs over monotone facts.
@@ -30,10 +29,9 @@ from repro.datalog.plan.planner import (
     cost_order,
     greedy_order,
     incremental_executor_for,
-    joingraph_enabled,
     plan_cache_info,
 )
-from repro.datalog.plan.kernels import Kernel, compile_kernel, kernels_enabled
+from repro.datalog.plan.kernels import Kernel, compile_kernel
 from repro.datalog.plan.physical import (
     CATEGORY_DELTA,
     CATEGORY_RECOMPUTE,
@@ -43,6 +41,7 @@ from repro.datalog.plan.physical import (
     IncrementalExecutor,
     PhysicalPlan,
     derive_rule,
+    kernels_compiled,
 )
 
 __all__ = [
@@ -57,10 +56,8 @@ __all__ = [
     "ORDERINGS",
     "greedy_order",
     "cost_order",
-    "joingraph_enabled",
     "Kernel",
     "compile_kernel",
-    "kernels_enabled",
     "compile_program",
     "compile_cached",
     "incremental_executor_for",
@@ -71,6 +68,7 @@ __all__ = [
     "IncrementalExecutor",
     "EvalCounters",
     "derive_rule",
+    "kernels_compiled",
     "CATEGORY_DELTA",
     "CATEGORY_RECOMPUTE",
     "CATEGORY_STATIC",

@@ -1,16 +1,14 @@
-"""Compiled rule kernels: specialized closures for hot join bodies.
+"""Compiled rule kernels: the executor of every rule body.
 
-The reference executor in :mod:`repro.datalog.plan.physical` interprets
-a rule body per row: for every candidate it walks the atom's terms,
-branching on term kind (constant? variable? bound?) and maintaining a
-binding dict with an undo trail.  Those branches are the same for every
-row -- they depend only on the rule and the join order -- so a *kernel*
-resolves them once at compile time and runs the join as a chain of
-closures over a flat environment:
+A rule body's per-row work -- walking the atom's terms, branching on
+term kind (constant? variable? bound?) -- is the same for every row: it
+depends only on the rule and the join order.  A *kernel* resolves it
+once at compile time and runs the join as a chain of closures over a
+flat environment:
 
 * variables become integer *slots* in a per-call environment list
   (assigned in binding order along the join), so binding is a list
-  store and an equality recheck is a list read -- no dict, no trail;
+  store and an equality recheck is a list read;
 * each join level precomputes its access mode (id-bucket index lookup /
   membership test / scan), its lookup-key recipe, which positions bind
   fresh slots, and which positions recheck already-bound ones;
@@ -18,31 +16,28 @@ closures over a flat environment:
   reading the same slots.
 
 Kernels enumerate candidates through the columnar side of
-:class:`~repro.relalg.indexes.FactStore` -- :meth:`lookup_ids` id
-buckets dereferenced against the shared :meth:`row_list` -- rather than
-the tuple-bucket index the interpreter uses.
+:class:`~repro.relalg.indexes.FactStore`: :meth:`lookup_ids` id buckets
+dereferenced against the shared :meth:`row_list`.
 
 One kernel is compiled per (rule, join order) and cached on the rule
 (see :class:`~repro.datalog.plan.physical.CompiledRule`), with two entry
 points: the full join, and the semi-naive variant whose first level
 enumerates supplied delta rows (filtering constants and bound positions
-explicitly, since those rows bypass the index).  Kernels derive exactly
-the tuples the interpreter derives -- the hypothesis equivalence suite
-in ``tests/test_kernels.py`` pins that -- and ``REPRO_COMPILED_KERNELS=0``
-switches every caller back to the interpreter.
+explicitly, since those rows bypass the index).  The reference oracle
+is the scan-based :func:`~repro.datalog.evaluate.evaluate_program_naive`;
+the hypothesis suite in ``tests/test_kernels.py`` pins kernels to it.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from repro.config import env_flag
 from repro.errors import EvaluationError, PlanError
 from repro.datalog.ast import Constant, Inequality, NegatedAtom
 from repro.datalog.plan.logical import AtomNode, RuleNode
 from repro.relalg.indexes import FactStore
 
-__all__ = ["Kernel", "compile_kernel", "kernels_enabled"]
+__all__ = ["Kernel", "compile_check", "compile_kernel"]
 
 # (is_slot, slot_or_value) recipe entries; a compiled term reference.
 _Part = tuple[bool, object]
@@ -52,11 +47,6 @@ _Check = Callable[[FactStore, list], bool]
 _MODE_CONTAINS = 0
 _MODE_INDEX = 1
 _MODE_SCAN = 2
-
-
-def kernels_enabled() -> bool:
-    """Whether compiled kernels are on (``REPRO_COMPILED_KERNELS``)."""
-    return env_flag("REPRO_COMPILED_KERNELS", default=True, error=PlanError)
 
 
 def _part(term, slot_of: dict) -> _Part:
@@ -69,7 +59,7 @@ def _parts(terms, slot_of: dict) -> tuple[_Part, ...]:
     return tuple(_part(term, slot_of) for term in terms)
 
 
-def _compile_check(check, slot_of: dict) -> _Check:
+def compile_check(check, slot_of: dict) -> _Check:
     """One negated atom or inequality as a ``(store, env) -> bool`` closure."""
     if isinstance(check, NegatedAtom):
         pred = check.atom.predicate
@@ -314,7 +304,7 @@ def compile_kernel(
         for variable in info.variables:
             bound_slots[variable] = slot_of[variable]
     compiled_checks = [
-        tuple(_compile_check(check, slot_of) for check in checks)
+        tuple(compile_check(check, slot_of) for check in checks)
         for checks in checks_at
     ]
     head_parts = _parts(node.rule.head.terms, slot_of)

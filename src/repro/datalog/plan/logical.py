@@ -5,8 +5,7 @@ A :class:`LogicalPlan` is built once from a
 purely syntactic: the stratification, whether the program is recursive,
 and -- per rule -- the safety-checked decomposition of the body into
 positive atoms (the join inputs) and checks (negated atoms and
-inequalities), plus the variable-sharing graph between the positive
-atoms.  Nothing here touches facts; choosing a join order and running it
+inequalities).  Nothing here touches facts; choosing a join order and running it
 is the :class:`~repro.datalog.plan.planner.Planner` /
 :class:`~repro.datalog.plan.physical.PhysicalPlan` side of the API.
 """
@@ -59,8 +58,7 @@ class RuleNode:
     """
 
     __slots__ = ("rule", "positive", "checks", "pre_checks",
-                 "positive_preds", "negated_preds", "body_preds",
-                 "adjacency")
+                 "positive_preds", "negated_preds", "body_preds")
 
     def __init__(self, rule: Rule) -> None:
         check_rule_safety(rule)
@@ -85,36 +83,12 @@ class RuleNode:
             if isinstance(check, NegatedAtom)
         )
         self.body_preds = self.positive_preds | self.negated_preds
-        # Variable-sharing adjacency between the positive atoms, keyed
-        # by atom index.  Computed once per (process-wide) plan: the
-        # join-graph-aware orderer walks it on every (re)ordering.
-        adjacency: dict[int, set[int]] = {
-            node.index: set() for node in self.positive
-        }
-        for a in self.positive:
-            for b in self.positive:
-                if a.index < b.index and a.variables & b.variables:
-                    adjacency[a.index].add(b.index)
-                    adjacency[b.index].add(a.index)
-        self.adjacency: dict[int, frozenset[int]] = {
-            index: frozenset(neighbors)
-            for index, neighbors in adjacency.items()
-        }
 
     def positive_predicates(self) -> frozenset[str]:
         return self.positive_preds
 
     def negated_predicates(self) -> frozenset[str]:
         return self.negated_preds
-
-    def join_graph(self) -> dict[int, frozenset[int]]:
-        """Variable-sharing adjacency between the positive atoms.
-
-        ``graph[i]`` holds the indexes of the atoms sharing at least one
-        variable with atom ``i`` -- the structure a join order walks.
-        Precomputed at analysis time (see :attr:`adjacency`).
-        """
-        return self.adjacency
 
     def variables(self) -> set[Variable]:
         out: set[Variable] = set()
@@ -127,7 +101,7 @@ class RuleNode:
 
 
 class LogicalPlan:
-    """A stratified program with per-rule atom graphs.
+    """A stratified program with analyzed rule bodies.
 
     ``strata`` is the predicate stratification, ``rules`` the analyzed
     rule nodes in program order, and ``nonrecursive`` records whether

@@ -2,9 +2,10 @@
 
 A :class:`PhysicalPlan` binds a
 :class:`~repro.datalog.plan.logical.LogicalPlan` to an ordering policy
-and executes it with the indexed join machinery (hash-index candidate
-enumeration, single mutable binding with an undo trail, checks scheduled
-as soon as their variables are bound):
+and executes every rule body with its compiled kernel (see
+:mod:`repro.datalog.plan.kernels`): the join order comes from the
+per-rule memo, the kernel for that order from the per-rule kernel
+cache, and checks run as soon as their variables are bound:
 
 * :meth:`PhysicalPlan.execute` runs the full stratified fixpoint --
   the engine behind :func:`repro.datalog.evaluate.evaluate_program`;
@@ -13,7 +14,7 @@ as soon as their variables are bound):
   the building block of both the in-fixpoint iteration and cross-step
   incremental evaluation;
 * :meth:`PhysicalPlan.explain` renders a stable, testable description
-  of the chosen join orders and check schedules;
+  of the join orders and check schedules the kernels run;
 * :meth:`PhysicalPlan.new_incremental` returns an
   :class:`IncrementalExecutor` that steps a *flat* program (no derived
   predicate in any body -- every Spocus output program) against
@@ -28,16 +29,10 @@ from typing import Iterable, Mapping, Sequence
 
 from dataclasses import dataclass, fields
 
-from repro.config import env_flag
 from repro.errors import EvaluationError, PlanError
-from repro.datalog.ast import (
-    Constant,
-    Inequality,
-    NegatedAtom,
-    Variable,
-)
+from repro.datalog.ast import Variable
 from repro.datalog.plan.cost import CostModel
-from repro.datalog.plan.kernels import Kernel, compile_kernel, kernels_enabled
+from repro.datalog.plan.kernels import Kernel, compile_check, compile_kernel
 from repro.datalog.plan.logical import AtomNode, LogicalPlan, RuleNode
 from repro.datalog.plan.planner import (
     ORDERING_COST,
@@ -45,14 +40,10 @@ from repro.datalog.plan.planner import (
     ORDERINGS,
     cost_order,
     greedy_order,
-    joingraph_enabled,
 )
 from repro.relalg.indexes import FactStore
 
 Facts = Mapping[str, frozenset[tuple]]
-Binding = dict[Variable, object]
-
-_UNSET = object()
 
 
 def coerce_store(facts: "Facts | FactStore") -> FactStore:
@@ -61,106 +52,21 @@ def coerce_store(facts: "Facts | FactStore") -> FactStore:
     return FactStore(facts)
 
 
-def _term_value(term, binding: Binding):
-    if isinstance(term, Constant):
-        return term.value
-    if term in binding:
-        return binding[term]
-    return _UNSET
-
-
-def _check_bound_literal(literal, binding: Binding, store: FactStore) -> bool:
-    """Evaluate a fully-bound negated atom or inequality."""
-    if isinstance(literal, NegatedAtom):
-        row = literal.atom.ground_tuple(binding)
-        return not store.contains(literal.atom.predicate, row)
-    if isinstance(literal, Inequality):
-        return _term_value(literal.left, binding) != _term_value(
-            literal.right, binding
-        )
-    raise EvaluationError(f"not a checkable literal: {literal}")
-
-
-def _candidate_rows(atom, binding: Binding, store: FactStore):
-    """The rows of ``atom``'s relation compatible with ``binding``.
-
-    Uses a hash-index lookup on the bound positions; falls back to a
-    membership test when every position is bound and to a full scan when
-    none is.
-    """
-    positions: list[int] = []
-    key: list = []
-    for i, term in enumerate(atom.terms):
-        value = _term_value(term, binding)
-        if value is not _UNSET:
-            positions.append(i)
-            key.append(value)
-    if len(positions) == len(atom.terms):
-        row = tuple(key)
-        if store.contains(atom.predicate, row):
-            return (row,)
-        return ()
-    if positions:
-        return store.lookup(atom.predicate, tuple(positions), tuple(key))
-    return store.rows(atom.predicate)
-
-
-def _match_into(
-    atom, row: tuple, binding: Binding, trail: list[Variable]
-) -> bool:
-    """Extend ``binding`` in place so ``atom`` matches ``row``.
-
-    Newly bound variables are pushed on ``trail``; on mismatch the
-    caller unwinds via :func:`_undo_to`.  Index lookups already filtered
-    on the bound positions, so this only binds fresh variables and
-    re-checks repeated ones.
-    """
-    for term, value in zip(atom.terms, row):
-        if isinstance(term, Constant):
-            if term.value != value:
-                return False
-        else:
-            bound = binding.get(term, _UNSET)
-            if bound is _UNSET:
-                binding[term] = value
-                trail.append(term)
-            elif bound != value:
-                return False
-    return True
-
-
-def _undo_to(binding: Binding, trail: list[Variable], mark: int) -> None:
-    while len(trail) > mark:
-        del binding[trail.pop()]
-
-
 class Orderer:
     """The join-order strategy bound to one store.
 
-    Callable as ``orderer(atoms, first, adjacency)``; cost ordering
-    needs live statistics, so without a store it degrades to the static
-    greedy order (the documented stats-absent fallback).  The instance
-    also carries the ingredients of the order-memo key (see
-    :meth:`CompiledRule.order_for`): the policy, whether join-graph
-    expansion is on, and the store whose relation sizes sign the memo.
+    Callable as ``orderer(atoms, first)``; cost ordering needs live
+    statistics, so without a store it degrades to the static greedy
+    order (the documented stats-absent fallback).  The instance also
+    carries the ingredients of the order-memo key (see
+    :meth:`CompiledRule.order_for`): the policy and the store whose
+    relation sizes sign the memo.
     """
 
-    __slots__ = ("policy", "store", "model", "joingraph", "kernels",
-                 "order_memo", "_sig_cache")
+    __slots__ = ("policy", "store", "model", "_sig_cache")
 
     def __init__(self, ordering: str, store: FactStore | None) -> None:
         self.store = store
-        # The kill switches are sampled once per orderer -- i.e. once
-        # per step/execute, not once per rule join -- so flipping the
-        # env mid-step is not observed (and os.environ stays off the
-        # per-join path).  REPRO_ORDER_MEMO=0 disables the per-rule
-        # join-order memo (benchmark ablations reconstructing the
-        # replan-per-join behaviour; not a supported production mode).
-        self.joingraph = joingraph_enabled()
-        self.kernels = kernels_enabled()
-        self.order_memo = env_flag(
-            "REPRO_ORDER_MEMO", default=True, error=PlanError
-        )
         self._sig_cache: dict[tuple[str, ...], tuple] = {}
         if ordering == ORDERING_COST and store is not None:
             self.policy = ORDERING_COST
@@ -173,16 +79,9 @@ class Orderer:
         self,
         positive: Sequence[AtomNode],
         first: AtomNode | None = None,
-        adjacency: Mapping[int, frozenset[int]] | None = None,
     ) -> list[AtomNode]:
         if self.model is not None:
-            return cost_order(
-                positive,
-                self.store,
-                self.model,
-                first,
-                adjacency if self.joingraph else None,
-            )
+            return cost_order(positive, self.store, self.model, first)
         return greedy_order(positive, self.store, first)
 
     def signature(self, predicates: Sequence[str]) -> tuple:
@@ -205,18 +104,29 @@ class Orderer:
             sizes = tuple(
                 store.count(pred).bit_length() for pred in predicates
             )
-        signature = (self.policy, self.joingraph, sizes)
+        signature = (self.policy, sizes)
         self._sig_cache[predicates] = signature
         return signature
 
 
-def make_orderer(ordering: str, store: FactStore | None) -> Orderer:
-    """The :class:`Orderer` for one (ordering policy, store) pair."""
-    return Orderer(ordering, store)
-
-
 _ORDER_MEMO_LIMIT = 64
 _KERNEL_MEMO_LIMIT = 64
+
+# Kernels live on the process-wide shared plans, so how many exist is a
+# process-wide fact: counted here, read by kernels_compiled().
+_kernel_count = 0
+_kernel_count_lock = threading.Lock()
+
+
+def kernels_compiled() -> int:
+    """Rule kernels compiled so far in this process (a gauge)."""
+    return _kernel_count
+
+
+def _count_kernel() -> None:
+    global _kernel_count
+    with _kernel_count_lock:
+        _kernel_count += 1
 
 
 class CompiledRule:
@@ -231,11 +141,15 @@ class CompiledRule:
     so a lost publish only costs a recomputation.
     """
 
-    __slots__ = ("node", "_order_preds", "_orders", "_schedules",
-                 "_kernels", "_schedule_lock")
+    __slots__ = ("node", "pre_checks", "_order_preds", "_orders",
+                 "_schedules", "_kernels", "_schedule_lock")
 
     def __init__(self, node: RuleNode) -> None:
         self.node = node
+        # Ground checks, compiled once: nothing is bound, so no slots.
+        self.pre_checks = tuple(
+            compile_check(check, {}) for check in node.pre_checks
+        )
         self._order_preds = tuple(sorted(node.positive_preds))
         self._orders: dict[tuple, list[AtomNode]] = {}
         self._schedules: dict[tuple[int, ...], list[list]] = {}
@@ -251,16 +165,13 @@ class CompiledRule:
         """The join order for this rule under ``orderer``, memoized.
 
         Keyed by the delta occurrence and the orderer's signature
-        (policy + join-graph flag + bit-length relation sizes), so
-        re-planning a rule is a dictionary hit until the body relations'
-        cardinalities drift by ~2x.  ``replans_avoided`` counts the
-        hits.
+        (policy + bit-length relation sizes), so re-planning a rule is
+        a dictionary hit until the body relations' cardinalities drift
+        by ~2x.  ``replans_avoided`` counts the hits.
         """
         positive = self.node.positive
         if len(positive) <= 1:
             return positive
-        if not orderer.order_memo:
-            return orderer(positive, first, self.node.adjacency)
         key = (
             -1 if first is None else first.index,
             orderer.signature(self._order_preds),
@@ -270,7 +181,7 @@ class CompiledRule:
             if counters is not None:
                 counters.replans_avoided += 1
             return cached
-        order = orderer(positive, first, self.node.adjacency)
+        order = orderer(positive, first)
         if len(self._orders) >= _ORDER_MEMO_LIMIT:
             self._orders.clear()
         self._orders[key] = order
@@ -283,9 +194,10 @@ class CompiledRule:
     ) -> Kernel:
         """The compiled kernel for one join order of this rule, cached.
 
-        ``kernels_compiled`` counts fresh compilations,
-        ``kernel_hits`` reuses; one kernel exists per distinct order no
-        matter how many sessions share the plan.
+        ``kernels_compiled`` counts fresh compilations (also tallied
+        process-wide, see :func:`kernels_compiled`), ``kernel_hits``
+        reuses; one kernel exists per distinct order no matter how many
+        sessions share the plan.
         """
         key = tuple(info.index for info in order)
         cached = self._kernels.get(key)
@@ -303,6 +215,7 @@ class CompiledRule:
                     self._kernels.clear()
                 cached = compile_kernel(self.node, order, checks_at)
                 self._kernels[key] = cached
+                _count_kernel()
                 if counters is not None:
                     counters.kernels_compiled += 1
                 return cached
@@ -341,70 +254,39 @@ class CompiledRule:
         return checks_at
 
 
+def _pre_checks_pass(crule: CompiledRule, store: FactStore) -> bool:
+    return all(check(store, ()) for check in crule.pre_checks)
+
+
 def _join(
     crule: CompiledRule,
     store: FactStore,
-    orderer,
+    orderer: Orderer,
     derived: set[tuple],
     first: AtomNode | None = None,
     first_rows=None,
     counters: "EvalCounters | None" = None,
 ) -> None:
-    """Run the indexed join for one rule, adding head tuples to ``derived``.
+    """Run one rule's kernel, adding head tuples to ``derived``.
 
     With ``first``/``first_rows`` given, that occurrence is evaluated
     first and enumerates only ``first_rows`` (the semi-naive delta
-    restriction); the other atoms read the full store.  Dispatches to
-    the rule's compiled kernel unless ``REPRO_COMPILED_KERNELS=0``
-    selects the reference interpreter below.
+    restriction); the other atoms read the full store.
     """
-    node = crule.node
-    for check in node.pre_checks:
-        if not _check_bound_literal(check, {}, store):
-            return
-    order = crule.order_for(orderer, first, counters)
-    if orderer.kernels:
-        kernel = crule.kernel_for(order, counters)
-        if first_rows is not None:
-            kernel.run_delta(store, derived, first_rows)
-        else:
-            kernel.run_full(store, derived)
+    if not _pre_checks_pass(crule, store):
         return
-    checks_at = crule.schedule(order)
-    head = node.rule.head
-    binding: Binding = {}
-    trail: list[Variable] = []
-    depth = len(order)
-
-    def extend(index: int) -> None:
-        if index == depth:
-            derived.add(head.ground_tuple(binding))
-            return
-        atom = order[index].atom
-        if index == 0 and first_rows is not None:
-            candidates = first_rows
-        else:
-            candidates = _candidate_rows(atom, binding, store)
-        slot_checks = checks_at[index]
-        for row in candidates:
-            if len(row) != atom.arity:
-                continue
-            mark = len(trail)
-            if _match_into(atom, row, binding, trail):
-                if all(
-                    _check_bound_literal(check, binding, store)
-                    for check in slot_checks
-                ):
-                    extend(index + 1)
-            _undo_to(binding, trail, mark)
-
-    extend(0)
+    order = crule.order_for(orderer, first, counters)
+    kernel = crule.kernel_for(order, counters)
+    if first_rows is not None:
+        kernel.run_delta(store, derived, first_rows)
+    else:
+        kernel.run_full(store, derived)
 
 
 def derive_rule(
     crule: CompiledRule,
     store: FactStore,
-    orderer,
+    orderer: Orderer,
     delta: Facts | None = None,
     counters: "EvalCounters | None" = None,
 ) -> set[tuple]:
@@ -414,9 +296,7 @@ def derive_rule(
     if not node.positive:
         # Body is empty or has only checks over constants.  A delta pass
         # can never use such a rule (no positive occurrence to restrict).
-        if delta is not None:
-            return derived
-        if all(_check_bound_literal(c, {}, store) for c in node.pre_checks):
+        if delta is None and _pre_checks_pass(crule, store):
             derived.add(node.rule.head.ground_tuple({}))
         return derived
     if delta is None:
@@ -674,9 +554,9 @@ class PhysicalPlan:
 
     # -- ordering ----------------------------------------------------------------
 
-    def orderer(self, store: FactStore | None):
+    def orderer(self, store: FactStore | None) -> Orderer:
         """An ``(atoms, first) -> order`` callable for one store."""
-        return make_orderer(self.ordering, store)
+        return Orderer(self.ordering, store)
 
     def _compiled_by_stratum(self) -> list[list[CompiledRule]]:
         by_node = {id(crule.node): crule for crule in self.compiled}
@@ -785,19 +665,17 @@ class PhysicalPlan:
     def explain(self, store: "Facts | FactStore | None" = None) -> str:
         """A stable, testable description of the plan.
 
-        With a store, join orders are the ones :meth:`execute` would
-        choose against it right now, annotated with relation sizes and
-        (under cost ordering) the cost model's row estimates.  Without
-        one, the static fallback order is shown.
+        With a store, join orders are the ones :meth:`execute` runs
+        against it right now -- read through the same per-rule order
+        memo, so a memoized order still in force is the one shown --
+        annotated with relation sizes and (under cost ordering) the
+        cost model's row estimates.  Without one, the static fallback
+        order is shown.
         """
         if store is not None and not isinstance(store, FactStore):
             store = FactStore(store)
-        model = (
-            CostModel(store)
-            if store is not None and self.ordering == ORDERING_COST
-            else None
-        )
         orderer = self.orderer(store)
+        model = orderer.model
         shape = "nonrecursive" if self.logical.nonrecursive else "recursive"
         strata = self.logical.strata_rules()
         lines = [
@@ -814,7 +692,7 @@ class PhysicalPlan:
                 if not node.positive:
                     lines.append("    join: (no positive atoms)")
                 else:
-                    order = orderer(node.positive, None, node.adjacency)
+                    order = crule.order_for(orderer)
                     parts = []
                     bound: set[Variable] = set()
                     for info in order:

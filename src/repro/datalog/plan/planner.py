@@ -13,15 +13,8 @@ Two ordering strategies:
   already bound, using the per-index bucket counts of the live
   :class:`~repro.relalg.indexes.FactStore`.  Ties (and the bound-term
   structure) fall back to the greedy score, keeping orders
-  deterministic.  When handed a rule's join graph
-  (:attr:`~repro.datalog.plan.logical.RuleNode.adjacency`) the
-  expansion is *connected-subgraph*: only atoms sharing a variable with
-  the subplan built so far are candidates, so Cartesian products are
-  deferred until a connected component is exhausted instead of sneaking
-  in whenever a tiny unrelated relation looks cheap.  Set
-  ``REPRO_JOINGRAPH=0`` to fall back to considering every remaining
-  atom (the pre-join-graph behaviour), or ``ordering="greedy"`` to
-  bypass the cost model entirely.
+  deterministic.  ``ordering="greedy"`` bypasses the cost model
+  entirely.
 
 :func:`compile_program` is the module-level compilation cache: one
 :class:`~repro.datalog.plan.physical.PhysicalPlan` per (program,
@@ -31,9 +24,8 @@ ordering), shared by every session of every service in the process.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.config import env_flag
 from repro.errors import PlanError
 from repro.datalog.ast import Program, Variable
 from repro.datalog.plan.cost import CostModel
@@ -86,17 +78,11 @@ def greedy_order(
     return order
 
 
-def joingraph_enabled() -> bool:
-    """Whether join-graph-aware ordering is on (``REPRO_JOINGRAPH``)."""
-    return env_flag("REPRO_JOINGRAPH", default=True, error=PlanError)
-
-
 def cost_order(
     positive: Sequence[AtomNode],
     store: "FactStore",
     model: CostModel | None = None,
     first: AtomNode | None = None,
-    adjacency: "Mapping[int, frozenset[int]] | None" = None,
 ) -> list[AtomNode]:
     """Cost-based ordering: cheapest estimated enumeration next.
 
@@ -105,42 +91,20 @@ def cost_order(
     order degrades gracefully to the greedy one when statistics cannot
     discriminate (e.g. every candidate is an unindexed scan of the same
     size).
-
-    With ``adjacency`` (a rule's precomputed join graph) the expansion
-    is restricted to *connected* candidates: once a seed atom is placed,
-    only atoms sharing a variable with the subplan so far compete, and
-    disconnected components are started fresh only when the frontier
-    runs dry.  The seed (and each new component's seed) is still chosen
-    by cost over all remaining atoms.
     """
     if model is None:
         model = CostModel(store)
     remaining = list(positive)
     order: list[AtomNode] = []
     bound: set[Variable] = set()
-    chosen_ids: set[int] = set()
-    frontier: set[int] = set()
     if first is not None:
         remaining.remove(first)
         order.append(first)
         bound.update(first.variables)
-        if adjacency is not None:
-            chosen_ids.add(first.index)
-            frontier |= adjacency.get(first.index, frozenset())
     while remaining:
-        if adjacency is not None and frontier:
-            candidates = [
-                (i, info)
-                for i, info in enumerate(remaining)
-                if info.index in frontier
-            ]
-            if not candidates:
-                candidates = list(enumerate(remaining))
-        else:
-            candidates = list(enumerate(remaining))
-        best_index = candidates[0][0]
+        best_index = 0
         best_score: tuple[float, int, int] | None = None
-        for i, info in candidates:
+        for i, info in enumerate(remaining):
             bound_terms = info.constant_count + sum(
                 1 for v in info.variables if v in bound
             )
@@ -155,10 +119,6 @@ def cost_order(
         chosen = remaining.pop(best_index)
         order.append(chosen)
         bound.update(chosen.variables)
-        if adjacency is not None:
-            chosen_ids.add(chosen.index)
-            frontier |= adjacency.get(chosen.index, frozenset())
-            frontier -= chosen_ids
     return order
 
 

@@ -26,6 +26,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
+from repro.datalog.plan.physical import kernels_compiled
 from repro.relalg.interning import interned_constants
 
 if TYPE_CHECKING:
@@ -42,10 +43,12 @@ class RuntimeMetrics:
     collects around every submit: how many physical plans were compiled
     vs reused, and how much per-step work the incremental executor
     turned into delta joins, outright skips, or static-cache hits.
-    ``kernels_compiled`` / ``kernel_hits`` / ``replans_avoided`` do the
-    same for the hot-path machinery -- compiled rule kernels built vs
-    reused and join orders served from the per-rule memo (see
-    :mod:`repro.datalog.plan.kernels`).
+    ``kernel_hits`` / ``replans_avoided`` do the same for the hot-path
+    machinery -- compiled rule kernels reused and join orders served
+    from the per-rule memo (see :mod:`repro.datalog.plan.kernels`).
+    How many kernels exist is not a per-service fact (the kernel memo
+    lives on the process-wide shared plans), so ``kernels_compiled`` is
+    a gauge read at :meth:`snapshot` time, like ``interned_constants``.
     """
 
     sessions_created: int = 0
@@ -64,7 +67,6 @@ class RuntimeMetrics:
     delta_rule_evals: int = 0
     delta_rules_skipped: int = 0
     static_cache_hits: int = 0
-    kernels_compiled: int = 0
     kernel_hits: int = 0
     replans_avoided: int = 0
     audited_steps: int = 0
@@ -121,7 +123,6 @@ class RuntimeMetrics:
             self.delta_rule_evals += counters.delta_rule_evals
             self.delta_rules_skipped += counters.delta_rules_skipped
             self.static_cache_hits += counters.static_cache_hits
-            self.kernels_compiled += counters.kernels_compiled
             self.kernel_hits += counters.kernel_hits
             self.replans_avoided += counters.replans_avoided
 
@@ -166,7 +167,6 @@ class RuntimeMetrics:
             total.delta_rule_evals += p.delta_rule_evals
             total.delta_rules_skipped += p.delta_rules_skipped
             total.static_cache_hits += p.static_cache_hits
-            total.kernels_compiled += p.kernels_compiled
             total.kernel_hits += p.kernel_hits
             total.replans_avoided += p.replans_avoided
             total.audited_steps += p.audited_steps
@@ -200,9 +200,10 @@ class RuntimeMetrics:
     def snapshot(self) -> dict:
         """A JSON-ready, deterministic-key summary of the counters.
 
-        ``interned_constants`` is a process-wide gauge (the live size of
-        the storage layer's constant pool), read at snapshot time rather
-        than accumulated; merges report the largest observed pool (see
+        ``kernels_compiled`` and ``interned_constants`` are process-wide
+        gauges (the rule kernels compiled so far, the live size of the
+        storage layer's constant pool), read at snapshot time rather
+        than accumulated; merges report the largest observed value (see
         :func:`merge_snapshots` -- summing a gauge would double-count
         whenever two snapshots come from the same process).
         """
@@ -231,7 +232,7 @@ class RuntimeMetrics:
             "delta_rule_evals": self.delta_rule_evals,
             "delta_rules_skipped": self.delta_rules_skipped,
             "static_cache_hits": self.static_cache_hits,
-            "kernels_compiled": self.kernels_compiled,
+            "kernels_compiled": kernels_compiled(),
             "kernel_hits": self.kernel_hits,
             "replans_avoided": self.replans_avoided,
             "interned_constants": interned_constants(),
@@ -258,7 +259,6 @@ _SUMMED_KEYS = (
     "delta_rule_evals",
     "delta_rules_skipped",
     "static_cache_hits",
-    "kernels_compiled",
     "kernel_hits",
     "replans_avoided",
     "audited_steps",
@@ -269,8 +269,8 @@ _SUMMED_KEYS = (
 
 #: snapshot() keys that are point-in-time gauges: merging takes the max
 #: (summing would double-count whenever two snapshots observe the same
-#: process's pool -- successive snapshots, or threads of one worker).
-_GAUGE_KEYS = ("interned_constants",)
+#: process -- successive snapshots, or threads of one worker).
+_GAUGE_KEYS = ("kernels_compiled", "interned_constants")
 
 
 def merge_snapshots(snapshots) -> dict:

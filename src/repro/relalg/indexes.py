@@ -8,9 +8,9 @@ insertion-ordered row list whose positions are the *row ids*, and
 per-position columns are materialized on demand.  Hash indexes bucket
 **row ids**, not row tuples: the index for predicate ``p`` on positions
 ``(0, 2)`` maps ``(row[0], row[2])`` to the ids of the rows with those
-values.  The compiled rule kernels of :mod:`repro.datalog.plan` walk id
-buckets and read values off the shared row list; the legacy tuple-bucket
-index (:meth:`FactStore.lookup`) remains for the reference interpreter.
+values (:meth:`FactStore.lookup_ids`).  The compiled rule kernels of
+:mod:`repro.datalog.plan` walk id buckets and read values off the
+shared row list (:meth:`FactStore.row_list`).
 
 :meth:`index_stats` reads distinct-count summaries straight off the
 columns -- no bucket lists are allocated just to count keys -- and the
@@ -28,8 +28,9 @@ present locally are served -- rows, indexes, ids, and stats -- by the
 base; adding facts for such a predicate first copies its rows into the
 local layer (copy-on-write), leaving the base untouched.  This is how
 one indexed catalog database is shared by every evaluation of every
-session in :mod:`repro.runtime`: the engine indexes the catalog once,
-and each transducer step layers its small input/state facts on top.
+session of a :mod:`repro.pods` service: the service indexes the catalog
+once, and each transducer step layers its small input/state facts on
+top.
 
 Concurrency contract: a store that is only *read* (lookups, scans,
 stats) may be shared between threads -- lazy index/column construction
@@ -51,7 +52,6 @@ from repro.relalg.interning import intern_row
 
 Positions = tuple[int, ...]
 Key = tuple
-_Buckets = dict[Key, list[tuple]]
 _IdBuckets = dict[Key, list[int]]
 
 _EMPTY: tuple = ()
@@ -102,7 +102,6 @@ class FactStore:
 
     __slots__ = (
         "_rows",
-        "_indexes",
         "_id_indexes",
         "_tuples",
         "_columns",
@@ -129,7 +128,6 @@ class FactStore:
         # constants seed the process-wide pools every later equality
         # check benefits from.
         self._rows: dict[str, set[tuple] | frozenset[tuple]] = {}
-        self._indexes: dict[str, dict[Positions, _Buckets]] = {}
         self._id_indexes: dict[str, dict[Positions, _IdBuckets]] = {}
         # Insertion-ordered row lists (row id = list position) and the
         # per-position columns over them, both materialized on demand.
@@ -268,9 +266,9 @@ class FactStore:
     ) -> Sequence[int]:
         """Ids of the rows with ``row[p] == key[i]`` at each position.
 
-        The id-bucket index is the one the compiled kernels (and the
-        statistics) use; it is built on first use and maintained
-        incrementally.  Base-layer predicates delegate so the shared
+        The (predicate, positions) index is built on first use and
+        maintained incrementally; dereference the ids against
+        :meth:`row_list`.  Base-layer predicates delegate so the shared
         catalog is indexed once.
         """
         if predicate not in self._rows:
@@ -279,24 +277,13 @@ class FactStore:
             return _EMPTY
         return self._id_buckets(predicate, positions).get(key, _EMPTY)
 
-    def lookup(
-        self, predicate: str, positions: Positions, key: Key
-    ) -> tuple[tuple, ...] | list[tuple]:
-        """Rows of ``predicate`` with ``row[p] == key[i]`` at each position.
-
-        Tuple-bucket variant retained for the reference interpreter;
-        builds the (predicate, positions) index on first use.  Requests
-        for predicates served by the base layer are delegated so the
-        base's indexes are shared.
-        """
-        if predicate not in self._rows:
-            if self._base is not None:
-                return self._base.lookup(predicate, positions, key)
-            return ()
-        return self._buckets(predicate, positions).get(key, ())
-
     def _id_buckets(self, predicate: str, positions: Positions) -> _IdBuckets:
-        """Id-bucket map of the (local) index, built on first use."""
+        """Id-bucket map of the (local) index, built on first use.
+
+        Build-once under concurrency: the first thread to miss takes the
+        lock, re-checks, builds, and publishes the finished map in one
+        assignment; later calls hit the lock-free fast path.
+        """
         per_pred = self._id_indexes.setdefault(predicate, {})
         buckets = per_pred.get(positions)
         if buckets is not None:
@@ -320,31 +307,6 @@ class FactStore:
                     buckets[bucket_key] = [rid]
                 else:
                     bucket.append(rid)
-            per_pred[positions] = buckets
-        return buckets
-
-    def _buckets(self, predicate: str, positions: Positions) -> _Buckets:
-        """Tuple-bucket map of the (local) index, built on first use.
-
-        Build-once under concurrency: the first thread to miss takes the
-        lock, re-checks, builds, and publishes the finished map in one
-        assignment; later calls hit the lock-free fast path.
-        """
-        per_pred = self._indexes.setdefault(predicate, {})
-        buckets = per_pred.get(positions)
-        if buckets is not None:
-            return buckets
-        with self._index_lock:
-            buckets = per_pred.get(positions)
-            if buckets is not None:
-                return buckets
-            buckets = {}
-            width = max(positions) + 1 if positions else 0
-            for row in self._rows[predicate]:
-                if len(row) < width:
-                    continue
-                bucket_key = tuple(row[p] for p in positions)
-                buckets.setdefault(bucket_key, []).append(row)
             per_pred[positions] = buckets
         return buckets
 
@@ -455,13 +417,6 @@ class FactStore:
                     buckets[bucket_key] = [first_id + offset]
                 else:
                     bucket.append(first_id + offset)
-        for positions, buckets in self._indexes.get(predicate, {}).items():
-            width = max(positions) + 1 if positions else 0
-            for row in fresh:
-                if len(row) < width:
-                    continue
-                bucket_key = tuple(row[p] for p in positions)
-                buckets.setdefault(bucket_key, []).append(row)
         return frozenset(fresh)
 
     # -- export ----------------------------------------------------------------

@@ -1,38 +1,39 @@
 """Tests for the compiled rule kernels and the columnar store they read.
 
 The load-bearing suite is the hypothesis equivalence block: over random
-programs and databases, the compiled-kernel executor and the reference
-interpreter (``REPRO_COMPILED_KERNELS=0``) derive byte-identical
-fixpoints, and the columnar access paths (row lists, columns, id
-buckets) agree with the tuple-bucket index and with brute force.  The
-unit tests pin the kernel mechanics the equivalence suite exercises
-only probabilistically: the three access modes, delta-entry constant
-filtering, repeated-variable rechecks, and the order/kernel memos with
-their counters and kill switches.
+programs and databases, the compiled kernels and the scan-based
+reference interpreter (:func:`evaluate_program_naive` /
+:func:`evaluate_rule_naive`) derive byte-identical fixpoints and delta
+passes, and the columnar access paths (row lists, columns, id buckets)
+agree with brute force.  The unit tests pin the kernel mechanics the
+equivalence suite exercises only probabilistically: the three access
+modes, delta-entry constant filtering, repeated-variable rechecks, and
+the order/kernel memos with their counters.
 """
-
-import os
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datalog import parse_program
-from repro.datalog.evaluate import evaluate_program_naive
+from repro.datalog import parse_program, parse_rule
+from repro.datalog.evaluate import (
+    evaluate_program_naive,
+    evaluate_rule_naive,
+    naive_evaluation,
+)
 from repro.datalog.plan import (
     ORDERING_COST,
     EvalCounters,
     LogicalPlan,
     Planner,
     compile_kernel,
-    kernels_enabled,
+    kernels_compiled,
 )
-from repro.datalog.plan.physical import make_orderer
 from repro.errors import PlanError
 from repro.relalg import FactStore, clear_intern_pools
 from repro.relalg.indexes import PAD
 from repro.relalg.interning import intern_constant, intern_row
+from repro.scenarios import run_scenario, scenario_names
 
 values = st.sampled_from(["a", "b", "c", "d"])
 pairs = st.frozensets(st.tuples(values, values), max_size=10)
@@ -60,58 +61,46 @@ PROGRAMS = [
 ]
 
 
-@contextmanager
-def env(name, value):
-    """Set one environment variable for the duration of a block."""
-    previous = os.environ.get(name)
-    os.environ[name] = value
-    try:
-        yield
-    finally:
-        if previous is None:
-            del os.environ[name]
-        else:
-            os.environ[name] = previous
-
-
 def fresh_plan(source):
     """An uncached plan (private memos, exact counter assertions)."""
     return Planner(ORDERING_COST).plan(parse_program(source))
 
 
 class TestKernelInterpreterEquivalence:
-    """Kernels derive exactly what the reference interpreter derives.
-
-    The kill switch is sampled per execution, so the same shared plan
-    object runs both modes; its per-rule memos are keyed so the modes
-    never read each other's entries.
-    """
+    """Kernels derive exactly what the scan-based reference derives."""
 
     @given(st.sampled_from(PROGRAMS), pairs, singles)
     @settings(max_examples=120, deadline=None)
     def test_fixpoints_agree_across_modes(self, source, edges, unary):
-        plan = fresh_plan(source)
         facts = {"e": edges, "f": unary}
-        with env("REPRO_COMPILED_KERNELS", "1"):
-            compiled = plan.execute(facts)
-        with env("REPRO_COMPILED_KERNELS", "0"):
-            interpreted = plan.execute(facts)
-        assert compiled == interpreted
+        compiled = fresh_plan(source).execute(facts)
         assert compiled == evaluate_program_naive(parse_program(source), facts)
 
     @given(pairs)
     @settings(max_examples=40, deadline=None)
     def test_delta_passes_agree_across_modes(self, edges):
         plan = fresh_plan("t(X, Z) :- t(X, Y), e(Y, Z);")
+        rule = parse_rule("t(X, Z) :- t(X, Y), e(Y, Z)")
         split = len(edges) // 2
         old = frozenset(list(edges)[:split])
         delta = {"t": edges - old}
         facts = {"e": edges, "t": edges}
-        with env("REPRO_COMPILED_KERNELS", "1"):
-            compiled = plan.execute_delta(facts, delta)
-        with env("REPRO_COMPILED_KERNELS", "0"):
-            interpreted = plan.execute_delta(facts, delta)
-        assert compiled == interpreted
+        compiled = plan.execute_delta(facts, delta)
+        assert compiled["t"] == evaluate_rule_naive(rule, facts, delta=delta)
+
+
+class TestScenarioDigestsMatchNaive:
+    """End to end: every registered scenario logs byte-identically on
+    the kernels and under :func:`naive_evaluation`."""
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_log_digest_matches_naive(self, name):
+        compiled = run_scenario(name, sessions=12, steps=6, seed=3, audit=False)
+        with naive_evaluation():
+            naive = run_scenario(name, sessions=12, steps=6, seed=3, audit=False)
+        assert compiled.metrics["kernel_hits"] > 0
+        assert naive.metrics["kernel_hits"] == 0
+        assert compiled.log_digest == naive.log_digest
 
 
 class TestColumnarStoreEquivalence:
@@ -119,9 +108,7 @@ class TestColumnarStoreEquivalence:
 
     @given(pairs, st.sampled_from([(0,), (1,), (0, 1)]))
     @settings(max_examples=60, deadline=None)
-    def test_id_buckets_match_tuple_buckets_and_brute_force(
-        self, edges, positions
-    ):
+    def test_id_buckets_match_brute_force(self, edges, positions):
         store = FactStore({"e": edges})
         rows = store.row_list("e")
         assert set(rows) == set(edges)
@@ -130,13 +117,12 @@ class TestColumnarStoreEquivalence:
             via_ids = sorted(
                 rows[rid] for rid in store.lookup_ids("e", positions, key)
             )
-            via_tuples = sorted(store.lookup("e", positions, key))
             brute = sorted(
                 row
                 for row in edges
                 if all(row[p] == k for p, k in zip(positions, key))
             )
-            assert via_ids == via_tuples == brute
+            assert via_ids == brute
         # A key no row has yields an empty bucket, not a KeyError.
         assert store.lookup_ids("e", positions, ("nope",) * len(positions)) == ()
 
@@ -243,6 +229,16 @@ class TestKernelMechanics:
         )
         assert derived == {("a", "b")}
 
+    def test_ground_pre_checks_gate_the_whole_rule(self):
+        plan = fresh_plan("p(X) :- e(X, X), NOT r(a), a <> b;")
+        facts = {"e": frozenset({("c", "c")})}
+        assert plan.execute(facts)["p"] == frozenset({("c",)})
+        blocked = dict(facts, r=frozenset({("a",)}))
+        assert plan.execute(blocked)["p"] == frozenset()
+        assert plan.execute(blocked) == evaluate_program_naive(
+            parse_program("p(X) :- e(X, X), NOT r(a), a <> b;"), blocked
+        )
+
     def test_delta_entry_filters_constants_and_duplicates(self):
         node = self.rule_node("p(X) :- e(a, X, X);")
         kernel = compile_kernel(node, node.positive, [[]])
@@ -273,28 +269,19 @@ class TestMemosAndSwitches:
 
     def test_kernel_compiled_once_then_hit(self):
         plan = fresh_plan(self.SOURCE)
-        with env("REPRO_COMPILED_KERNELS", "1"):
-            first = EvalCounters()
-            plan.execute(self.FACTS, counters=first)
-            assert first.kernels_compiled == 1
-            assert first.kernel_hits == 0
-            assert first.replans_avoided == 0
-            second = EvalCounters()
-            plan.execute(self.FACTS, counters=second)
-            assert second.kernels_compiled == 0
-            assert second.kernel_hits == 1
-            assert second.replans_avoided == 1
-
-    def test_order_memo_disabled_by_flag(self):
-        plan = fresh_plan(self.SOURCE)
-        with env("REPRO_COMPILED_KERNELS", "1"), env("REPRO_ORDER_MEMO", "0"):
-            counters = EvalCounters()
-            plan.execute(self.FACTS, counters=counters)
-            plan.execute(self.FACTS, counters=counters)
-            assert counters.replans_avoided == 0
-            # The kernel memo is keyed by the order, not the memo flag.
-            assert counters.kernels_compiled == 1
-            assert counters.kernel_hits == 1
+        before = kernels_compiled()
+        first = EvalCounters()
+        plan.execute(self.FACTS, counters=first)
+        assert first.kernels_compiled == 1
+        assert first.kernel_hits == 0
+        assert first.replans_avoided == 0
+        second = EvalCounters()
+        plan.execute(self.FACTS, counters=second)
+        assert second.kernels_compiled == 0
+        assert second.kernel_hits == 1
+        assert second.replans_avoided == 1
+        # The process-wide gauge saw exactly the one compilation.
+        assert kernels_compiled() == before + 1
 
     def test_memo_key_tracks_cardinality_drift(self):
         plan = fresh_plan(self.SOURCE)
@@ -315,31 +302,6 @@ class TestMemosAndSwitches:
         plan.execute(self.FACTS, counters=counters)
         plan.execute(self.FACTS, counters=counters)
         assert counters.replans_avoided == 0
-
-    def test_kill_switch_selects_the_interpreter(self):
-        with env("REPRO_COMPILED_KERNELS", "0"):
-            assert not kernels_enabled()
-            assert not make_orderer(ORDERING_COST, FactStore({})).kernels
-            plan = fresh_plan(self.SOURCE)
-            counters = EvalCounters()
-            result = plan.execute(self.FACTS, counters=counters)
-            assert counters.kernels_compiled == 0
-            assert counters.kernel_hits == 0
-        assert result["p"] == frozenset({("a", "d")})
-
-    def test_invalid_flag_value_rejected(self):
-        with env("REPRO_COMPILED_KERNELS", "maybe"):
-            with pytest.raises(PlanError, match="REPRO_COMPILED_KERNELS"):
-                kernels_enabled()
-
-    def test_flags_are_sampled_per_orderer(self):
-        store = FactStore({})
-        with env("REPRO_COMPILED_KERNELS", "0"):
-            orderer = make_orderer(ORDERING_COST, store)
-        # Flipping the environment after construction is not observed.
-        assert not orderer.kernels
-        with env("REPRO_COMPILED_KERNELS", "1"):
-            assert make_orderer(ORDERING_COST, store).kernels
 
 
 class TestInterningTypeFidelity:

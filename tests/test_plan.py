@@ -13,7 +13,7 @@ from repro.datalog import parse_program, parse_rule
 from repro.datalog.evaluate import (
     evaluate_program,
     evaluate_program_naive,
-    evaluate_rule,
+    evaluate_rule_naive,
 )
 from repro.datalog.plan import (
     CATEGORY_DELTA,
@@ -21,6 +21,7 @@ from repro.datalog.plan import (
     CATEGORY_STATIC,
     ORDERING_COST,
     ORDERING_GREEDY,
+    EvalCounters,
     LogicalPlan,
     Planner,
     compile_program,
@@ -82,12 +83,6 @@ class TestLogicalPlan:
         grouped = logical.strata_rules()
         assert [len(group) for group in grouped] == [2, 1]
 
-    def test_join_graph_links_atoms_sharing_variables(self):
-        logical = LogicalPlan.of(
-            parse_program("p(X, Z) :- e(X, Y), f(Y, Z), g(W);")
-        )
-        assert logical.rules[0].join_graph() == {0: {1}, 1: {0}, 2: set()}
-
     def test_logical_plans_are_cached_per_program(self):
         program = parse_program("p(X) :- q(X);")
         assert LogicalPlan.of(program) is LogicalPlan.of(program)
@@ -117,7 +112,7 @@ class TestPlannerCorrectness:
         delta = {"t": edges - old}
         facts = {"e": edges, "t": edges}
         derived = plan.execute_delta(facts, delta)
-        assert derived["t"] == evaluate_rule(rule, facts, delta=delta)
+        assert derived["t"] == evaluate_rule_naive(rule, facts, delta=delta)
 
     def test_unknown_ordering_rejected(self):
         with pytest.raises(PlanError):
@@ -151,65 +146,20 @@ class TestPlannerCorrectness:
         # Different orders, identical answers.
         assert cost_plan.execute(facts) == greedy_plan.execute(facts)
 
-
-JOINGRAPH_PROGRAM = "q(X, W) :- s(X), a(X, Y), c(W);"
-# s seeds the order (1 row); a shares X with s but enumerates 4 rows
-# per lookup, while the disconnected c has only 2.  Cost alone would
-# interleave the Cartesian atom (s -> c -> a); the join graph keeps the
-# connected component together (s -> a -> c).
-JOINGRAPH_FACTS = {
-    "s": frozenset({(0,)}),
-    "a": frozenset({(0, 0), (0, 1), (0, 2), (0, 3)}),
-    "c": frozenset({(10,), (11,)}),
-}
-
-
-class TestJoinGraphOrdering:
-    def orders(self):
-        program = parse_program(JOINGRAPH_PROGRAM)
-        plan = Planner(ORDERING_COST).plan(program)
+    def test_delta_occurrence_leads_the_order(self):
+        program = parse_program("q(X) :- s(X), a(X, Y), b(X, Y);")
         node = LogicalPlan.of(program).rules[0]
-        return plan, node
-
-    def names(self, order):
-        return [info.atom.predicate for info in order]
-
-    def test_connected_atoms_are_placed_before_disconnected_ones(self):
-        plan, node = self.orders()
-        store = FactStore(JOINGRAPH_FACTS)
-        orderer = plan.orderer(store)
-        with_graph = orderer(node.positive, None, node.adjacency)
-        without_graph = orderer(node.positive, None, None)
-        assert self.names(with_graph) == ["s", "a", "c"]
-        assert self.names(without_graph) == ["s", "c", "a"]
-        # Orders differ; fixpoints do not.
-        assert plan.execute(JOINGRAPH_FACTS)["q"] == frozenset(
-            (0, w) for w in (10, 11)
+        store = FactStore(
+            {
+                "s": frozenset((x,) for x in range(5)),
+                "a": frozenset((x % 20, x) for x in range(40)),
+                "b": frozenset((y % 2, y) for y in range(30)),
+            }
         )
-
-    def test_kill_switch_restores_cost_only_expansion(self, monkeypatch):
-        plan, node = self.orders()
-        store = FactStore(JOINGRAPH_FACTS)
-        monkeypatch.setenv("REPRO_JOINGRAPH", "0")
-        orderer = plan.orderer(store)
-        assert not orderer.joingraph
-        assert self.names(orderer(node.positive, None, node.adjacency)) == [
-            "s", "c", "a",
-        ]
-
-    def test_delta_occurrence_still_leads_the_order(self):
-        plan, node = self.orders()
-        orderer = plan.orderer(FactStore(JOINGRAPH_FACTS))
-        first = node.positive[2]  # c, the disconnected atom
-        order = orderer(node.positive, first, node.adjacency)
-        assert self.names(order) == ["c", "s", "a"]
-
-
-EXPLAIN_JOINGRAPH = """\
-plan: ordering=cost, 1 rules, 1 strata, nonrecursive
-stratum 1:
-  q(X, W) :- s(X), a(X, Y), c(W)
-    join: s(X) [rows=1, est=1] -> a(X, Y) [rows=4, est=4] -> c(W) [rows=2, est=2]"""
+        orderer = Planner(ORDERING_COST).plan(program).orderer(store)
+        first = node.positive[2]  # b, the delta occurrence
+        order = orderer(node.positive, first)
+        assert [info.atom.predicate for info in order] == ["b", "a", "s"]
 
 
 EXPLAIN_PROGRAM = "p(X, Z) :- e(X, Y), f(Y, Z), X <> Z;"
@@ -238,10 +188,6 @@ class TestExplain:
         plan = compile_program(parse_program(EXPLAIN_PROGRAM))
         assert plan.explain(EXPLAIN_FACTS) == EXPLAIN_WITH_STORE
 
-    def test_golden_joingraph_order(self):
-        plan = compile_program(parse_program(JOINGRAPH_PROGRAM))
-        assert plan.explain(JOINGRAPH_FACTS) == EXPLAIN_JOINGRAPH
-
     def test_golden_without_store(self):
         plan = compile_program(parse_program(EXPLAIN_PROGRAM))
         assert plan.explain() == EXPLAIN_WITHOUT_STORE
@@ -250,6 +196,30 @@ class TestExplain:
         plan = compile_program(parse_program(EXPLAIN_PROGRAM))
         store = FactStore(EXPLAIN_FACTS)
         assert plan.explain(store) == plan.explain(store)
+
+    def test_explain_reports_the_memoized_order(self):
+        # execute() memoizes s -> a -> b.  Growing b by 31 rows with new
+        # keys makes b the more selective index, but its size stays in
+        # the same bit length, so the memo key still matches and the
+        # next execute() reuses s -> a -> b.  explain() must show that
+        # order, not the one a fresh cost-model call would pick.
+        program = parse_program("q(X) :- s(X), a(X, Y), b(X, Y);")
+        plan = Planner(ORDERING_COST).plan(program)
+        store = FactStore(
+            {
+                "s": {(x,) for x in range(16)},
+                "a": {(x % 16, x) for x in range(32)},
+                "b": {(y % 2, y) for y in range(32)},
+            }
+        )
+        plan.execute(store)
+        store.add("b", [(100 + i, i) for i in range(31)])
+        counters = EvalCounters()
+        plan.execute(store, counters=counters)
+        assert counters.replans_avoided == 1
+        assert "join: s(X) [rows=16, est=16] -> a(X, Y)" in plan.explain(store)
+        fresh = Planner(ORDERING_COST).plan(program)
+        assert "join: s(X) [rows=16, est=16] -> b(X, Y)" in fresh.explain(store)
 
     def test_facts_and_empty_body_render(self):
         plan = compile_program(parse_program("p(a).; q :- NOT r(b);"))
@@ -305,15 +275,15 @@ class TestIncrementalExecutor:
     @settings(max_examples=60, deadline=None)
     def test_stepping_matches_full_reevaluation(self, script):
         """Across any step sequence (volatile inputs, growing monotone
-        facts), the executor derives exactly what a from-scratch
-        execute() derives."""
+        facts), the executor derives exactly what a from-scratch naive
+        evaluation derives."""
         plan, executor = self.build()
         monotone: frozenset[tuple] = frozenset()
         for volatile_rows, additions in script:
             monotone = monotone | additions
             facts = {"in": volatile_rows, "mono": monotone, "db": DB_FACTS}
             stepped = executor.step(facts, {"mono": monotone})
-            full = plan.execute(facts)
+            full = evaluate_program_naive(plan.logical.program, facts)
             for head in ("a", "b", "c", "d", "g"):
                 assert stepped[head] == full[head], head
 

@@ -487,9 +487,27 @@ class TestMergedMetrics:
         # interned_constants is a point-in-time gauge of one shared
         # pool; two snapshots of the same process must not double it.
         one["interned_constants"], two["interned_constants"] = 40, 70
+        one["kernels_compiled"], two["kernels_compiled"] = 3, 5
         merged = merge_snapshots([one, two])
         assert merged["steps_executed"] == 2
         assert merged["interned_constants"] == 70
+        assert merged["kernels_compiled"] == 5
+
+    def test_kernels_compiled_is_a_process_wide_gauge(self):
+        # Kernels live on the process-wide shared plan, so a second
+        # service over the same transducer compiles none of its own; a
+        # per-service count would report 0 beside its kernel hits.
+        snapshots = []
+        for _ in range(2):
+            service = PodService(build_short(), default_database())
+            handle = service.create_session()
+            for inputs in FIGURE1_INPUTS:
+                service.submit(StepRequest(handle, inputs))
+            snapshots.append(service.metrics.snapshot())
+        first, second = snapshots
+        assert second["kernel_hits"] > 0
+        assert first["kernels_compiled"] > 0
+        assert second["kernels_compiled"] == first["kernels_compiled"]
 
 
 class TestSnapshotCompaction:

@@ -3,6 +3,14 @@
 from repro.relalg import FactStore
 
 
+def lookup(store, predicate, positions, key):
+    """The rows an id-bucket lookup selects, sorted."""
+    rows = store.row_list(predicate)
+    return sorted(
+        rows[rid] for rid in store.lookup_ids(predicate, positions, key)
+    )
+
+
 class TestFactStore:
     def test_rows_and_contains(self):
         store = FactStore({"p": {(1, 2), (3, 4)}})
@@ -13,17 +21,17 @@ class TestFactStore:
 
     def test_lookup_builds_index(self):
         store = FactStore({"p": {(1, 2), (1, 3), (2, 3)}})
-        assert sorted(store.lookup("p", (0,), (1,))) == [(1, 2), (1, 3)]
-        assert list(store.lookup("p", (0,), (9,))) == []
-        assert sorted(store.lookup("p", (1,), (3,))) == [(1, 3), (2, 3)]
-        assert list(store.lookup("p", (0, 1), (2, 3))) == [(2, 3)]
+        assert lookup(store, "p", (0,), (1,)) == [(1, 2), (1, 3)]
+        assert lookup(store, "p", (0,), (9,)) == []
+        assert lookup(store, "p", (1,), (3,)) == [(1, 3), (2, 3)]
+        assert lookup(store, "p", (0, 1), (2, 3)) == [(2, 3)]
 
     def test_add_maintains_existing_indexes(self):
         store = FactStore({"p": {(1, 2)}})
-        assert list(store.lookup("p", (0,), (1,))) == [(1, 2)]
+        assert lookup(store, "p", (0,), (1,)) == [(1, 2)]
         fresh = store.add("p", [(1, 5), (1, 2)])
         assert fresh == {(1, 5)}
-        assert sorted(store.lookup("p", (0,), (1,))) == [(1, 2), (1, 5)]
+        assert lookup(store, "p", (0,), (1,)) == [(1, 2), (1, 5)]
 
     def test_add_returns_only_new_rows(self):
         store = FactStore({"p": {(1,)}})
@@ -37,7 +45,7 @@ class TestFactStore:
         assert top.contains("db", (1,))
         assert top.contains("local", (2,))
         assert top.predicates() == {"db", "local"}
-        assert list(top.lookup("db", (0,), (1,))) == [(1,)]
+        assert lookup(top, "db", (0,), (1,)) == [(1,)]
 
     def test_layer_add_copies_on_write(self):
         base = FactStore({"db": {(1,)}})
@@ -48,10 +56,13 @@ class TestFactStore:
 
     def test_base_indexes_are_shared(self):
         base = FactStore({"db": {(i, i % 3) for i in range(10)}})
-        base.lookup("db", (1,), (0,))
+        base.lookup_ids("db", (1,), (0,))
         top = FactStore({"x": {(1,)}}, base=base)
         # The layered store delegates: same bucket object, not a rebuild.
-        assert top.lookup("db", (1,), (1,)) is base.lookup("db", (1,), (1,))
+        assert top.lookup_ids("db", (1,), (1,)) is base.lookup_ids(
+            "db", (1,), (1,)
+        )
+        assert top.row_list("db") is base.row_list("db")
 
     def test_frozen_snapshot_caching(self):
         store = FactStore({"p": {(1,)}})
@@ -81,10 +92,10 @@ class TestFactStore:
         # Mixed-arity facts: rows too short for the indexed positions
         # are skipped, matching the naive scan path's arity guard.
         store = FactStore({"q": {(1,), (2, 5)}})
-        assert list(store.lookup("q", (1,), (5,))) == [(2, 5)]
+        assert lookup(store, "q", (1,), (5,)) == [(2, 5)]
         fresh = store.add("q", [(3,), (4, 5)])
         assert fresh == {(3,), (4, 5)}
-        assert sorted(store.lookup("q", (1,), (5,))) == [(2, 5), (4, 5)]
+        assert lookup(store, "q", (1,), (5,)) == [(2, 5), (4, 5)]
 
     def test_repr_sorted(self):
         store = FactStore({"b": {(1,)}, "a": {(1,), (2,)}})
