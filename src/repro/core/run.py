@@ -81,12 +81,9 @@ def log_of_step(
     """Compute ``(I_i ∪ O_i)|log`` for one step (Section 2.2, item 3)."""
     data = {}
     for rel in log_schema:
-        rows: frozenset[tuple] = frozenset()
-        if rel.name in input_instance.schema:
-            rows |= input_instance[rel.name]
-        if rel.name in output_instance.schema:
-            rows |= output_instance[rel.name]
-        data[rel.name] = rows
+        ins = input_instance.get(rel.name)
+        outs = output_instance.get(rel.name)
+        data[rel.name] = ins | outs if ins and outs else ins or outs
     return Instance(log_schema, data)
 
 

@@ -7,6 +7,7 @@ first four are pairwise disjoint relation schemas and log ⊆ in ∪ out.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 from repro.errors import SchemaError
@@ -56,11 +57,10 @@ class TransducerSchema:
 
     # -- derived schemas ---------------------------------------------------------
 
-    @property
+    @cached_property
     def log_schema(self) -> DatabaseSchema:
-        """Schema of the log relations (drawn from inputs and outputs)."""
-        io = self.inputs.merge(self.outputs)
-        return io.restrict(self.log)
+        """Schema of the log relations (from inputs and outputs), built once."""
+        return self.inputs.merge(self.outputs).restrict(self.log)
 
     def io_schema(self) -> DatabaseSchema:
         return self.inputs.merge(self.outputs)

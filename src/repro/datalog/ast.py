@@ -208,6 +208,15 @@ class Program:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rules", tuple(self.rules))
+        # Hashed once: plan-cache lookups (every session restore) reuse it.
+        object.__setattr__(self, "_hash", hash(self.rules))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Unpickling rehashes under the receiving process's hash seed.
+        return (Program, (self.rules,))
 
     def __iter__(self) -> Iterator[Rule]:
         return iter(self.rules)

@@ -3,9 +3,9 @@
 A :class:`PhysicalPlan` binds a
 :class:`~repro.datalog.plan.logical.LogicalPlan` to an ordering policy
 and executes every rule body with its compiled kernel (see
-:mod:`repro.datalog.plan.kernels`): the join order comes from the
-per-rule memo, the kernel for that order from the per-rule kernel
-cache, and checks run as soon as their variables are bound:
+:mod:`repro.datalog.plan.kernels`): one per-rule memo yields the join
+order and the kernel for it together, and checks run as soon as their
+variables are bound:
 
 * :meth:`PhysicalPlan.execute` runs the full stratified fixpoint --
   the engine behind :func:`repro.datalog.evaluate.evaluate_program`;
@@ -27,7 +27,7 @@ from __future__ import annotations
 import threading
 from typing import Iterable, Mapping, Sequence
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from repro.errors import EvaluationError, PlanError
 from repro.datalog.ast import Variable
@@ -58,8 +58,8 @@ class Orderer:
     Callable as ``orderer(atoms, first)``; cost ordering needs live
     statistics, so without a store it degrades to the static greedy
     order (the documented stats-absent fallback).  The instance also
-    carries the ingredients of the order-memo key (see
-    :meth:`CompiledRule.order_for`): the policy and the store whose
+    carries the ingredients of the plan-memo key (see
+    :meth:`CompiledRule.plan_for`): the policy and the store whose
     relation sizes sign the memo.
     """
 
@@ -109,7 +109,7 @@ class Orderer:
         return signature
 
 
-_ORDER_MEMO_LIMIT = 64
+_PLAN_MEMO_LIMIT = 64
 _KERNEL_MEMO_LIMIT = 64
 
 # Kernels live on the process-wide shared plans, so how many exist is a
@@ -130,19 +130,19 @@ def _count_kernel() -> None:
 
 
 class CompiledRule:
-    """One rule's physical state: memoized orders, schedules, and kernels.
+    """One rule's physical state: its (order, kernel) memo and kernels.
 
     Compiled rules live inside the process-wide shared
     :class:`PhysicalPlan`, so concurrent sessions executing the same
-    plan may race on a schedule's or kernel's first use; those memos are
-    therefore built under a lock and published whole, with the (hot)
-    cached paths staying lock-free.  The order memo is racy-but-benign:
-    every thread computes the same deterministic order for a given key,
+    plan may race on a kernel's first use; kernels are therefore
+    compiled under a lock, once per distinct order.  The (hot) memo is
+    lock-free and racy-but-benign: every thread computes the same
+    deterministic order for a given key and gets the one kernel for it,
     so a lost publish only costs a recomputation.
     """
 
-    __slots__ = ("node", "pre_checks", "_order_preds", "_orders",
-                 "_schedules", "_kernels", "_schedule_lock")
+    __slots__ = ("node", "pre_checks", "_order_preds", "_plans", "_kernels",
+                 "_kernel_lock")
 
     def __init__(self, node: RuleNode) -> None:
         self.node = node
@@ -151,106 +151,84 @@ class CompiledRule:
             compile_check(check, {}) for check in node.pre_checks
         )
         self._order_preds = tuple(sorted(node.positive_preds))
-        self._orders: dict[tuple, list[AtomNode]] = {}
-        self._schedules: dict[tuple[int, ...], list[list]] = {}
+        self._plans: dict[tuple, tuple[Sequence[AtomNode], Kernel]] = {}
         self._kernels: dict[tuple[int, ...], Kernel] = {}
-        self._schedule_lock = threading.Lock()
+        self._kernel_lock = threading.Lock()
 
-    def order_for(
+    def plan_for(
         self,
         orderer: "Orderer",
         first: AtomNode | None = None,
         counters: "EvalCounters | None" = None,
-    ) -> Sequence[AtomNode]:
-        """The join order for this rule under ``orderer``, memoized.
+    ) -> tuple[Sequence[AtomNode], Kernel]:
+        """The join order under ``orderer`` and its kernel, memoized.
 
-        Keyed by the delta occurrence and the orderer's signature
-        (policy + bit-length relation sizes), so re-planning a rule is
-        a dictionary hit until the body relations' cardinalities drift
-        by ~2x.  ``replans_avoided`` counts the hits.
+        Keyed by the delta occurrence and, for multi-atom rules, the
+        orderer's signature, so a rule is re-planned only once its body
+        relations' cardinalities drift by ~2x.  A hit counts
+        ``kernel_hits`` (and ``replans_avoided`` for multi-atom rules).
         """
         positive = self.node.positive
-        if len(positive) <= 1:
-            return positive
+        multi = len(positive) > 1
         key = (
             -1 if first is None else first.index,
-            orderer.signature(self._order_preds),
+            orderer.signature(self._order_preds) if multi else None,
         )
-        cached = self._orders.get(key)
-        if cached is not None:
-            if counters is not None:
-                counters.replans_avoided += 1
-            return cached
-        order = orderer(positive, first)
-        if len(self._orders) >= _ORDER_MEMO_LIMIT:
-            self._orders.clear()
-        self._orders[key] = order
-        return order
-
-    def kernel_for(
-        self,
-        order: Sequence[AtomNode],
-        counters: "EvalCounters | None" = None,
-    ) -> Kernel:
-        """The compiled kernel for one join order of this rule, cached.
-
-        ``kernels_compiled`` counts fresh compilations (also tallied
-        process-wide, see :func:`kernels_compiled`), ``kernel_hits``
-        reuses; one kernel exists per distinct order no matter how many
-        sessions share the plan.
-        """
-        key = tuple(info.index for info in order)
-        cached = self._kernels.get(key)
+        cached = self._plans.get(key)
         if cached is not None:
             if counters is not None:
                 counters.kernel_hits += 1
+                if multi:
+                    counters.replans_avoided += 1
             return cached
-        # Resolve the check schedule before taking the lock (schedule()
-        # takes the same non-reentrant lock on a miss).
-        checks_at = self.schedule(order)
-        with self._schedule_lock:
-            cached = self._kernels.get(key)
-            if cached is None:
+        order = orderer(positive, first) if multi else positive
+        planned = (order, self._kernel_for(order, counters))
+        if len(self._plans) >= _PLAN_MEMO_LIMIT:
+            self._plans.clear()
+        self._plans[key] = planned
+        return planned
+
+    def _kernel_for(
+        self, order: Sequence[AtomNode], counters: "EvalCounters | None"
+    ) -> Kernel:
+        """The kernel of ``order``: one per distinct order, compiled once
+        (``kernels_compiled``, also tallied process-wide), then reused."""
+        key = tuple(info.index for info in order)
+        with self._kernel_lock:
+            kernel = self._kernels.get(key)
+            fresh = kernel is None
+            if fresh:
                 if len(self._kernels) >= _KERNEL_MEMO_LIMIT:
                     self._kernels.clear()
-                cached = compile_kernel(self.node, order, checks_at)
-                self._kernels[key] = cached
+                kernel = compile_kernel(self.node, order, self.schedule(order))
+                self._kernels[key] = kernel
                 _count_kernel()
-                if counters is not None:
-                    counters.kernels_compiled += 1
-                return cached
         if counters is not None:
-            counters.kernel_hits += 1
-        return cached
+            if fresh:
+                counters.kernels_compiled += 1
+            else:
+                counters.kernel_hits += 1
+        return kernel
 
     def schedule(self, order: Sequence[AtomNode]) -> list[list]:
         """``checks_at[i]``: checks to run right after ``order[i]`` matches."""
-        key = tuple(info.index for info in order)
-        cached = self._schedules.get(key)
-        if cached is not None:
-            return cached
-        with self._schedule_lock:
-            cached = self._schedules.get(key)
-            if cached is not None:
-                return cached
-            checks_at: list[list] = [[] for _ in order]
-            bound: set[Variable] = set()
-            bound_by: list[set[Variable]] = []
-            for info in order:
-                bound |= info.variables
-                bound_by.append(set(bound))
-            for check in self.node.checks:
-                variables = set(check.variables())
-                for i, available in enumerate(bound_by):
-                    if variables <= available:
-                        checks_at[i].append(check)
-                        break
-                else:
-                    raise EvaluationError(
-                        f"literal {check} has variables not bound by any "
-                        "positive atom"
-                    )
-            self._schedules[key] = checks_at
+        checks_at: list[list] = [[] for _ in order]
+        bound: set[Variable] = set()
+        bound_by: list[set[Variable]] = []
+        for info in order:
+            bound |= info.variables
+            bound_by.append(set(bound))
+        for check in self.node.checks:
+            variables = set(check.variables())
+            for i, available in enumerate(bound_by):
+                if variables <= available:
+                    checks_at[i].append(check)
+                    break
+            else:
+                raise EvaluationError(
+                    f"literal {check} has variables not bound by any "
+                    "positive atom"
+                )
         return checks_at
 
 
@@ -275,8 +253,7 @@ def _join(
     """
     if not _pre_checks_pass(crule, store):
         return
-    order = crule.order_for(orderer, first, counters)
-    kernel = crule.kernel_for(order, counters)
+    _order, kernel = crule.plan_for(orderer, first, counters)
     if first_rows is not None:
         kernel.run_delta(store, derived, first_rows)
     else:
@@ -361,6 +338,19 @@ class EvalCounters:
             self.replans_avoided,
         )
 
+    def __add__(self, other: "EvalCounters") -> "EvalCounters":
+        return EvalCounters(
+            self.plans_compiled + other.plans_compiled,
+            self.plan_cache_hits + other.plan_cache_hits,
+            self.full_rule_evals + other.full_rule_evals,
+            self.delta_rule_evals + other.delta_rule_evals,
+            self.delta_rules_skipped + other.delta_rules_skipped,
+            self.static_cache_hits + other.static_cache_hits,
+            self.kernels_compiled + other.kernels_compiled,
+            self.kernel_hits + other.kernel_hits,
+            self.replans_avoided + other.replans_avoided,
+        )
+
     def __sub__(self, other: "EvalCounters") -> "EvalCounters":
         return EvalCounters(
             self.plans_compiled - other.plans_compiled,
@@ -373,9 +363,6 @@ class EvalCounters:
             self.kernel_hits - other.kernel_hits,
             self.replans_avoided - other.replans_avoided,
         )
-
-    def as_dict(self) -> dict[str, int]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 # Incremental rule categories: how one rule behaves across steps when
@@ -420,35 +407,12 @@ class IncrementalExecutor:
         volatile: Iterable[str],
         monotone: Iterable[str],
     ) -> None:
-        program = plan.logical.program
-        heads = program.head_predicates()
-        if program.body_predicates() & heads:
-            raise PlanError(
-                "incremental execution needs a flat program (no derived "
-                "predicate in any rule body)"
-            )
         self.plan = plan
         self.volatile = frozenset(volatile)
         self.monotone = frozenset(monotone)
-        overlap = self.volatile & self.monotone
-        if overlap:
-            raise PlanError(
-                f"predicates cannot be volatile and monotone: {sorted(overlap)}"
-            )
-        self.categories: list[str] = []
-        for crule in plan.compiled:
-            node = crule.node
-            positive = node.positive_predicates()
-            negated = node.negated_predicates()
-            if (positive | negated) & self.volatile:
-                category = CATEGORY_RECOMPUTE
-            elif negated & self.monotone:
-                category = CATEGORY_RECOMPUTE
-            elif positive & self.monotone:
-                category = CATEGORY_DELTA
-            else:
-                category = CATEGORY_STATIC
-            self.categories.append(category)
+        self.categories = plan.incremental_categories(
+            self.volatile, self.monotone
+        )
         self._caches: list[frozenset[tuple] | set[tuple] | None] = [
             None for _ in plan.compiled
         ]
@@ -539,7 +503,7 @@ class IncrementalExecutor:
 class PhysicalPlan:
     """An executable plan: logical structure + ordering policy."""
 
-    __slots__ = ("logical", "ordering", "compiled")
+    __slots__ = ("logical", "ordering", "compiled", "_categories")
 
     def __init__(
         self, logical: LogicalPlan, ordering: str = ORDERING_COST
@@ -551,6 +515,43 @@ class PhysicalPlan:
         self.logical = logical
         self.ordering = ordering
         self.compiled = [CompiledRule(node) for node in logical.rules]
+        self._categories: dict[tuple, tuple[str, ...]] = {}
+
+    def incremental_categories(
+        self, volatile: frozenset[str], monotone: frozenset[str]
+    ) -> tuple[str, ...]:
+        """Each rule's :class:`IncrementalExecutor` category, memoized.
+
+        Every session restored over the shared plan reuses one tuple (a
+        racing first touch publishes the same value twice).
+        """
+        key = (volatile, monotone)
+        cached = self._categories.get(key)
+        if cached is not None:
+            return cached
+        program = self.logical.program
+        if program.body_predicates() & program.head_predicates():
+            raise PlanError(
+                "incremental execution needs a flat program (no derived "
+                "predicate in any rule body)"
+            )
+        overlap = volatile & monotone
+        if overlap:
+            raise PlanError(
+                f"predicates cannot be volatile and monotone: {sorted(overlap)}"
+            )
+        categories = []
+        for crule in self.compiled:
+            positive = crule.node.positive_predicates()
+            negated = crule.node.negated_predicates()
+            if (positive | negated) & volatile or negated & monotone:
+                categories.append(CATEGORY_RECOMPUTE)
+            elif positive & monotone:
+                categories.append(CATEGORY_DELTA)
+            else:
+                categories.append(CATEGORY_STATIC)
+        self._categories[key] = cached = tuple(categories)
+        return cached
 
     # -- ordering ----------------------------------------------------------------
 
@@ -692,7 +693,7 @@ class PhysicalPlan:
                 if not node.positive:
                     lines.append("    join: (no positive atoms)")
                 else:
-                    order = crule.order_for(orderer)
+                    order, _kernel = crule.plan_for(orderer)
                     parts = []
                     bound: set[Variable] = set()
                     for info in order:

@@ -22,12 +22,13 @@ boundary and resolved later.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, TYPE_CHECKING
+
+from repro.relalg.instance import Instance
 
 if TYPE_CHECKING:
     from repro.core.transducer import InputLike
-    from repro.relalg.instance import Instance
 
 
 Facts = Mapping[str, frozenset[tuple]]
@@ -66,12 +67,16 @@ class StepResult:
 
     ``step`` is the session's step counter *after* the step (1-based for
     the first step), matching the paper's numbering of run positions.
+    ``log_entry`` is the session's ``(I ∪ O)|log`` for the step, for the
+    shadow diff to reuse: never on the wire, never compared, ``None``
+    when the service keeps no log.
     """
 
     session: SessionHandle
     step: int
     output: "Instance"
     latency_seconds: float
+    log_entry: "Instance | None" = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -107,9 +112,9 @@ def facts_of(instance: "Instance | Facts") -> dict[str, frozenset[tuple]]:
     audit ledger leans on that: it persists findings as synthetic log
     entries that never were instances.
     """
-    if isinstance(instance, Mapping):
-        return {
-            str(name): frozenset(tuple(row) for row in rows)
-            for name, rows in instance.items()
-        }
-    return {name: instance[name] for name in instance.schema.names}
+    if isinstance(instance, Instance):
+        return {name: instance[name] for name in instance.schema.names}
+    return {
+        str(name): frozenset(tuple(row) for row in rows)
+        for name, rows in instance.items()
+    }

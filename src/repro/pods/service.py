@@ -660,17 +660,16 @@ class PodService(_PodApi):
             elapsed = time.perf_counter() - started
             self.metrics.record_step(elapsed)
             self.metrics.record_eval(session.eval_counters() - before)
+            log_entry = session.last_log_entry if self._keep_logs else None
             self._store.record_step(
-                session.session_id,
-                session.steps,
-                session.state,
-                session.last_log_entry if self._keep_logs else None,
+                session.session_id, session.steps, session.state, log_entry
             )
             result = StepResult(
                 session=SessionHandle(session.session_id, self._shard_index),
                 step=session.steps,
                 output=output,
                 latency_seconds=elapsed,
+                log_entry=log_entry,
             )
             if self._auditor is not None:
                 # The audit runs after the step is applied and persisted:
@@ -684,9 +683,7 @@ class PodService(_PodApi):
                     output=output,
                     state_before=state_before,
                     state_after=session.state,
-                    log_entry=(
-                        session.last_log_entry if self._keep_logs else None
-                    ),
+                    log_entry=log_entry,
                 )
                 self.metrics.record_audit(outcome)
                 if self._auditor.strict and outcome.findings:

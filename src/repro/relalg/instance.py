@@ -18,6 +18,14 @@ from repro.relalg.schema import DatabaseSchema, RelationSchema
 
 
 def _check_tuples(rel: RelationSchema, rows: Iterable[tuple]) -> frozenset[tuple]:
+    if type(rows) is frozenset or type(rows) is set:
+        # Check each row, then reuse the set rather than copy it row by row.
+        arity = rel.arity
+        for row in rows:
+            if type(row) is not tuple or len(row) != arity:
+                break
+        else:
+            return rows if type(rows) is frozenset else frozenset(rows)
     checked = set()
     for row in rows:
         row = tuple(row)
@@ -50,8 +58,9 @@ class Instance:
             for name, rows in relations.items():
                 rel = schema.relation(name)
                 data[name] = _check_tuples(rel, rows)
-        for rel in schema:
-            data.setdefault(rel.name, frozenset())
+        if len(data) != len(schema):
+            for rel in schema:
+                data.setdefault(rel.name, frozenset())
         self._relations: Mapping[str, frozenset[tuple]] = data
 
     # -- construction helpers -------------------------------------------------
@@ -92,8 +101,12 @@ class Instance:
         return self._schema
 
     def __getitem__(self, name: str) -> frozenset[tuple]:
-        self._schema.relation(name)  # raise on unknown names
-        return self._relations[name]
+        try:
+            # Every schema relation has an entry, so a hit is a known name.
+            return self._relations[name]
+        except KeyError:
+            self._schema.relation(name)  # raise on unknown names
+            raise
 
     def get(self, name: str) -> frozenset[tuple]:
         """Like ``inst[name]`` but returns empty for unknown relations."""
@@ -103,11 +116,13 @@ class Instance:
         return iter(self._schema.names)
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Instance):
             return NotImplemented
         return (
             self._schema == other._schema
-            and dict(self._relations) == dict(other._relations)
+            and self._relations == other._relations
         )
 
     def __hash__(self) -> int:

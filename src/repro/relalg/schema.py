@@ -71,9 +71,11 @@ class DatabaseSchema:
         return len(self._by_name)
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, DatabaseSchema):
             return NotImplemented
-        return dict(self._by_name) == dict(other._by_name)
+        return self._by_name == other._by_name
 
     def __repr__(self) -> str:
         rels = ", ".join(str(r) for r in self)

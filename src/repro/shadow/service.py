@@ -52,6 +52,8 @@ from repro.verify.api.trace import KIND_COUNTEREXAMPLE, CounterexampleTrace
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.transducer import RelationalTransducer
     from repro.pods.api import Facts
+    from repro.relalg.instance import Instance
+    from repro.relalg.schema import DatabaseSchema
     from repro.shadow.ledger import AuditLedger
     from repro.verify.containment import ContainmentVerdict
 
@@ -80,6 +82,18 @@ def _entry_diverges(incumbent: "Facts", candidate: "Facts", mode: str) -> bool:
             for name in names
         )
     return incumbent != candidate
+
+
+def _log_entry(
+    inputs: "Instance", result: StepResult, log_schema: "DatabaseSchema"
+) -> "Facts":
+    """One side's log entry for a step: the serving session's, rebuilt
+    only when the result has none (a remote or log-less service) or it
+    is phrased in another log schema than ``log_schema``."""
+    entry = result.log_entry
+    if entry is None or entry.schema != log_schema:
+        entry = log_of_step(inputs, result.output, log_schema)
+    return facts_of(entry)
 
 
 def _nonempty(facts: "Facts") -> "dict[str, frozenset[tuple]]":
@@ -328,11 +342,9 @@ class ShadowService(_PodApi):
             shadow = self._sessions.get(session_id)
         if shadow is None or shadow.detached:
             return result
-        schema = self._transducer.schema
+        log_schema = self._transducer.schema.log_schema
         inputs_instance = self._transducer.coerce_input(request.inputs)
-        incumbent_entry = facts_of(
-            log_of_step(inputs_instance, result.output, schema.log_schema)
-        )
+        incumbent_entry = _log_entry(inputs_instance, result, log_schema)
         shadow.inputs.append(facts_of(inputs_instance))
         shadow.incumbent_log.append(incumbent_entry)
         try:
@@ -353,9 +365,7 @@ class ShadowService(_PodApi):
                 )
             )
             return result
-        candidate_entry = facts_of(
-            log_of_step(inputs_instance, mirrored.output, schema.log_schema)
-        )
+        candidate_entry = _log_entry(inputs_instance, mirrored, log_schema)
         shadow.candidate_log.append(candidate_entry)
         if not self.policy.should_check(session_id, result.step):
             return result

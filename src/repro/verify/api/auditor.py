@@ -32,12 +32,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from repro.core.run import log_of_step
 from repro.datalog.plan import EvalCounters
 from repro.errors import SpecError
-from repro.verify.api.monitor import (
-    StageView,
-    StepMonitor,
-    build_monitor,
-    sum_counters,
-)
+from repro.verify.api.monitor import StageView, StepMonitor, build_monitor
 from repro.verify.api.specs import PropertySpec
 from repro.verify.api.trace import KIND_COUNTEREXAMPLE, CounterexampleTrace
 
@@ -382,7 +377,9 @@ class OnlineAuditor:
                         trace=self._trace_of(audit, step, violation, monitor),
                     )
                 )
-        current = sum_counters(m.eval_counters() for m in audit.monitors)
+        current = sum(
+            (m.eval_counters() for m in audit.monitors), EvalCounters()
+        )
         delta = current - audit.counters_seen
         audit.counters_seen = current
         decided = sum(m.bsr_decisions for m in audit.monitors)

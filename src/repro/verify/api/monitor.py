@@ -471,7 +471,7 @@ class LogValidityMonitor(StepMonitor):
     def eval_counters(self) -> EvalCounters:
         if self._context is None:
             return self._retired.copy()
-        return sum_counters((self._retired, self._context.counters))
+        return self._retired + self._context.counters
 
     def observe(self, stage: StageView) -> list[str]:
         if self.latched or self._replay(stage):
@@ -593,7 +593,7 @@ class AllOfMonitor(StepMonitor):
         self.needs_history = any(m.needs_history for m in self.monitors)
 
     def eval_counters(self) -> EvalCounters:
-        return sum_counters(m.eval_counters() for m in self.monitors)
+        return sum((m.eval_counters() for m in self.monitors), EvalCounters())
 
     @property
     def bsr_decisions(self) -> int:
@@ -621,7 +621,7 @@ class AnyOfMonitor(StepMonitor):
         self.needs_history = any(m.needs_history for m in self.monitors)
 
     def eval_counters(self) -> EvalCounters:
-        return sum_counters(m.eval_counters() for m in self.monitors)
+        return sum((m.eval_counters() for m in self.monitors), EvalCounters())
 
     @property
     def bsr_decisions(self) -> int:
@@ -643,14 +643,6 @@ class AnyOfMonitor(StepMonitor):
             # Every alternative is permanently lost: report once.
             self.latched = combined
         return [combined]
-
-
-def sum_counters(parts) -> EvalCounters:
-    total = EvalCounters()
-    for part in parts:
-        for name, value in part.as_dict().items():
-            setattr(total, name, getattr(total, name) + value)
-    return total
 
 
 def build_monitor(

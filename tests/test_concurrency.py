@@ -11,6 +11,7 @@ midway attach the completed results to the raised
 guaranteed under both execution modes.
 """
 
+import sys
 import tempfile
 from pathlib import Path
 
@@ -365,3 +366,49 @@ class TestConcurrencyKnob:
             service.submit_batch(
                 [StepRequest(stale, FIGURE1_INPUTS[0])] * 2, concurrency=2
             )
+
+
+class TestFirstTouchRace:
+    def test_fresh_plan_first_touch_matches_serial(self):
+        """Restores racing on a just-compiled shared plan -- its rule
+        categories and (order, kernel) memos -- serve the serial logs
+        and compile exactly the serial run's kernels and plans."""
+        from repro.datalog.plan import (
+            clear_plan_cache,
+            kernels_compiled,
+            plan_cache_info,
+        )
+        from repro.scenarios.runner import log_digest
+
+        scripts = scripts_for([4] * 8, seed=5)
+        order = [i for step in range(4) for i in range(8)]
+
+        def run(concurrency):
+            clear_plan_cache()
+            kernels_before = kernels_compiled()
+            plans_before = plan_cache_info()["compiled"]
+            service = PodService(
+                build_friendly(),
+                CATALOG.as_database(),
+                max_resident_sessions=2,
+            )
+            results = run_batch(
+                service, scripts, batch_of(scripts, order), concurrency
+            )
+            return (
+                [(r.session, r.step, r.output) for r in results],
+                log_digest(service, scripts),
+                kernels_compiled() - kernels_before,
+                plan_cache_info()["compiled"] - plans_before,
+                service.metrics.sessions_rehydrated > 0,
+            )
+
+        serial = run(concurrency=1)
+        assert serial[2] > 0 and serial[3] == 1 and serial[4]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for _ in range(3):
+                assert run(concurrency=4) == serial
+        finally:
+            sys.setswitchinterval(interval)

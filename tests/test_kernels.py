@@ -259,6 +259,42 @@ class TestKernelMechanics:
         with pytest.raises(PlanError, match="empty join order"):
             compile_kernel(node, [], [])
 
+    def test_plan_memo_miss_then_hit_counts(self):
+        # One multi-atom and one single-atom rule: the (order, kernel)
+        # memo counts replans_avoided for the first only, kernel_hits
+        # for both, and compiles a kernel only when a miss meets an
+        # order with no kernel yet.
+        plan = fresh_plan("p(X, Z) :- e(X, Y), f(Y, Z); q(X) :- e(X, X);")
+        store = FactStore({"e": {("a", "b"), ("b", "c")}, "f": {("b", "d")}})
+
+        def execute():
+            before = kernels_compiled()
+            counters = EvalCounters()
+            plan.execute(store, counters=counters)
+            assert kernels_compiled() - before == counters.kernels_compiled
+            joins = [
+                line.split(" [")[0]
+                for line in plan.explain(store).splitlines()
+                if "join:" in line
+            ]
+            return (
+                counters.kernels_compiled,
+                counters.kernel_hits,
+                counters.replans_avoided,
+                joins,
+            )
+
+        f_first = "    join: f(Y, Z)"
+        assert execute() == (2, 0, 0, [f_first, "    join: e(X, X)"])
+        assert execute() == (0, 2, 1, [f_first, "    join: e(X, X)"])
+        # f grows past its bit length: a miss that picks a new order.
+        store.add("f", [("x%d" % i, "y") for i in range(4)])
+        assert execute() == (1, 1, 0, ["    join: e(X, Y)", "    join: e(X, X)"])
+        # e grows: another miss, back to an order whose kernel exists.
+        store.add("e", [("x%d" % i, "x%d" % i) for i in range(40)])
+        assert execute() == (0, 2, 0, [f_first, "    join: e(X, X)"])
+        assert execute() == (0, 2, 1, [f_first, "    join: e(X, X)"])
+
 
 class TestMemosAndSwitches:
     SOURCE = "p(X, Z) :- e(X, Y), f(Y, Z);"

@@ -246,13 +246,13 @@ class TestIncrementalExecutor:
 
     def test_rule_categories(self):
         _plan, executor = self.build()
-        assert executor.categories == [
+        assert executor.categories == (
             CATEGORY_RECOMPUTE,  # positive volatile atom
             CATEGORY_RECOMPUTE,  # negated monotone atom
             CATEGORY_DELTA,  # positive monotone + database body
             CATEGORY_STATIC,  # database-only body
             CATEGORY_RECOMPUTE,  # negated volatile atom
-        ]
+        )
 
     def test_non_flat_program_rejected(self):
         plan = compile_program(parse_program("p(X) :- q(X); r(X) :- p(X);"))

@@ -153,3 +153,77 @@ class TestInstance:
         hosted = inst.project_onto(target)
         assert hosted["r"] == {("a",)}
         assert hosted["t"] == frozenset()
+
+    def test_equality_compares_relations_not_copies(self):
+        schema = DatabaseSchema.of(r=1, s=1)
+        a = Instance(schema, {"r": {("a",)}})
+        assert a == a
+        assert a != Instance(schema, {"r": {("b",)}})
+        assert a != Instance(DatabaseSchema.of(r=1, t=1), {"r": {("a",)}})
+        assert a != a.restrict(["r"])
+
+
+class TestCheckedRows:
+    """Set-shaped rows are checked row by row, then reused, not copied."""
+
+    @pytest.mark.parametrize("kind", [set, frozenset])
+    def test_wrong_arity_in_a_set_still_raises(self, kind):
+        schema = DatabaseSchema.of(r=2)
+        with pytest.raises(ArityError):
+            Instance(schema, {"r": kind({("a", "b"), ("c",)})})
+
+    def test_list_rows_are_normalised_to_tuples(self):
+        schema = DatabaseSchema.of(r=2)
+        inst = Instance(schema, {"r": [["a", "b"], ("c", "d")]})
+        assert inst["r"] == frozenset({("a", "b"), ("c", "d")})
+        assert all(type(row) is tuple for row in inst["r"])
+
+    def test_tuple_subclass_rows_are_normalised(self):
+        from collections import namedtuple
+
+        Pair = namedtuple("Pair", "x y")
+        inst = Instance(DatabaseSchema.of(r=2), {"r": {Pair("a", "b")}})
+        (row,) = inst["r"]
+        assert type(row) is tuple
+
+    def test_valid_frozenset_is_reused_by_identity(self):
+        rows = frozenset({("a", "b"), ("c", "d")})
+        inst = Instance(DatabaseSchema.of(r=2), {"r": rows})
+        assert inst["r"] is rows
+
+    def test_valid_set_is_frozen_once(self):
+        rows = {("a", "b")}
+        inst = Instance(DatabaseSchema.of(r=2), {"r": rows})
+        assert type(inst["r"]) is frozenset
+        rows.add(("c", "d"))
+        assert inst["r"] == frozenset({("a", "b")})
+
+
+class TestLogSchema:
+    def schema(self):
+        from repro.core.schema import TransducerSchema
+
+        return TransducerSchema(
+            inputs=DatabaseSchema.of(order=1, pay=2),
+            state=DatabaseSchema.of(past_order=1),
+            outputs=DatabaseSchema.of(bill=2, deliver=1),
+            database=DatabaseSchema.of(price=2),
+            log=("pay", "deliver"),
+        )
+
+    def test_log_schema_is_built_once(self):
+        schema = self.schema()
+        assert schema.log_schema is schema.log_schema
+
+    def test_log_schema_is_the_restricted_merge(self):
+        schema = self.schema()
+        assert schema.log_schema == schema.inputs.merge(schema.outputs).restrict(
+            schema.log
+        )
+        assert set(schema.log_schema.names) == {"pay", "deliver"}
+
+    def test_with_log_gets_its_own_log_schema(self):
+        schema = self.schema()
+        narrowed = schema.with_log(("deliver",))
+        assert schema.log_schema.names != narrowed.log_schema.names
+        assert narrowed.log_schema.names == ("deliver",)

@@ -23,6 +23,7 @@ The acceptance bar of the shadow subsystem:
 import json
 import os
 import tempfile
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -639,3 +640,115 @@ class TestHttpAudits:
         ) as reborn:
             after = PodClient(reborn.url, build_buggy_store()).audit_findings()
             assert after == before
+
+
+# -- log entries: reused from the serving session, rebuilt only when needed ----
+
+
+def counting_log_of_step(monkeypatch):
+    """Count the shadow's fallback rebuilds of a step's log entry."""
+    import repro.shadow.service as shadow_service
+
+    calls = []
+    real = shadow_service.log_of_step
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(shadow_service, "log_of_step", counted)
+    return calls
+
+
+def report_view(report):
+    return (
+        report.session_id,
+        report.kind,
+        report.step,
+        report.first_divergent_step,
+        report.incumbent,
+        report.candidate,
+    )
+
+
+class TestLogEntryReuse:
+    def test_matching_log_schemas_reuse_both_entries(self, monkeypatch):
+        calls = counting_log_of_step(monkeypatch)
+        shadow = short_vs_buggy()
+        drive_two_orders(shadow)
+        assert calls == []
+        assert shadow.divergence_count() == 1
+
+    def test_candidate_with_another_log_takes_the_fallback(self, monkeypatch):
+        parent = short_vs_buggy()
+        drive_two_orders(parent)
+        calls = counting_log_of_step(monkeypatch)
+        db = default_database()
+        relogged = ShadowService(
+            PodService(build_short(), db),
+            PodService(build_buggy_store().with_log(("deliver",)), db),
+        )
+        drive_two_orders(relogged)
+        # Only the candidate's entries were rebuilt, one per step.
+        assert len(calls) == 2
+        assert [report_view(r) for r in relogged.divergences()] == [
+            report_view(r) for r in parent.divergences()
+        ]
+        assert relogged.first_divergence().first_divergent_step == 2
+
+    def test_remote_incumbent_takes_the_fallback(self, monkeypatch):
+        parent = short_vs_buggy()
+        drive_two_orders(parent)
+        calls = counting_log_of_step(monkeypatch)
+        db = default_database()
+        with PodServer(build_short, db, workers=1, queue_depth=8) as server:
+            remote = ShadowService(
+                PodClient(server.url, build_short()),
+                PodService(build_buggy_store(), db),
+                database=db,
+            )
+            drive_two_orders(remote)
+            # The client's results equal a local service's: the local
+            # result's log entry takes no part in equality.
+            local = PodService(build_short(), db)
+            client = remote.incumbent
+            for service in (local, client):
+                service.create_session("cmp")
+            request = StepRequest("cmp", {"order": {("time",)}})
+            ours, theirs = local.submit(request), client.submit(request)
+            assert ours.log_entry is not None and theirs.log_entry is None
+            assert replace(ours, latency_seconds=0.0) == replace(
+                theirs, latency_seconds=0.0
+            )
+        # A wire result carries no log entry: the incumbent side is
+        # rebuilt on each step, the local candidate's entry is reused.
+        assert len(calls) == 2
+        assert [report_view(r) for r in remote.divergences()] == [
+            report_view(r) for r in parent.divergences()
+        ]
+
+    def test_log_entry_stays_off_the_wire_and_out_of_equality(self):
+        from repro.server.wire import decode_step_result, encode_step_result
+
+        service = PodService(build_short(), default_database())
+        handle = service.create_session("s1")
+        service.submit(StepRequest(handle, {"order": {("time",)}}))
+        result = replace(
+            service.submit(StepRequest(handle, {"pay": {("time", 55)}})),
+            latency_seconds=0.25,
+        )
+        assert result.log_entry == service.session(handle).last_log_entry
+        assert "log_entry" not in repr(result)
+        encoded = json.dumps(
+            encode_step_result(result), sort_keys=True, separators=(",", ":")
+        )
+        assert encoded == (
+            '{"latency_seconds":0.25,"output":{"deliver":[["time"]],'
+            '"sendbill":[]},"session":{"session_id":"s1","shard":0},'
+            '"step":2}'
+        )
+        remote = decode_step_result(
+            json.loads(encoded), build_short().schema.outputs
+        )
+        assert remote.log_entry is None
+        assert remote == result
