@@ -259,10 +259,13 @@ class SpocusTransducer(RelationalTransducer):
     def state_function(
         self, inputs: Instance, state: Instance, database: Instance
     ) -> Instance:
-        data = {
-            past(rel.name): state[past(rel.name)] | inputs[rel.name]
-            for rel in self.schema.inputs
-        }
+        data = {}
+        for rel in self.schema.inputs:
+            seen = state[past(rel.name)]
+            new = inputs[rel.name]
+            # Keep an unchanged relation by identity: the SQLite store
+            # re-encodes only relations whose frozenset changed.
+            data[past(rel.name)] = seen if new <= seen else seen | new
         return Instance(self.schema.state, data)
 
     def output_function(

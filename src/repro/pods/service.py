@@ -49,6 +49,7 @@ per-session state.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
 import zlib
@@ -479,14 +480,19 @@ class PodService(_PodApi):
 
         Nothing is written to the store -- submit() already wrote each
         step through before returning, so an idle session's snapshot is
-        durable by construction and eviction is purely dropping memory.
+        durable by construction and eviction is purely dropping memory
+        (the store's :meth:`~repro.pods.store.StoreLifecycle.evict`
+        hook drops whatever it keeps per resident session).
         """
         if not evictions:
             return
         with self._evicted_lock:
             for session_id, _session in evictions:
                 self._evicted.add(session_id)
-        for _ in evictions:
+        evict = getattr(self._store, "evict", None)
+        for session_id, _session in evictions:
+            if evict is not None:  # stores predating the hook lack it
+                evict(session_id)
             self.metrics.record_eviction()
 
     def _restore_into_cache(self, session_id: str, *, pin: bool) -> Session:
@@ -637,6 +643,21 @@ class PodService(_PodApi):
             close()
 
     # -- traffic ---------------------------------------------------------------
+
+    def submit_batch(
+        self,
+        requests: Iterable[StepRequest],
+        *,
+        concurrency: "int | None" = None,
+    ) -> list[StepResult]:
+        """:meth:`_PodApi.submit_batch` inside one store scope.
+
+        A store that commits per call (SQLite ``"step"``/``"full"``)
+        makes the batch's steps durable together, before returning.
+        """
+        scope = getattr(self._store, "scope", contextlib.nullcontext)
+        with scope():
+            return super().submit_batch(requests, concurrency=concurrency)
 
     def submit(self, request: StepRequest) -> StepResult:
         """Advance one session by one input instance.

@@ -24,16 +24,34 @@ snapshots are byte-identical across the two backends and
 **Durability knob.**  Per-step fsyncs would bottleneck hot-path
 stepping, so writes are governed by ``durability=``:
 
-* ``"full"`` -- ``synchronous=FULL``, one committed transaction per
-  recorded event: a power loss loses nothing ever acknowledged;
-* ``"step"`` (default) -- ``synchronous=NORMAL`` under WAL, one commit
-  per event: crash-of-the-process loses nothing, power loss can lose
+* ``"full"`` -- ``synchronous=FULL``: a power loss loses nothing ever
+  acknowledged;
+* ``"step"`` (default) -- ``synchronous=NORMAL`` under WAL:
+  crash-of-the-process loses nothing acknowledged, power loss can lose
   the tail of the WAL but never corrupts the database;
 * ``"batched"`` -- write-behind: events buffer in memory and commit as
   one transaction every ``flush_every`` events, on any read
   (``load``/``session_ids``/``stats`` -- read-your-writes always
   holds), on :meth:`flush`, and on :meth:`close`.  A crash loses at
   most the unflushed tail; the database itself stays consistent.
+
+In ``"full"`` and ``"step"`` mode a recorded event commits before the
+call that recorded it returns.  A plain ``submit`` commits once per
+event; a ``submit_batch`` commits once per call, before it returns.
+The service brackets the batch in :meth:`SqliteStore.scope`: inside
+it, each event runs in its own ``SAVEPOINT`` of one open transaction,
+so a failing event rolls back alone, and the transaction commits when
+the scope exits -- also when the batch raised.  A process killed
+mid-batch loses only that unacknowledged batch.  Scopes are per
+thread: a thread outside one (a plain ``submit``, a pool worker of a
+concurrent batch) still commits per event.
+
+The state column is re-encoded per relation, not per state: a Spocus
+step changes only the ``past-*`` relations its input touched, and the
+store keeps each resident session's per-relation JSON text, keyed by
+the identity of the relation's (immutable) frozenset.  The text is
+byte-identical to encoding the whole state; the memo is dropped when
+the session is closed, re-created, or evicted from the service.
 
 All operations are serialized by one internal lock (SQLite connections
 are not thread-safe, and the per-event work is tiny next to a datalog
@@ -44,6 +62,7 @@ guarantee of the :class:`~repro.pods.store.SessionStore` contract.
 from __future__ import annotations
 
 import atexit
+import contextlib
 import json
 import os
 import signal
@@ -59,7 +78,9 @@ from repro.pods.store import (
     StoreStats,
     _decode_facts,
     _encode_facts,
+    encode_rows,
 )
+from repro.relalg.instance import Instance
 
 DURABILITY_MODES = ("full", "step", "batched")
 
@@ -175,6 +196,12 @@ class SqliteStore(StoreLifecycle):
         self._pending: list[tuple[str, tuple]] = []
         self._pending_events = 0
         self._closed = False
+        self._commits = 0
+        # Per-thread scope depth (see scope()).
+        self._local = threading.local()
+        # session id -> {relation -> (rows, JSON text)} of the state it
+        # last recorded (see _state_json).
+        self._state_memo: dict[str, dict[str, tuple[frozenset, str]]] = {}
         try:
             self._conn = sqlite3.connect(
                 str(self._path), check_same_thread=False
@@ -211,8 +238,13 @@ class SqliteStore(StoreLifecycle):
     def _execute(self, statements: list[tuple[str, tuple]]) -> None:
         """Apply one event's statements per the durability mode.
 
-        Called with the lock held.  ``full``/``step`` commit
-        immediately; ``batched`` buffers and commits on threshold.
+        Called with the lock held.  ``batched`` buffers and commits on
+        threshold.  ``full``/``step`` run the event in its own savepoint
+        of the open transaction, so a failing event rolls back alone.
+        Outside a :meth:`scope` the event commits at once; inside one,
+        the scope's exit commits.  An unscoped commit also commits
+        events another thread's scope left open: they become durable
+        sooner, never later.
         """
         if self.durability == "batched":
             self._pending.extend(statements)
@@ -220,13 +252,28 @@ class SqliteStore(StoreLifecycle):
             if self._pending_events >= self.flush_every:
                 self._flush_locked()
             return
+        conn = self._conn
         try:
-            for sql, params in statements:
-                self._conn.execute(sql, params)
-            self._conn.commit()
+            if not conn.in_transaction:
+                conn.execute("BEGIN")
+            conn.execute("SAVEPOINT event")
+            try:
+                for sql, params in statements:
+                    conn.execute(sql, params)
+            except sqlite3.Error:
+                conn.execute("ROLLBACK TO event")
+                raise
+            finally:
+                conn.execute("RELEASE event")
+                if not getattr(self._local, "depth", 0):
+                    self._commit_locked()
         except sqlite3.Error as error:
-            self._conn.rollback()
             raise StoreError(f"SQLite write failed: {error}") from error
+
+    def _commit_locked(self) -> None:
+        if self._conn.in_transaction:
+            self._conn.commit()
+            self._commits += 1
 
     def _flush_locked(self) -> int:
         if not self._pending:
@@ -234,7 +281,7 @@ class SqliteStore(StoreLifecycle):
         try:
             for sql, params in self._pending:
                 self._conn.execute(sql, params)
-            self._conn.commit()
+            self._commit_locked()
         except sqlite3.Error as error:
             self._conn.rollback()
             raise StoreError(f"SQLite flush failed: {error}") from error
@@ -243,10 +290,60 @@ class SqliteStore(StoreLifecycle):
         self._pending_events = 0
         return flushed
 
+    @contextlib.contextmanager
+    def scope(self):
+        """Commit the events this thread records inside, once, on exit.
+
+        The exit commit runs whether or not the body raised, so the
+        events that completed before an error stay durable.  Scopes
+        nest; only the outermost one commits.  (``batched`` events
+        are buffered, not executed, so its scopes commit nothing.)
+        """
+        depth = getattr(self._local, "depth", 0)
+        self._local.depth = depth + 1
+        try:
+            yield
+        finally:
+            self._local.depth = depth
+            if depth == 0:
+                with self._lock:
+                    if not self._closed:
+                        try:
+                            self._commit_locked()
+                        except sqlite3.Error as error:
+                            raise StoreError(
+                                f"SQLite commit failed: {error}"
+                            ) from error
+
+    def _state_json(self, session_id: str, state) -> str:
+        """The state column: ``json.dumps(_encode_facts(facts), sort_keys=True)``.
+
+        Built from per-relation fragments, re-encoding only relations
+        whose frozenset is not the one this session last recorded.
+        Plain facts mappings (no live instance) are encoded whole.
+        """
+        if not isinstance(state, Instance):
+            return json.dumps(_encode_facts(facts_of(state)), sort_keys=True)
+        memo = self._state_memo.get(session_id)
+        if memo is None:
+            memo = self._state_memo[session_id] = {}
+        fragments = []
+        for name in sorted(state.schema.names):
+            rows = state[name]
+            cached = memo.get(name)
+            if cached is None or cached[0] is not rows:
+                cached = memo[name] = (
+                    rows,
+                    json.dumps(name) + ": " + json.dumps(encode_rows(rows)),
+                )
+            fragments.append(cached[1])
+        return "{" + ", ".join(fragments) + "}"
+
     # -- the SessionStore recording seam ---------------------------------------
 
     def record_created(self, session_id: str) -> None:
         self._check_open()
+        self._state_memo.pop(session_id, None)
         with self._lock:
             # Recreating an id truncates its history, exactly as the
             # JSONL store truncates the event file.
@@ -263,9 +360,7 @@ class SqliteStore(StoreLifecycle):
         self._check_open()
         # Encode outside the lock: instances are immutable, and the
         # JSON encoding dominates the per-event cost.
-        state_json = json.dumps(
-            _encode_facts(facts_of(state)), sort_keys=True
-        )
+        state_json = self._state_json(session_id, state)
         statements = [
             (
                 "UPDATE snapshots SET steps = ?, state = ? "
@@ -287,6 +382,7 @@ class SqliteStore(StoreLifecycle):
 
     def record_closed(self, session_id: str) -> None:
         self._check_open()
+        self._state_memo.pop(session_id, None)
         with self._lock:
             # Closed sessions are dropped outright (no tombstone): the
             # API only requires that they stop being resumable, and
@@ -299,10 +395,6 @@ class SqliteStore(StoreLifecycle):
     def import_snapshot(self, snapshot: SessionSnapshot) -> None:
         """Adopt a session from another store (plain-facts form)."""
         self._check_open()
-        if self.load(snapshot.session_id) is not None:
-            raise SessionError(
-                f"session already exists: {snapshot.session_id!r}"
-            )
         state_json = json.dumps(
             _encode_facts(snapshot.state_facts), sort_keys=True
         )
@@ -321,6 +413,17 @@ class SqliteStore(StoreLifecycle):
                 ),
             ))
         with self._lock:
+            # Check and insert under one lock hold, so two racing
+            # imports of one id cannot both pass the check.
+            self._flush_locked()
+            exists = self._conn.execute(
+                "SELECT 1 FROM snapshots WHERE session_id = ?",
+                (snapshot.session_id,),
+            ).fetchone()
+            if exists is not None:
+                raise SessionError(
+                    f"session already exists: {snapshot.session_id!r}"
+                )
             self._execute(statements)
 
     # -- reads (always read-your-writes) ---------------------------------------
@@ -375,8 +478,11 @@ class SqliteStore(StoreLifecycle):
             if self._closed:
                 return
             self._flush_locked()
+            # A scope still open on another thread: keep its events.
+            self._commit_locked()
             self._closed = True
             self._conn.close()
+        self._state_memo.clear()
         _OPEN_BATCHED.discard(self)
 
     def __del__(self) -> None:
@@ -388,22 +494,30 @@ class SqliteStore(StoreLifecycle):
         except Exception:
             pass
 
+    def evict(self, session_id: str) -> None:
+        """Drop the evicted session's state memo."""
+        self._state_memo.pop(session_id, None)
+
     def stats(self) -> StoreStats:
         """``events`` counts snapshot rows plus log rows; closed
         sessions are deleted outright, so ``sessions`` equals
-        ``open_sessions`` for this backend."""
+        ``open_sessions`` for this backend.  ``commits`` counts the
+        transactions committed since the store was opened."""
         self._check_open()
         with self._lock:
             self._flush_locked()
             # Checkpoint so bytes_on_disk reflects the database file,
-            # not an arbitrarily long WAL tail.
-            self._conn.execute("PRAGMA wal_checkpoint(PASSIVE)")
+            # not an arbitrarily long WAL tail (not possible while a
+            # scope on another thread holds a transaction open).
+            if not self._conn.in_transaction:
+                self._conn.execute("PRAGMA wal_checkpoint(PASSIVE)")
             (sessions,) = self._conn.execute(
                 "SELECT COUNT(*) FROM snapshots"
             ).fetchone()
             (log_rows,) = self._conn.execute(
                 "SELECT COUNT(*) FROM events"
             ).fetchone()
+            commits = self._commits
         bytes_on_disk = 0
         for suffix in ("", "-wal", "-shm"):
             sibling = Path(str(self._path) + suffix)
@@ -414,4 +528,5 @@ class SqliteStore(StoreLifecycle):
             open_sessions=sessions,
             bytes_on_disk=bytes_on_disk,
             events=sessions + log_rows,
+            commits=commits,
         )

@@ -42,6 +42,7 @@ reports a typed :class:`StoreStats`.  Stores predating this surface
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import threading
@@ -68,12 +69,15 @@ class StoreStats:
     in-memory); ``events`` is the number of persisted event records --
     each backend documents its own notion (in-memory: created + steps
     retained; JSONL: total lines; SQLite: snapshot rows + log rows).
+    ``commits`` counts the transactions the store committed since it
+    was opened (SQLite only; 0 for the other backends).
     """
 
     sessions: int = 0
     open_sessions: int = 0
     bytes_on_disk: int = 0
     events: int = 0
+    commits: int = 0
 
 
 @dataclass(frozen=True)
@@ -204,11 +208,28 @@ class StoreLifecycle:
     free (``with open_store(path) as store: ...`` closes on exit).
     Subclasses override :meth:`stats` (the default reports an empty
     store) and whichever lifecycle methods their backend needs.
+
+    Two service-facing hooks are no-ops by default: :meth:`scope`
+    brackets one service call (``submit_batch``), and :meth:`evict`
+    tells the store a session left the service's memory.
     """
 
     def flush(self) -> int:
         """Persist buffered events; write-through stores have none."""
         return 0
+
+    def scope(self) -> "contextlib.AbstractContextManager[None]":
+        """A context manager around one service call on this thread.
+
+        Events recorded inside it must be durable when it exits; a
+        store may use it to commit them together.  No-op by default.
+        """
+        return contextlib.nullcontext()
+
+    def evict(self, session_id: str) -> None:
+        """The service dropped ``session_id`` from memory; the store
+        may drop whatever it keeps per resident session.  No-op by
+        default."""
 
     def close(self) -> None:
         """Flush and release the backend (no-op by default)."""
@@ -325,10 +346,14 @@ def encode_facts(facts: Facts) -> dict[str, list[list]]:
     (:mod:`repro.server.wire`) reuses it verbatim, so a fact's bytes
     are identical in an event file, a SQLite row, and an HTTP body.
     """
-    return {
-        name: [list(row) for row in sorted(rows, key=repr)]
-        for name, rows in sorted(facts.items())
-    }
+    return {name: encode_rows(rows) for name, rows in sorted(facts.items())}
+
+
+def encode_rows(rows: frozenset[tuple]) -> list[list]:
+    """One relation's rows as JSON-ready lists, sorted by ``repr``."""
+    if len(rows) > 1:
+        rows = sorted(rows, key=repr)
+    return [list(row) for row in rows]
 
 
 def _decode_row(row: list) -> tuple:

@@ -17,6 +17,12 @@ log schema, state over the state schema.  Equality with in-process
 results is therefore exact, which is what the byte-identical parity
 tests assert.
 
+Each calling thread keeps one HTTP/1.1 keep-alive connection to the
+server, so a call costs one round trip, not a TCP handshake plus a
+server thread.  A request is never re-sent: a broken connection is
+closed and the call raises :class:`~repro.errors.ServerError` (a POST
+may already have been applied), and the thread's next call reconnects.
+
 Typed errors round-trip: a 4xx/5xx response carries an error envelope,
 and the client raises the same exception type an in-process caller
 would see -- :class:`~repro.errors.SessionError` for a bad session,
@@ -28,9 +34,10 @@ Transport failures (connection refused, malformed response) raise
 
 from __future__ import annotations
 
+import http.client
 import json
-import urllib.error
-import urllib.request
+import threading
+import urllib.parse
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from repro.errors import ServerError, WireError
@@ -112,31 +119,57 @@ class PodClient:
         self.timeout = timeout
         self._transducer = transducer
         self.metrics = ClientMetricsView(self)
+        parts = urllib.parse.urlsplit(self.base_url)
+        if parts.scheme != "http" or not parts.hostname:
+            raise ServerError(f"not an http:// server URL: {base_url!r}")
+        self._host = parts.hostname
+        self._port = parts.port
+        self._prefix = parts.path
+        # One keep-alive connection per calling thread.
+        self._local = threading.local()
 
     # -- transport -------------------------------------------------------------
 
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's connection to the server, made on first use.
+
+        After an error closes it, its next request reconnects.
+        """
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = self._local.connection = http.client.HTTPConnection(
+                self._host, self._port, timeout=self.timeout
+            )
+        return connection
+
     def _request(self, method: str, path: str, payload=None) -> dict:
-        url = f"{self.base_url}{path}"
         data = None
         headers = {}
         if payload is not None:
             data = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            url, data=data, headers=headers, method=method
-        )
+        # One attempt only: a failed POST may already have been applied
+        # (a step would apply twice if re-sent), so a broken connection
+        # is closed and surfaces as ServerError.
+        connection = self._connection()
         try:
-            with urllib.request.urlopen(
-                request, timeout=self.timeout
-            ) as response:
-                raw = response.read()
-        except urllib.error.HTTPError as error:
-            raw = error.read()
+            connection.request(
+                method, self._prefix + path, body=data, headers=headers
+            )
+            response = connection.getresponse()
+            raw = response.read()
+        except (OSError, http.client.HTTPException) as error:
+            connection.close()
+            raise ServerError(
+                f"cannot reach pod server at {self.base_url}{path}: "
+                f"{error or type(error).__name__}"
+            ) from None
+        if response.status >= 400:
             try:
                 envelope = json.loads(raw.decode("utf-8"))
             except (ValueError, UnicodeDecodeError):
                 raise ServerError(
-                    f"HTTP {error.code} from {method} {path}: "
+                    f"HTTP {response.status} from {method} {path}: "
                     f"{raw[:200]!r}"
                 ) from None
             wire.parse_message(envelope)  # raises the typed error
@@ -144,10 +177,6 @@ class PodClient:
             # /healthz payload on 503) is still a valid message; let
             # the caller interpret it.
             return envelope
-        except urllib.error.URLError as error:
-            raise ServerError(
-                f"cannot reach pod server at {url}: {error.reason}"
-            ) from None
         try:
             return json.loads(raw.decode("utf-8"))
         except (ValueError, UnicodeDecodeError) as error:

@@ -56,7 +56,7 @@ from repro.errors import (
 )
 from repro.pods import ShardedPodService, SqliteStore, StepRequest
 from repro.pods.service import PodService
-from repro.server import PodClient, PodServer
+from repro.server import PodClient, PodServer, wire
 from repro.verify.api import LogValidity, OnlineAuditor
 
 CATALOG = CatalogGenerator(seed=11).generate(20)
@@ -476,6 +476,99 @@ class TestSupervision:
             assert snapshot is not None and snapshot.steps == 1
         finally:
             store.close()
+
+
+class TestKeepAlive:
+    """One HTTP/1.1 connection per client thread, never a re-sent POST."""
+
+    @staticmethod
+    def count_connections(server):
+        """Count accepted connections by wrapping ``process_request``."""
+        httpd = server._httpd
+        accepted = []
+        process_request = httpd.process_request
+
+        def counting(request, client_address):
+            accepted.append(client_address)
+            return process_request(request, client_address)
+
+        httpd.process_request = counting
+        return accepted
+
+    def test_one_thread_one_connection(self):
+        with PodServer(build_short, default_database(), workers=1) as server:
+            accepted = self.count_connections(server)
+            client = PodClient(server.url, build_short())
+            handle = client.create_session("alice")
+            for _ in range(5):
+                client.submit(StepRequest(handle, {"order": {("time",)}}))
+            client.healthz()
+            with pytest.raises(SessionError):
+                client.submit(StepRequest("nobody", {}))
+            client.run_session(handle, [{"pay": {("time", 55)}}] * 3)
+            assert client.session(handle).steps == 8
+            assert len(accepted) == 1
+
+    def test_two_threads_two_connections(self):
+        with PodServer(build_short, default_database(), workers=1) as server:
+            accepted = self.count_connections(server)
+            client = PodClient(server.url, build_short())
+            errors = []
+
+            def traffic(session_id):
+                try:
+                    handle = client.create_session(session_id)
+                    for _ in range(3):
+                        client.submit(
+                            StepRequest(handle, {"order": {("time",)}})
+                        )
+                except Exception as error:  # surfaced below
+                    errors.append(error)
+
+            threads = [
+                threading.Thread(target=traffic, args=(name,))
+                for name in ("alice", "bob")
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+            assert errors == []
+            assert len(accepted) == 2
+
+    def test_unknown_post_endpoint_keeps_the_connection_usable(self):
+        with PodServer(build_short, default_database(), workers=1) as server:
+            client = PodClient(server.url, build_short())
+            with pytest.raises(ServerError, match="no such endpoint"):
+                client._request(
+                    "POST", "/v1/nope", wire.message("flush", {"pad": "x" * 99})
+                )
+            assert client.healthz()["status"] == "ok"
+
+    def test_broken_connection_is_not_retried(self, tmp_path):
+        root = str(tmp_path / "pods")
+        config = dict(workers=1, store_root=root, store_kind="sqlite")
+        server = PodServer(build_short, default_database(), **config).start()
+        port = int(server.url.rsplit(":", 1)[1])
+        client = PodClient(server.url, build_short())
+        handle = client.create_session("alice")
+        client.submit(StepRequest(handle, {"order": {("time",)}}))
+        server.shutdown()
+        # A new server on the same port and store: the POST that fails
+        # on the old connection must not reach it on a silent retry.
+        with PodServer(
+            build_short, default_database(), port=port, **config
+        ) as reborn:
+            with pytest.raises(ServerError):
+                client.submit(StepRequest(handle, {"order": {("time",)}}))
+            assert client.session(handle).steps == 1
+            assert reborn.worker(0).call("metrics", {})["metrics"][
+                "steps_executed"
+            ] == 0
+            client.submit(StepRequest(handle, {"pay": {("time", 55)}}))
+            assert client.session(handle).steps == 2
+        with pytest.raises(ServerError):
+            client.healthz()
 
 
 # -- configuration knobs -------------------------------------------------------

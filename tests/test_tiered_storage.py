@@ -32,7 +32,7 @@ from repro.commerce.models import (
     default_database,
 )
 from repro.commerce.workloads import SessionGenerator
-from repro.errors import SessionError, StoreError
+from repro.errors import AuditViolation, SessionError, StoreError
 from repro.pods import (
     MAX_RESIDENT_ENV,
     InMemoryStore,
@@ -49,6 +49,7 @@ from repro.pods import (
 )
 from repro.pods.session import Session
 from repro.pods.store import _encode_facts
+from repro.relalg.schema import DatabaseSchema, RelationSchema
 from repro.verify.api import LogValidity, OnlineAuditor
 
 CATALOG = CatalogGenerator(seed=23).generate(12)
@@ -899,3 +900,381 @@ print("READY", flush=True)
             assert drain_open_stores() == 0  # idempotent once flushed
         finally:
             store.close()
+
+
+class TestOneCommitPerBatch:
+    """``durability="step"``/``"full"`` commit once per ``submit_batch``.
+
+    Inside the batch each event runs in its own savepoint; the batch
+    commits once, before ``submit_batch`` returns -- also when it
+    raises.  Every check reopens the file with a fresh store, so it
+    reads what is on disk, not what one connection has buffered.
+    """
+
+    SCRIPT = [
+        {"order": {("time",)}},
+        {"order": {("newsweek",)}},
+        {"pay": {("time", 55)}},
+    ]
+
+    def batch(self, ids):
+        return [
+            StepRequest(session_id, step)
+            for step in self.SCRIPT
+            for session_id in ids
+        ]
+
+    def reopened(self, path):
+        return SqliteStore(path)
+
+    @pytest.mark.parametrize("durability", ["step", "full"])
+    def test_one_batch_commits_once(self, tmp_path, durability):
+        store = SqliteStore(tmp_path / "pods.sqlite", durability=durability)
+        service = PodService(build_short(), default_database(), store=store)
+        ids = [f"s{index}" for index in range(11)]
+        for session_id in ids:
+            service.create_session(session_id)
+        requests = self.batch(ids)[:32]
+        assert len(requests) == 32
+
+        before = store.stats().commits
+        service.submit_batch(requests, concurrency=1)
+        assert store.stats().commits - before == 1
+
+        before = store.stats().commits
+        for request in requests:
+            service.submit(request)
+        assert store.stats().commits - before == 32
+
+    def test_batched_mode_and_other_stores_are_unchanged(self, tmp_path):
+        store = SqliteStore(tmp_path / "pods.sqlite", durability="batched")
+        service = PodService(build_short(), default_database(), store=store)
+        service.create_session("alice")
+        service.submit_batch(self.batch(["alice"]), concurrency=1)
+        assert store.stats().commits == 1  # the read in stats() flushed
+        assert InMemoryStore().stats().commits == 0
+        assert JsonlDirectoryStore(tmp_path / "j").stats().commits == 0
+
+    def test_batch_is_durable_when_it_returns(self, tmp_path):
+        path = tmp_path / "pods.sqlite"
+        service = PodService(
+            build_short(), default_database(), store=SqliteStore(path)
+        )
+        for session_id in ("alice", "bob"):
+            service.create_session(session_id)
+        service.submit_batch(self.batch(["alice", "bob"]), concurrency=1)
+        other = self.reopened(path)  # a second connection to the file
+        for session_id in ("alice", "bob"):
+            snapshot = other.load(session_id)
+            assert snapshot.steps == 3
+            assert canonical(snapshot) == canonical(
+                service.session(session_id).snapshot()
+            )
+
+    CHILD = """
+import os, sys
+from repro.commerce.models import build_short, default_database
+from repro.pods import PodService, SqliteStore, StepRequest
+
+store = SqliteStore(sys.argv[1])
+service = PodService(build_short(), default_database(), store=store)
+record_step = store.record_step
+calls = [0]
+
+def dying_record_step(*args):
+    record_step(*args)
+    calls[0] += 1
+    if calls[0] == int(sys.argv[2]):
+        os._exit(17)  # no finally, no atexit: a hard kill mid-batch
+
+store.record_step = dying_record_step
+service.submit_batch(
+    [
+        StepRequest(session_id, step)
+        for step in ({"pay": {("time", 55)}}, {"order": {("le_monde",)}})
+        for session_id in ("alice", "bob")
+    ],
+    concurrency=1,
+)
+"""
+
+    def test_killed_mid_batch_leaves_pre_batch_snapshots(self, tmp_path):
+        import subprocess
+        import sys as sys_module
+
+        path = tmp_path / "pods.sqlite"
+        store = SqliteStore(path)
+        service = PodService(build_short(), default_database(), store=store)
+        for session_id in ("alice", "bob"):
+            service.create_session(session_id)
+            service.submit(StepRequest(session_id, {"order": {("time",)}}))
+        store.close()
+        reopened = self.reopened(path)
+        before = {
+            session_id: canonical(reopened.load(session_id))
+            for session_id in ("alice", "bob")
+        }
+        reopened.close()
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        for kill_at in (1, 3):
+            proc = subprocess.run(
+                [sys_module.executable, "-c", self.CHILD, str(path),
+                 str(kill_at)],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=120,
+            )
+            assert proc.returncode == 17, proc.stderr
+            after = self.reopened(path)
+            for session_id, snapshot in before.items():
+                assert canonical(after.load(session_id)) == snapshot
+            after.close()
+
+    def test_store_error_keeps_the_events_before_it(self, tmp_path):
+        path = tmp_path / "pods.sqlite"
+        store = SqliteStore(path)
+        service = PodService(build_short(), default_database(), store=store)
+        for session_id in ("alice", "bob"):
+            service.create_session(session_id)
+        # Fail the 5th event of the batch (alice's step 3) in SQLite
+        # itself, after its snapshot UPDATE already ran.
+        store._conn.execute(
+            "CREATE TRIGGER fail_fifth BEFORE INSERT ON events "
+            "WHEN NEW.session_id = 'alice' AND NEW.step = 3 "
+            "BEGIN SELECT RAISE(ABORT, 'injected'); END"
+        )
+        store._conn.commit()
+        with pytest.raises(StoreError, match="injected"):
+            service.submit_batch(self.batch(["alice", "bob"]), concurrency=1)
+        after = self.reopened(path)
+        for session_id in ("alice", "bob"):
+            snapshot = after.load(session_id)
+            assert snapshot.steps == 2
+            assert len(snapshot.log_facts) == snapshot.steps
+            (rows,) = after._conn.execute(
+                "SELECT COUNT(*) FROM events WHERE session_id = ?",
+                (session_id,),
+            ).fetchone()
+            assert rows == snapshot.steps
+
+    def test_strict_audit_violation_keeps_the_violating_step(self, tmp_path):
+        path = tmp_path / "pods.sqlite"
+        service = PodService(
+            build_buggy_store(),
+            default_database(),
+            store=SqliteStore(path),
+            auditor=OnlineAuditor(
+                [LogValidity()], reference=build_short(), strict=True
+            ),
+        )
+        for session_id in ("alice", "bob"):
+            service.create_session(session_id)
+        with pytest.raises(AuditViolation) as raised:
+            service.submit_batch(
+                TestAuditSurvivesRehydration.BATCH, concurrency=1
+            )
+        # alice's step 2 violated; bob's step 2 never ran.
+        assert [r is not None for r in raised.value.partial_results] == [
+            True, True, False, False,
+        ]
+        after = self.reopened(path)
+        assert after.load("alice").steps == 2
+        assert len(after.load("alice").log_facts) == 2
+        assert after.load("bob").steps == 1
+
+    def test_scope_is_per_thread(self, tmp_path):
+        store = SqliteStore(tmp_path / "pods.sqlite")
+        service = PodService(build_short(), default_database(), store=store)
+        service.create_session("alice")
+        service.create_session("bob")
+        inside = threading.Event()
+        release = threading.Event()
+
+        def scoped():
+            with store.scope():
+                service.submit(StepRequest("alice", self.SCRIPT[0]))
+                inside.set()
+                release.wait(10)
+
+        worker = threading.Thread(target=scoped)
+        worker.start()
+        assert inside.wait(10)
+        before = store.stats().commits
+        # Outside any scope: committed at once, with the open scope's
+        # events (which only become durable sooner).
+        service.submit(StepRequest("bob", self.SCRIPT[0]))
+        assert store.stats().commits == before + 1
+        other = self.reopened(tmp_path / "pods.sqlite")
+        assert other.load("bob").steps == 1
+        assert other.load("alice").steps == 1
+        release.set()
+        worker.join(10)
+
+    def test_concurrent_batches_are_durable(self, tmp_path):
+        path = tmp_path / "pods.sqlite"
+        store = SqliteStore(path)
+        service = PodService(build_short(), default_database(), store=store)
+        ids = [f"s{index}" for index in range(8)]
+        for session_id in ids:
+            service.create_session(session_id)
+        threads = [
+            threading.Thread(
+                target=service.submit_batch,
+                args=(self.batch(ids[part::2]),),
+                kwargs={"concurrency": 1},
+            )
+            for part in range(2)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+        after = self.reopened(path)
+        for session_id in ids:
+            assert canonical(after.load(session_id)) == canonical(
+                service.session(session_id).snapshot()
+            )
+
+
+class TestSqliteImportRace:
+    def test_racing_imports_of_one_id(self, tmp_path, monkeypatch):
+        """Both importers pass a ``load()`` pre-check together; only
+        one may win, and the loser sees ``SessionError``."""
+        source = SqliteStore(tmp_path / "source.sqlite")
+        source.record_created("alice")
+        snapshot = source.load("alice")
+        store = SqliteStore(tmp_path / "pods.sqlite")
+        barrier = threading.Barrier(2)
+        load = store.load
+
+        def meeting_load(session_id):
+            try:
+                barrier.wait(timeout=1.0)
+            except threading.BrokenBarrierError:
+                pass
+            return load(session_id)
+
+        monkeypatch.setattr(store, "load", meeting_load)
+        outcomes = []
+
+        def importer():
+            try:
+                store.import_snapshot(snapshot)
+                outcomes.append("imported")
+            except Exception as error:
+                outcomes.append(error)
+
+        threads = [threading.Thread(target=importer) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+        assert outcomes.count("imported") == 1
+        (error,) = [o for o in outcomes if o != "imported"]
+        assert type(error) is SessionError
+        assert "already exists" in str(error)
+
+
+_VALUES = st.one_of(
+    st.integers(-5, 5),
+    st.floats(allow_nan=False, width=32),
+    st.booleans(),
+    st.text(max_size=3),
+    st.none(),
+)
+_CELLS = st.one_of(_VALUES, st.tuples(_VALUES, _VALUES))
+
+
+class TestStateMemo:
+    """The SQLite state column is assembled from per-relation JSON
+    fragments; it must equal encoding the whole state, byte for byte."""
+
+    SCHEMA = DatabaseSchema([
+        RelationSchema("past-order", 1),
+        RelationSchema("past-pay", 2),
+        RelationSchema("zébu", 2),
+        RelationSchema("a b", 1),
+    ])
+
+    @staticmethod
+    def stored_state(store, session_id):
+        (text,) = store._conn.execute(
+            "SELECT state FROM snapshots WHERE session_id = ?", (session_id,)
+        ).fetchone()
+        return text
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_state_text_equals_whole_encoding(self, data):
+        from repro.pods.api import facts_of
+        from repro.relalg.instance import Instance
+
+        with tempfile.TemporaryDirectory() as directory:
+            store = SqliteStore(Path(directory) / "pods.sqlite")
+            store.record_created("s")
+            relations = {rel.name: frozenset() for rel in self.SCHEMA}
+            for step in range(1, data.draw(st.integers(1, 6)) + 1):
+                for rel in self.SCHEMA:
+                    rows = st.frozensets(
+                        st.tuples(*[_CELLS] * rel.arity), max_size=4
+                    )
+                    change = data.draw(
+                        st.sampled_from(["keep", "grow", "replace"])
+                    )
+                    if change == "grow":  # the Spocus shape: cumulative
+                        relations[rel.name] = relations[rel.name] | data.draw(
+                            rows
+                        )
+                    elif change == "replace":  # may shrink (non-Spocus)
+                        relations[rel.name] = data.draw(rows)
+                state = Instance(self.SCHEMA, relations)
+                store.record_step("s", step, state, None)
+                assert self.stored_state(store, "s") == json.dumps(
+                    _encode_facts(facts_of(state)), sort_keys=True
+                )
+            store.close()
+
+    def test_spocus_state_keeps_unchanged_relations(self):
+        session = fresh_session()
+        session.step({"order": {("time",)}})
+        before = session.state
+        session.step({"order": {("time",)}, "pay": {("time", 55)}})
+        after = session.state
+        assert after["past-order"] is before["past-order"]
+        assert after["past-pay"] is not before["past-pay"]
+
+    def test_no_memo_survives_eviction_or_close(self, tmp_path):
+        store = SqliteStore(tmp_path / "pods.sqlite")
+        service = PodService(
+            build_short(),
+            default_database(),
+            store=store,
+            max_resident_sessions=1,
+        )
+        for session_id in ("alice", "bob"):
+            service.create_session(session_id)
+        service.submit(StepRequest("alice", {"order": {("time",)}}))
+        assert set(store._state_memo) == {"alice"}
+        service.submit(StepRequest("bob", {"order": {("time",)}}))
+        assert set(store._state_memo) == {"bob"}  # alice was evicted
+        service.close_session("bob")
+        assert store._state_memo == {}
+        service.submit(StepRequest("alice", {"pay": {("time", 55)}}))
+        assert set(store._state_memo) == {"alice"}
+        store.close()
+        assert store._state_memo == {}
+
+    def test_recreating_an_id_drops_its_memo(self, tmp_path):
+        store = SqliteStore(tmp_path / "pods.sqlite")
+        session = fresh_session("alice")
+        store.record_created("alice")
+        session.step({"order": {("time",)}})
+        store.record_step("alice", 1, session.state, None)
+        assert "alice" in store._state_memo
+        store.record_created("alice")
+        assert "alice" not in store._state_memo
