@@ -11,13 +11,13 @@ import pytest
 
 from repro.commerce import CatalogGenerator, random_log
 from repro.commerce.workloads import tamper_log
-from repro.verify import is_valid_log
+from repro.verify import check_log_validity
 
 
 def test_e04_valid_session_log(benchmark, short):
     catalog = CatalogGenerator(seed=7).generate(3)
     _run, logs = random_log(short, catalog, 4, seed=1)
-    result = benchmark(is_valid_log, short, catalog.as_database(), logs)
+    result = benchmark(check_log_validity, short, catalog.as_database(), logs)
     assert result.valid
 
 
@@ -25,7 +25,7 @@ def test_e04_forged_log_rejected(benchmark, short):
     catalog = CatalogGenerator(seed=7).generate(3)
     _run, logs = random_log(short, catalog, 4, seed=1)
     forged = tamper_log(logs, catalog, seed=2)
-    result = benchmark(is_valid_log, short, catalog.as_database(), forged)
+    result = benchmark(check_log_validity, short, catalog.as_database(), forged)
     assert not result.valid
 
 
@@ -33,7 +33,7 @@ def test_e04_forged_log_rejected(benchmark, short):
 def test_e04_scaling_log_length(benchmark, short, length):
     catalog = CatalogGenerator(seed=7).generate(2)
     _run, logs = random_log(short, catalog, length, seed=3)
-    result = benchmark(is_valid_log, short, catalog.as_database(), logs)
+    result = benchmark(check_log_validity, short, catalog.as_database(), logs)
     assert result.valid
     print(
         f"\nlength={length}: domain={result.stats.domain_size} "
@@ -45,7 +45,7 @@ def test_e04_scaling_log_length(benchmark, short, length):
 def test_e04_scaling_catalog(benchmark, short, products):
     catalog = CatalogGenerator(seed=7).generate(products)
     _run, logs = random_log(short, catalog, 3, seed=4)
-    result = benchmark(is_valid_log, short, catalog.as_database(), logs)
+    result = benchmark(check_log_validity, short, catalog.as_database(), logs)
     assert result.valid
     print(
         f"\nproducts={products}: domain={result.stats.domain_size} "
@@ -58,6 +58,6 @@ def test_e04_unknown_database(benchmark, short):
         {"sendbill": {("widget", 7)}, "pay": set(), "deliver": set()},
         {"sendbill": set(), "pay": {("widget", 7)}, "deliver": {("widget",)}},
     ]
-    result = benchmark(is_valid_log, short, None, entries)
+    result = benchmark(check_log_validity, short, None, entries)
     assert result.valid
     assert result.witness_database is not None

@@ -16,7 +16,7 @@ from repro.relalg.dependencies import (
     FunctionalDependency as FD,
     InclusionDependency as IND,
 )
-from repro.verify import is_valid_log
+from repro.verify import check_log_validity
 from repro.verify.undecidable import (
     containment_reduction,
     mimic_inputs_for_log,
@@ -76,7 +76,7 @@ def test_e08_separating_log_rejected_by_simulator(benchmark):
     rows = [("a", "b"), ("c", "a")]  # satisfies F, violates G
     run = reduction.t_fg.run({}, wellformed_sequence(reduction, rows))
     assert run.outputs[-1]["violG"] and not run.outputs[-1]["violF"]
-    result = benchmark(is_valid_log, reduction.simulator, {}, run.logs)
+    result = benchmark(check_log_validity, reduction.simulator, {}, run.logs)
     assert not result.valid
     print("\nF ⊭ G: T_FG produced a log the simulator cannot produce "
           "(containment fails, as Theorem 3.4 predicts)")

@@ -12,7 +12,7 @@ import pytest
 from repro.commerce import CatalogGenerator
 from repro.datalog.ast import Variable as V
 from repro.logic.fol import Forall, Implies, Rel, conjoin
-from repro.verify import Goal, holds_on_all_runs, is_goal_reachable
+from repro.verify import Goal, check_goal_reachability, check_temporal_property
 
 x, y = V("x"), V("y")
 NO_DELIVERY_BEFORE_PAY = Forall(
@@ -26,10 +26,10 @@ NO_DELIVERY_BEFORE_PAY = Forall(
 
 def test_e06_deliver_reachable_iff_priced(benchmark, short, catalog_db):
     def decide_both():
-        priced = is_goal_reachable(
+        priced = check_goal_reachability(
             short, catalog_db, Goal.atoms(deliver=("time",))
         ).reachable
-        unpriced = is_goal_reachable(
+        unpriced = check_goal_reachability(
             short, catalog_db, Goal.atoms(deliver=("vogue",))
         ).reachable
         return priced, unpriced
@@ -42,7 +42,7 @@ def test_e06_deliver_reachable_iff_priced(benchmark, short, catalog_db):
 def test_e06_progress_after_prefix(benchmark, short, catalog_db):
     prefix = [{"order": {("time",)}}]
     result = benchmark(
-        is_goal_reachable,
+        check_goal_reachability,
         short,
         catalog_db,
         Goal.atoms(deliver=("time",)),
@@ -56,7 +56,7 @@ def test_e06_scaling_catalog(benchmark, short, products):
     catalog = CatalogGenerator(seed=5).generate(products)
     product = catalog.products[0]
     result = benchmark(
-        is_goal_reachable,
+        check_goal_reachability,
         short,
         catalog.as_database(),
         Goal.atoms(deliver=(product,)),
@@ -68,21 +68,21 @@ def test_e06_scaling_catalog(benchmark, short, products):
 
 def test_e07_short_satisfies(benchmark, short, catalog_db):
     verdict = benchmark(
-        holds_on_all_runs, short, NO_DELIVERY_BEFORE_PAY, catalog_db
+        check_temporal_property, short, NO_DELIVERY_BEFORE_PAY, catalog_db
     )
     assert verdict.holds
 
 
 def test_e07_friendly_satisfies(benchmark, friendly, catalog_db):
     verdict = benchmark(
-        holds_on_all_runs, friendly, NO_DELIVERY_BEFORE_PAY, catalog_db
+        check_temporal_property, friendly, NO_DELIVERY_BEFORE_PAY, catalog_db
     )
     assert verdict.holds
 
 
 def test_e07_buggy_caught_with_counterexample(benchmark, buggy, catalog_db):
     verdict = benchmark(
-        holds_on_all_runs, buggy, NO_DELIVERY_BEFORE_PAY, catalog_db
+        check_temporal_property, buggy, NO_DELIVERY_BEFORE_PAY, catalog_db
     )
     assert not verdict.holds
     assert verdict.counterexample_inputs is not None
@@ -94,5 +94,5 @@ def test_e07_schema_level_needs_functional_price(benchmark, short):
     # Over all databases the formula fails (price need not be a
     # function); this is a genuine subtlety the decision procedure
     # surfaces, documented in EXPERIMENTS.md.
-    verdict = benchmark(holds_on_all_runs, short, NO_DELIVERY_BEFORE_PAY, None)
+    verdict = benchmark(check_temporal_property, short, NO_DELIVERY_BEFORE_PAY, None)
     assert not verdict.holds

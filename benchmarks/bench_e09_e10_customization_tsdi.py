@@ -14,13 +14,13 @@ from repro.commerce.models import build_short
 from repro.core.acceptors import is_error_free
 from repro.verify import TsdiConjunct, TsdiSentence, enforce_tsdi, satisfies_tsdi
 from repro.verify.containment import (
-    log_contains,
-    pointwise_log_equal,
+    check_log_containment,
+    check_pointwise_log_equality,
 )
 
 
 def test_e09_short_equals_friendly(benchmark, short, friendly, catalog_db):
-    verdict = benchmark(pointwise_log_equal, short, friendly, catalog_db)
+    verdict = benchmark(check_pointwise_log_equality, short, friendly, catalog_db)
     assert verdict.contained
     print("\nshort ≡ friendly (pointwise log equality): confirmed")
 
@@ -48,7 +48,7 @@ def test_e09_full_log_containment(benchmark, catalog_db):
         extra_inputs={"inquiry": 1},
         extra_outputs={"unavailable": 1},
     )
-    verdict = benchmark(log_contains, base, custom, catalog_db)
+    verdict = benchmark(check_log_containment, base, custom, catalog_db)
     assert verdict.contained
 
 
@@ -66,7 +66,7 @@ def test_e09_unsound_customization_detected(benchmark, catalog_db):
         "deliver(X) :- rush(X), price(X,Y);",
         extra_inputs={"rush": 1},
     )
-    verdict = benchmark(log_contains, base, rogue, catalog_db)
+    verdict = benchmark(check_log_containment, base, rogue, catalog_db)
     assert not verdict.contained
     assert verdict.difference is not None
     print(f"\nrogue rule separated at {verdict.difference}")

@@ -8,8 +8,8 @@ from repro.logic.fol import Bottom
 from repro.verify import (
     TsdiConjunct,
     TsdiSentence,
-    errorfree_contains,
-    holds_on_error_free_runs,
+    check_error_free_containment,
+    check_error_free_property,
 )
 
 
@@ -29,7 +29,7 @@ def test_e12_enforced_property_verified(benchmark, short, catalog_db):
             Bottom(),
         )
     )
-    verdict = benchmark(holds_on_error_free_runs, guarded, sentence, catalog_db)
+    verdict = benchmark(check_error_free_property, guarded, sentence, catalog_db)
     assert verdict.holds
     print(f"\nrun bound used: k+1 with k=1 positive state literals; "
           f"domain={verdict.stats.domain_size}")
@@ -38,7 +38,7 @@ def test_e12_enforced_property_verified(benchmark, short, catalog_db):
 def test_e12_unenforced_property_refuted(benchmark, short, catalog_db):
     guarded = _guarded(short)
     sentence = TsdiSentence.of(TsdiConjunct.parse("order(X)", "available(X)"))
-    verdict = benchmark(holds_on_error_free_runs, guarded, sentence, catalog_db)
+    verdict = benchmark(check_error_free_property, guarded, sentence, catalog_db)
     assert not verdict.holds
     assert verdict.counterexample_inputs is not None
 
@@ -54,7 +54,7 @@ def test_e12_undecidable_fragment_refused(benchmark, short, catalog_db):
 
     def attempt():
         with pytest.raises(UndecidableError):
-            holds_on_error_free_runs(guarded, sentence, catalog_db)
+            check_error_free_property(guarded, sentence, catalog_db)
         return True
 
     assert benchmark(attempt)
@@ -63,14 +63,14 @@ def test_e12_undecidable_fragment_refused(benchmark, short, catalog_db):
 def test_e13_errorfree_containment_positive(benchmark, short, catalog_db):
     lenient = _guarded(short)
     strict = _guarded(short, "error :- pay(X,Y), past-pay(X,Y);")
-    verdict = benchmark(errorfree_contains, strict, lenient, catalog_db)
+    verdict = benchmark(check_error_free_containment, strict, lenient, catalog_db)
     assert verdict.contained
 
 
 def test_e13_errorfree_containment_negative(benchmark, short, catalog_db):
     lenient = _guarded(short)
     strict = _guarded(short, "error :- pay(X,Y), past-pay(X,Y);")
-    verdict = benchmark(errorfree_contains, lenient, strict, catalog_db)
+    verdict = benchmark(check_error_free_containment, lenient, strict, catalog_db)
     assert not verdict.contained
     assert verdict.firing_rule is not None
     print(f"\nseparating rule: {verdict.firing_rule}")

@@ -23,29 +23,32 @@ from pathlib import Path
 
 from repro.commerce.catalog import CatalogGenerator
 from repro.commerce.models import build_friendly
-from repro.commerce.workloads import SessionGenerator, simulate_concurrent_customers
+from repro.commerce.workloads import SessionGenerator
 from repro.pods import PodService, ShardedPodService
 
-SEED = 7
+from bench_e16_runtime_throughput import SEED, drive_customers
+
 PRODUCTS = 1000
 STEPS_PER_SESSION = 8
 FULL_SESSIONS = 1000
 SHARDS = 4
 
 
-def _measure(sessions: int, products: int, steps: int, shards: int):
+def _measure(sessions: int, products: int, steps: int, shards: int) -> dict:
+    """Drive the E16 traffic through ``shards`` shards (a plain
+    :class:`PodService` for 1); return the metrics snapshot."""
     transducer = build_friendly()
     catalog = CatalogGenerator(seed=1).generate(products)
-    report = simulate_concurrent_customers(
-        transducer,
-        catalog,
-        sessions=sessions,
-        steps_per_session=steps,
-        seed=SEED,
-        shards=shards,
-    )
-    assert report.total_steps == sessions * steps
-    return report
+    if shards == 1:
+        service = PodService(transducer, catalog.as_database(), keep_logs=False)
+    else:
+        service = ShardedPodService(
+            transducer, catalog.as_database(), shards=shards, keep_logs=False
+        )
+    drive_customers(service, catalog, sessions, steps)
+    metrics = service.metrics.snapshot()
+    assert metrics["steps_executed"] == sessions * steps
+    return metrics
 
 
 def run_experiment(
@@ -57,10 +60,7 @@ def run_experiment(
     """Measure single-engine and sharded runs; return the JSON record."""
     single = _measure(sessions, products, steps, shards=1)
     sharded = _measure(sessions, products, steps, shards=shards)
-    ratio = (
-        sharded.metrics["steps_per_second"]
-        / single.metrics["steps_per_second"]
-    )
+    ratio = sharded["steps_per_second"] / single["steps_per_second"]
     return {
         "experiment": "e17_sharded_throughput",
         "workload": {
@@ -71,10 +71,10 @@ def run_experiment(
             "shards": shards,
             "seed": SEED,
         },
-        "single_engine": single.metrics,
-        "sharded": sharded.metrics,
-        "steps_per_second": sharded.metrics["steps_per_second"],
-        "sessions_per_second": sharded.metrics["sessions_per_second"],
+        "single_engine": single,
+        "sharded": sharded,
+        "steps_per_second": sharded["steps_per_second"],
+        "sessions_per_second": sharded["sessions_per_second"],
         "sharded_vs_single_ratio": round(ratio, 3),
         "python": platform.python_version(),
     }
@@ -114,14 +114,13 @@ def test_e17_sharded_matches_single_engine():
 
 def test_e17_throughput_smoke(benchmark):
     """Small sharded throughput measurement (CI smoke size)."""
-    report = benchmark.pedantic(
+    metrics = benchmark.pedantic(
         _measure,
         args=(40, 300, 6, SHARDS),
         iterations=1,
         rounds=3,
     )
-    assert report.metrics["steps_per_second"] > 0
-    assert report.shards == SHARDS
+    assert metrics["steps_per_second"] > 0
 
 
 def test_e17_sharding_preserves_throughput():

@@ -28,17 +28,16 @@ from __future__ import annotations
 import argparse
 import json
 import platform
-import warnings
 from pathlib import Path
 
 from repro.commerce.catalog import CatalogGenerator
 from repro.commerce.models import build_friendly
-from repro.commerce.workloads import simulate_concurrent_customers
 from repro.datalog.evaluate import naive_evaluation
 from repro.pods import PodService
 from repro.scenarios import log_digest
 
-SEED = 7
+from bench_e16_runtime_throughput import SEED, drive_customers
+
 PRODUCTS = 1000
 STEPS_PER_SESSION = 8
 FULL_SESSIONS = 1000
@@ -49,41 +48,32 @@ DIGEST_SESSIONS = 40
 RECORD = Path(__file__).resolve().parent.parent / "BENCH_e25.json"
 
 
-def _simulate(sessions: int, products: int, steps: int, service=None):
+def _simulate(
+    sessions: int, products: int, steps: int, keep_logs: bool = False
+) -> PodService:
+    """Drive the E16 traffic (one seeded script per customer,
+    round-robin) through a fresh :class:`PodService`."""
     transducer = build_friendly()
     catalog = CatalogGenerator(seed=1).generate(products)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return simulate_concurrent_customers(
-            transducer,
-            catalog,
-            sessions=sessions,
-            steps_per_session=steps,
-            seed=SEED,
-            service=service,
-        )
+    service = PodService(transducer, catalog.as_database(), keep_logs=keep_logs)
+    drive_customers(service, catalog, sessions, steps)
+    return service
 
 
-def _measure(sessions: int, products: int, steps: int, rounds: int):
-    """Best-of-``rounds`` throughput report."""
+def _measure(sessions: int, products: int, steps: int, rounds: int) -> dict:
+    """Best-of-``rounds`` metrics snapshot."""
     best = None
     for _ in range(rounds):
-        report = _simulate(sessions, products, steps)
-        assert report.total_steps == sessions * steps
-        if best is None or (
-            report.metrics["steps_per_second"]
-            > best.metrics["steps_per_second"]
-        ):
-            best = report
+        metrics = _simulate(sessions, products, steps).metrics.snapshot()
+        assert metrics["steps_executed"] == sessions * steps
+        if best is None or metrics["steps_per_second"] > best["steps_per_second"]:
+            best = metrics
     return best
 
 
 def _digest(sessions: int, products: int, steps: int) -> str:
     """Canonical log digest of the workload on the current evaluator."""
-    transducer = build_friendly()
-    catalog = CatalogGenerator(seed=1).generate(products)
-    service = PodService(transducer, catalog.as_database(), keep_logs=True)
-    _simulate(sessions, products, steps, service=service)
+    service = _simulate(sessions, products, steps, keep_logs=True)
     return log_digest(service, service.session_ids())
 
 
@@ -109,7 +99,7 @@ def run_experiment(
     digest_sessions: int = DIGEST_SESSIONS,
 ) -> dict:
     """Measure the shipped path and check its digest; return the record."""
-    report = _measure(sessions, products, steps, rounds)
+    metrics = _measure(sessions, products, steps, rounds)
     digest = _digest(digest_sessions, products, steps)
     naive = _naive_digest(digest_sessions, products, steps)
     record = {
@@ -123,15 +113,13 @@ def run_experiment(
             "digest_sessions": digest_sessions,
             "seed": SEED,
         },
-        "steps_per_second": report.metrics["steps_per_second"],
-        "mean_step_latency_seconds": report.metrics[
-            "mean_step_latency_seconds"
-        ],
+        "steps_per_second": metrics["steps_per_second"],
+        "mean_step_latency_seconds": metrics["mean_step_latency_seconds"],
         "log_digest": digest,
         "naive_log_digest": naive,
         "logs_identical": digest == naive,
         "counters": {
-            key: report.metrics[key]
+            key: metrics[key]
             for key in (
                 "kernels_compiled",
                 "kernel_hits",
@@ -157,24 +145,24 @@ def test_e25_logs_match_naive_reference():
 
 def test_e25_counters_flow_through_metrics():
     """The shipped path reports its hot-path counters."""
-    report = _measure(20, 200, 5, rounds=1)
+    metrics = _measure(20, 200, 5, rounds=1)
     # kernels_compiled is a process-wide gauge: nonzero even when an
     # earlier service in this process compiled every kernel.
-    assert report.metrics["kernels_compiled"] > 0
-    assert report.metrics["kernel_hits"] > 0
-    assert report.metrics["replans_avoided"] > 0
-    assert report.metrics["interned_constants"] > 0
+    assert metrics["kernels_compiled"] > 0
+    assert metrics["kernel_hits"] > 0
+    assert metrics["replans_avoided"] > 0
+    assert metrics["interned_constants"] > 0
 
 
 def test_e25_hot_path_smoke(benchmark):
     """Small steady-state measurement of the shipped path (CI size)."""
-    report = benchmark.pedantic(
+    metrics = benchmark.pedantic(
         _measure,
         args=(40, 300, 6, 1),
         iterations=1,
         rounds=3,
     )
-    assert report.metrics["steps_per_second"] > 0
+    assert metrics["steps_per_second"] > 0
 
 
 def test_e25_record_at_small_scale():

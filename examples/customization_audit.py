@@ -19,7 +19,7 @@ Run with:  python examples/customization_audit.py
 from repro.commerce import is_syntactically_safe_customization
 from repro.commerce.models import build_friendly, build_short, default_database
 from repro.core.spocus import SpocusTransducer
-from repro.verify.containment import log_contains, pointwise_log_equal
+from repro.verify import Verifier
 
 
 def main() -> None:
@@ -32,9 +32,9 @@ def main() -> None:
     print(f"FRIENDLY is a syntactically safe customization: {report.safe}")
 
     # -- 2. semantic equivalence (the paper's claim) ---------------------------
-    verdict = pointwise_log_equal(short, friendly, db)
+    verdict = Verifier(short, db).check_containment(friendly, pointwise=True)
     print(f"SHORT and FRIENDLY yield identical logs pointwise: "
-          f"{verdict.contained}")
+          f"{verdict.holds}")
 
     # -- 3. Theorem 3.5 on a full-log model ------------------------------------
     base = SpocusTransducer.make(
@@ -53,22 +53,23 @@ def main() -> None:
         extra_inputs={"inquiry": 1},
         extra_outputs={"unavailable": 1},
     )
+    audit = Verifier(base, db)
     print(
         "polite customization contained:",
-        log_contains(base, polite, db).contained,
+        audit.check_containment(polite).holds,
     )
 
     rogue = base.with_extra_rules(
         "deliver(X) :- rush(X), price(X,Y);",
         extra_inputs={"rush": 1},
     )
-    verdict = log_contains(base, rogue, db)
-    print(f"rush-delivery customization contained: {verdict.contained}")
-    if not verdict.contained:
-        relation, step = verdict.difference
-        print(f"  separated on log relation {relation!r} at step {step}")
+    verdict = audit.check_containment(rogue)
+    print(f"rush-delivery customization contained: {verdict.holds}")
+    if not verdict.holds:
+        print(f"  {verdict.detail}")
         print("  separating input sequence:")
-        for index, instance in enumerate(verdict.separating_inputs, start=1):
+        separating = verdict.trace.input_instances(rogue)
+        for index, instance in enumerate(separating, start=1):
             print(f"    step {index}: {instance}")
 
 

@@ -13,7 +13,7 @@ from repro.commerce import CatalogGenerator, random_log
 from repro.commerce.models import build_short
 from repro.commerce.workloads import tamper_log
 from repro.core.run import format_log
-from repro.verify import is_valid_log
+from repro.verify import LogValidity, Verifier
 
 
 def main() -> None:
@@ -25,20 +25,22 @@ def main() -> None:
     run, logs = random_log(short, catalog, length=8, seed=5)
     print("customer-submitted log:")
     print(format_log(logs))
-    result = is_valid_log(short, db, logs)
-    print(f"\nsupplier verdict: {'ACCEPT' if result.valid else 'REJECT'}")
-    assert result.valid
+    verifier = Verifier(short, db)
+    verdict = verifier.check(LogValidity(logs))
+    print(f"\nsupplier verdict: {'ACCEPT' if verdict.holds else 'REJECT'}")
+    assert verdict.holds
 
     # The decision procedure even reconstructs a witness session.
     print("\nreconstructed generating inputs (first two steps):")
-    for step, instance in enumerate(result.witness_inputs[:2], start=1):
+    witness = verdict.trace.input_instances(short)
+    for step, instance in enumerate(witness[:2], start=1):
         print(f"  step {step}: {instance}")
 
     # A fraudulent log: a delivery injected for a product never paid.
     forged = tamper_log(logs, catalog, seed=99)
-    verdict = is_valid_log(short, db, forged)
-    print(f"\nforged log verdict: {'ACCEPT' if verdict.valid else 'REJECT'}")
-    assert not verdict.valid
+    verdict = verifier.check(LogValidity(forged))
+    print(f"\nforged log verdict: {'ACCEPT' if verdict.holds else 'REJECT'}")
+    assert not verdict.holds
 
     # Because `short`'s log is partial (orders are unlogged), validation
     # is a real decision problem: the supplier must *search* for inputs

@@ -15,11 +15,12 @@ from repro.core.acceptors import first_error_step, is_error_free
 from repro.datalog.parser import parse_program
 from repro.logic.fol import Bottom
 from repro.verify import (
+    ErrorFreeness,
     TsdiConjunct,
     TsdiSentence,
+    Verifier,
     compile_tsdi,
     enforce_tsdi,
-    holds_on_error_free_runs,
     satisfies_tsdi,
 )
 
@@ -76,7 +77,7 @@ def main() -> None:
             Bottom(),
         )
     )
-    verdict = holds_on_error_free_runs(guarded, claim, db)
+    verdict = Verifier(guarded, db).check(ErrorFreeness(claim))
     print(f"\nThm 4.4: 'no payment after cancellation' on error-free runs: "
           f"{verdict.holds}")
 

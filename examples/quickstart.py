@@ -11,7 +11,13 @@ from repro.commerce.models import FIGURE1_INPUTS, build_short, default_database
 from repro.core.run import format_run_figure
 from repro.datalog.ast import Variable
 from repro.logic.fol import Forall, Implies, Rel, conjoin
-from repro.verify import Goal, holds_on_all_runs, is_goal_reachable, is_valid_log
+from repro.verify import (
+    Goal,
+    GoalReachability,
+    LogValidity,
+    TemporalProperty,
+    Verifier,
+)
 
 
 def main() -> None:
@@ -26,13 +32,14 @@ def main() -> None:
     print()
 
     # 3. Log validation (Theorem 3.1): the run's log must be valid, and
-    #    the decision procedure returns a generating input sequence.
-    result = is_valid_log(short, db, run.logs)
-    print(f"log of the run is valid: {result.valid}")
+    #    the verdict's trace is a generating input sequence.
+    verifier = Verifier(short, db)
+    verdict = verifier.check(LogValidity(run.logs))
+    print(f"log of the run is valid: {verdict.holds}")
 
     # 4. A forged log -- a delivery nobody paid for -- is rejected.
     forged = [{"deliver": {("time",)}, "sendbill": set(), "pay": set()}]
-    print(f"forged log is valid: {is_valid_log(short, db, forged).valid}")
+    print(f"forged log is valid: {verifier.check(LogValidity(forged)).holds}")
 
     # 5. Temporal verification (Theorem 3.3): "no product is delivered
     #    before it has been paid".
@@ -44,19 +51,14 @@ def main() -> None:
             Rel("past-pay", (x, y)),
         ),
     )
-    verdict = holds_on_all_runs(short, no_delivery_before_pay, db)
+    verdict = verifier.check(TemporalProperty(no_delivery_before_pay))
     print(f"no-delivery-before-payment holds on all runs: {verdict.holds}")
 
     # 6. Goal reachability (Theorem 3.2): delivery is achievable exactly
     #    for products with a catalog price.
-    print(
-        "deliver(time) reachable:",
-        is_goal_reachable(short, db, Goal.atoms(deliver=("time",))).reachable,
-    )
-    print(
-        "deliver(vogue) reachable:",
-        is_goal_reachable(short, db, Goal.atoms(deliver=("vogue",))).reachable,
-    )
+    for product in ("time", "vogue"):
+        goal = GoalReachability(Goal.atoms(deliver=(product,)))
+        print(f"deliver({product}) reachable:", verifier.check(goal).holds)
 
 
 if __name__ == "__main__":

@@ -25,9 +25,6 @@ from repro.verify import (
     TemporalProperty,
     Verdict,
     Verifier,
-    holds_on_all_runs,
-    is_goal_reachable,
-    is_valid_log,
 )
 
 __version__ = "1.1.0"
@@ -48,9 +45,5 @@ __all__ = [
     "Verifier",
     "Verdict",
     "OnlineAuditor",
-    # deprecated seed-era entry points
-    "is_valid_log",
-    "is_goal_reachable",
-    "holds_on_all_runs",
     "__version__",
 ]

@@ -24,12 +24,7 @@ from repro.commerce.customization import (
 )
 from repro.commerce.minimize import minimal_logs, removable_log_relations
 from repro.commerce.progress import ProgressAdvisor, Suggestion
-from repro.commerce.workloads import (
-    SessionGenerator,
-    WorkloadReport,
-    random_log,
-    simulate_concurrent_customers,
-)
+from repro.commerce.workloads import SessionGenerator, random_log
 
 __all__ = [
     "build_short",
@@ -48,7 +43,5 @@ __all__ = [
     "ProgressAdvisor",
     "Suggestion",
     "SessionGenerator",
-    "WorkloadReport",
     "random_log",
-    "simulate_concurrent_customers",
 ]

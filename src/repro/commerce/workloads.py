@@ -7,12 +7,11 @@ twice.  :func:`random_log` runs a session and returns its log, with an
 optional tampering step that forges the kind of fraudulent logs the
 log-validation experiments (E4) must reject.
 
-:func:`simulate_concurrent_customers` scales the same generator up to
-store-wide traffic: thousands of independent customer sessions driven
-round-robin through a :class:`~repro.pods.service.PodService` (or,
-with ``shards > 1``, a :class:`~repro.pods.service.ShardedPodService`)
-over one shared catalog, which is the load shape of the E16/E17
-throughput benchmarks.
+Store-wide traffic is the same generator seeded once per customer: the
+registry's ``commerce`` scenario (:mod:`repro.scenarios.commerce`)
+drives it through any pod service, and the E16/E17/E25 throughput
+benchmarks build it inline over :meth:`PodService.drive
+<repro.pods.service.PodService.drive>`.
 """
 
 from __future__ import annotations
@@ -24,9 +23,7 @@ from typing import Sequence
 from repro.commerce.catalog import Catalog
 from repro.core.run import Run
 from repro.core.spocus import SpocusTransducer
-from repro.pods import PodService, SessionHandle, ShardedPodService
 from repro.relalg.instance import Instance
-from repro.verify.deprecation import warn_once
 
 
 @dataclass
@@ -107,124 +104,6 @@ def random_log(
     inputs = generator.session(length)
     run = transducer.run(catalog.as_database(), inputs)
     return run, run.logs
-
-
-@dataclass(frozen=True)
-class WorkloadReport:
-    """Outcome of :func:`simulate_concurrent_customers`.
-
-    ``metrics`` is the engine's deterministic-key counter snapshot
-    (sessions/s, steps/s, latencies); ``sample_log_lengths`` is the log
-    length of the first few sessions, a cheap sanity signal that every
-    session really ran its whole script.
-    """
-
-    sessions: int
-    steps_per_session: int
-    total_steps: int
-    metrics: dict
-    sample_log_lengths: tuple[int, ...]
-    shards: int = 1
-
-
-def simulate_concurrent_customers(
-    transducer: SpocusTransducer,
-    catalog: Catalog,
-    sessions: int = 1000,
-    steps_per_session: int = 8,
-    seed: int = 0,
-    error_rate: float = 0.1,
-    keep_logs: bool = False,
-    sample_sessions: int = 4,
-    shards: int = 1,
-    store_factory=None,
-    service=None,
-) -> WorkloadReport:
-    """Run ``sessions`` independent shopping sessions over one catalog.
-
-    Each customer gets their own seeded :class:`SessionGenerator`
-    script; the service interleaves all sessions round-robin, simulating
-    concurrent store traffic against the shared (indexed) catalog.
-    ``keep_logs`` retains per-session logs -- leave it off for pure
-    throughput runs, or sample a few sessions with ``sample_sessions``.
-
-    ``shards > 1`` routes the same traffic through a
-    :class:`~repro.pods.service.ShardedPodService` instead (the E17
-    configuration); ``store_factory`` maps a shard index to a
-    :class:`~repro.pods.store.SessionStore` for persistence-backed runs.
-
-    ``service`` injects the traffic surface outright -- anything with
-    the ``create_session`` / ``drive`` / ``session`` / ``metrics``
-    shape, e.g. a :class:`~repro.server.client.PodClient` pointed at a
-    live pod server -- and then ``shards`` / ``store_factory`` /
-    ``keep_logs`` are ignored (they describe a service this function
-    would have built).  The driver itself is identical either way,
-    which is what makes in-process-vs-server comparisons apples to
-    apples.
-
-    .. deprecated::
-        The registry's ``commerce`` scenario generates the identical
-        traffic (same session ids, seeds, and scripts); prefer
-        ``repro.scenarios.run_scenario("commerce", ...)``, which also
-        drives sharded services and :class:`~repro.server.client.
-        PodClient` through one open-loop path.
-    """
-    warn_once(
-        "commerce.workloads.simulate_concurrent_customers",
-        "simulate_concurrent_customers() is deprecated; use "
-        'repro.scenarios.run_scenario("commerce", ...) -- the registry '
-        "scenario generates identical per-session traffic",
-    )
-    supports_pending = "pending-bills" in transducer.schema.inputs
-    if service is None:
-        if shards == 1:
-            store = store_factory(0) if store_factory is not None else None
-            service = PodService(
-                transducer,
-                catalog.as_database(),
-                store=store,
-                keep_logs=keep_logs,
-            )
-        else:
-            service = ShardedPodService(
-                transducer,
-                catalog.as_database(),
-                shards=shards,
-                keep_logs=keep_logs,
-                store_factory=store_factory,
-            )
-    workload: dict[SessionHandle, list[dict[str, set[tuple]]]] = {}
-    sampled: list[SessionHandle] = []
-    for customer in range(sessions):
-        generator = SessionGenerator(
-            catalog,
-            seed=seed * 1_000_003 + customer,
-            error_rate=error_rate,
-            supports_pending_bills=supports_pending,
-        )
-        handle = service.create_session(f"customer-{customer:06d}")
-        workload[handle] = generator.session(steps_per_session)
-        if customer < sample_sessions:
-            sampled.append(handle)
-    service.drive(workload, round_robin=True)
-    sampled.sort(key=lambda handle: handle.session_id)
-    if keep_logs:
-        sample_lengths = tuple(
-            len(service.session(handle).log()) for handle in sampled
-        )
-    else:
-        sample_lengths = tuple(
-            service.session(handle).steps for handle in sampled
-        )
-    snapshot = service.metrics.snapshot()
-    return WorkloadReport(
-        sessions=sessions,
-        steps_per_session=steps_per_session,
-        total_steps=snapshot["steps_executed"],
-        metrics=snapshot,
-        sample_log_lengths=sample_lengths,
-        shards=shards,
-    )
 
 
 def tamper_log(

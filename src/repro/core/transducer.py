@@ -55,11 +55,10 @@ class RelationalTransducer:
 
         Recently seen database instances are cached (keyed by identity,
         a few slots, oldest evicted), so every step of a run -- and
-        every session of a
-        :class:`~repro.runtime.engine.MultiSessionEngine` stepping over
-        one shared catalog -- reuses the same hash indexes instead of
-        rebuilding them per evaluation, even when one transducer
-        alternates between several databases.
+        every session of a :class:`~repro.pods.service.PodService`
+        stepping over one shared catalog -- reuses the same hash indexes
+        instead of rebuilding them per evaluation, even when one
+        transducer alternates between several databases.
         """
         cached = self._db_store_cache.get(id(database))
         if cached is not None and cached[0] is database:

@@ -43,9 +43,6 @@ is grouped by session and fanned out to a worker pool, with results,
 logs, and snapshots identical to serial execution
 (:func:`~repro.pods.service.batch_concurrency` resolves the default
 from ``REPRO_BATCH_CONCURRENCY``).
-
-The PR 1 surface (:class:`repro.runtime.MultiSessionEngine`) remains as
-a deprecated shim over :class:`PodService`.
 """
 
 from repro.pods.api import (
@@ -72,7 +69,6 @@ from repro.pods.sqlite_store import SqliteStore
 from repro.pods.store import (
     InMemoryStore,
     JsonlDirectoryStore,
-    LegacySessionStore,
     MigrationReport,
     SessionStore,
     StoreLifecycle,
@@ -99,7 +95,6 @@ __all__ = [
     "Session",
     "SessionLog",
     "SessionStore",
-    "LegacySessionStore",
     "StoreLifecycle",
     "StoreStats",
     "MigrationReport",

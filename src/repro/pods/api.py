@@ -1,8 +1,6 @@
 """Typed request/response objects of the PodService API.
 
-The runtime's first public surface (PR 1's :class:`MultiSessionEngine`)
-addressed sessions by bare ints and returned ad-hoc tuples.  This module
-replaces that vocabulary with small value objects:
+Sessions are addressed and stepped through small value objects:
 
 * a :class:`SessionHandle` names a session by a stable string id plus
   the shard it lives on -- the address of a pod, valid across service

@@ -49,7 +49,6 @@ per-session state.
 
 from __future__ import annotations
 
-import contextlib
 import threading
 import time
 import zlib
@@ -489,10 +488,8 @@ class PodService(_PodApi):
         with self._evicted_lock:
             for session_id, _session in evictions:
                 self._evicted.add(session_id)
-        evict = getattr(self._store, "evict", None)
         for session_id, _session in evictions:
-            if evict is not None:  # stores predating the hook lack it
-                evict(session_id)
+            self._store.evict(session_id)
             self.metrics.record_eviction()
 
     def _restore_into_cache(self, session_id: str, *, pin: bool) -> Session:
@@ -620,11 +617,9 @@ class PodService(_PodApi):
         """Flush the store's write-behind buffer (if it has one).
 
         Returns how many buffered events were flushed (0 for
-        write-through stores).  Stores predating the lifecycle API are
-        treated as write-through.
+        write-through stores).
         """
-        flush = getattr(self._store, "flush", None)
-        flushed = flush() if flush is not None else 0
+        flushed = self._store.flush()
         self.metrics.record_flush()
         return flushed
 
@@ -635,12 +630,9 @@ class PodService(_PodApi):
         embedding a :class:`PodService` calls this once on graceful
         exit so a write-behind store drains before the process dies.
         Open sessions are *not* closed (they stay resumable from the
-        store); the service must not be used afterwards.  Stores
-        predating the lifecycle API (no ``close``) are left untouched.
+        store); the service must not be used afterwards.
         """
-        close = getattr(self._store, "close", None)
-        if close is not None:
-            close()
+        self._store.close()
 
     # -- traffic ---------------------------------------------------------------
 
@@ -655,18 +647,17 @@ class PodService(_PodApi):
         A store that commits per call (SQLite ``"step"``/``"full"``)
         makes the batch's steps durable together, before returning.
         """
-        scope = getattr(self._store, "scope", contextlib.nullcontext)
-        with scope():
+        with self._store.scope():
             return super().submit_batch(requests, concurrency=concurrency)
 
     def submit(self, request: StepRequest) -> StepResult:
         """Advance one session by one input instance.
 
         The single entry point of the runtime: every driver above
-        (``submit_batch``, ``run_session``, ``drive``, the commerce
-        workload generator, the legacy engine shim) funnels through
-        here, and the store write-through happens here.  The session is
-        pinned in the hot-session cache for the duration of the step
+        (``submit_batch``, ``run_session``, ``drive``, the scenario
+        runner, the HTTP worker) funnels through here, and the store
+        write-through happens here.  The session is pinned in the
+        hot-session cache for the duration of the step
         (rehydrating it first if it was evicted), so concurrent batch
         workers shedding cache surplus can never drop a session whose
         step -- or step write-through, or audit -- is still in flight.

@@ -35,9 +35,8 @@ Beyond the recording seam, every store is a managed resource: it
 exposes :meth:`~StoreLifecycle.flush` (drain any write-behind buffer;
 returns the number of events persisted), :meth:`~StoreLifecycle.close`
 (flush and release the backend), works as a context manager, and
-reports a typed :class:`StoreStats`.  Stores predating this surface
-(the bare five-method protocol) are still accepted by
-:func:`open_store` with a one-per-process DeprecationWarning.
+reports a typed :class:`StoreStats`.  :func:`open_store` rejects any
+object that lacks part of this surface.
 """
 
 from __future__ import annotations
@@ -46,13 +45,13 @@ import contextlib
 import json
 import os
 import threading
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping, Protocol, TYPE_CHECKING, runtime_checkable
+from typing import Protocol, TYPE_CHECKING, runtime_checkable
 
 from repro.errors import SessionError, StoreError
 from repro.pods.api import Facts, SessionSnapshot, facts_of
-from repro.verify.deprecation import warn_once
 
 if TYPE_CHECKING:
     from repro.relalg.instance import Instance
@@ -87,58 +86,34 @@ class MigrationReport:
     ``migrated`` holds the ids now live in the destination; ``skipped``
     the ids that vanished between listing and loading (e.g. closed by a
     concurrent service); ``errors`` maps ids to the message of the
-    :class:`~repro.errors.SessionError` their import raised.  For the
-    PR 2 call shape (``migrate_sessions(...) == ["alice", ...]``) the
-    report still compares, iterates, and measures like the bare list of
-    migrated ids, with a one-per-process DeprecationWarning.
+    :class:`~repro.errors.SessionError` their import raised.
     """
 
     migrated: tuple[str, ...] = ()
     skipped: tuple[str, ...] = ()
     errors: tuple[tuple[str, str], ...] = ()
 
-    def _as_list(self, shape: str) -> list[str]:
-        warn_once(
-            "pods.migration-report-as-list",
-            f"{shape} a MigrationReport as a bare id list is deprecated; "
-            "read report.migrated (and report.skipped / report.errors) "
-            "instead",
-            stacklevel=4,
-        )
-        return list(self.migrated)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._as_list("iterating"))
-
-    def __len__(self) -> int:
-        return len(self._as_list("len() over"))
-
-    def __contains__(self, session_id: object) -> bool:
-        return session_id in self._as_list("membership-testing")
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, MigrationReport):
-            return (
-                self.migrated == other.migrated
-                and self.skipped == other.skipped
-                and self.errors == other.errors
-            )
-        if isinstance(other, (list, tuple)):
-            return self._as_list("comparing") == list(other)
-        return NotImplemented
-
-    __hash__ = None  # list-comparable, so unhashable like a list
-
 
 @runtime_checkable
-class LegacySessionStore(Protocol):
-    """The PR 2 storage seam: the five recording/loading methods.
+class SessionStore(Protocol):
+    """Where session state lives between (and across) service instances.
 
-    Stores implementing only this surface still work everywhere (the
-    service duck-types the lifecycle extensions), but
-    :func:`open_store` warns once per process -- implement
-    :class:`SessionStore`, most easily by inheriting
-    :class:`StoreLifecycle`.
+    :meth:`record_step` receives the live (immutable) instances, so a
+    store decides for itself when to pay for serialization: the
+    in-memory store just keeps references on the hot path, the JSONL
+    store encodes eagerly, the SQLite store encodes eagerly but may
+    defer the commit (write-behind).  ``log_entry`` is ``None`` when
+    the service runs with logging off; stores then persist only state
+    and step count, and restored sessions resume with an empty log
+    (matching ``keep_logs=False`` semantics).
+
+    On top of the recording seam, a store is a managed resource:
+    :meth:`flush` makes every buffered event durable (returns how many
+    it persisted), :meth:`close` flushes and releases the backend, and
+    :meth:`stats` reports a typed :class:`StoreStats`.  The service
+    also brackets each batch call in :meth:`scope` and reports every
+    session it drops from memory through :meth:`evict`.
+    :class:`StoreLifecycle` supplies defaults for the last five.
     """
 
     def record_created(self, session_id: str) -> None:
@@ -167,26 +142,6 @@ class LegacySessionStore(Protocol):
         """Sorted ids of all resumable sessions."""
         ...
 
-
-@runtime_checkable
-class SessionStore(LegacySessionStore, Protocol):
-    """Where session state lives between (and across) service instances.
-
-    :meth:`record_step` receives the live (immutable) instances, so a
-    store decides for itself when to pay for serialization: the
-    in-memory store just keeps references on the hot path, the JSONL
-    store encodes eagerly, the SQLite store encodes eagerly but may
-    defer the commit (write-behind).  ``log_entry`` is ``None`` when
-    the service runs with logging off; stores then persist only state
-    and step count, and restored sessions resume with an empty log
-    (matching ``keep_logs=False`` semantics).
-
-    On top of the recording seam, a store is a managed resource:
-    :meth:`flush` makes every buffered event durable (returns how many
-    it persisted), :meth:`close` flushes and releases the backend, and
-    :meth:`stats` reports a typed :class:`StoreStats`.
-    """
-
     def flush(self) -> int:
         """Persist buffered events; returns the number flushed."""
         ...
@@ -197,6 +152,14 @@ class SessionStore(LegacySessionStore, Protocol):
 
     def stats(self) -> StoreStats:
         """The store's current size as a :class:`StoreStats`."""
+        ...
+
+    def scope(self) -> "contextlib.AbstractContextManager[None]":
+        """A context manager around one service call on this thread."""
+        ...
+
+    def evict(self, session_id: str) -> None:
+        """The service dropped ``session_id`` from memory."""
         ...
 
 
@@ -692,17 +655,32 @@ def migrate_sessions(
             errors.append((session_id, str(error)))
             continue
         migrated.append(session_id)
-    flush = getattr(dst_store, "flush", None)
-    if flush is not None:
-        # Migrations are rare and load-bearing: make the destination
-        # durable before reporting success, whatever its durability knob.
-        flush()
+    # Migrations are rare and load-bearing: make the destination
+    # durable before reporting success, whatever its durability knob.
+    dst_store.flush()
     return MigrationReport(
         migrated=tuple(migrated),
         skipped=tuple(skipped),
         errors=tuple(errors),
     )
 
+
+#: The :class:`SessionStore` methods :func:`open_store` requires.  The
+#: check goes through ``getattr`` rather than ``isinstance`` so that a
+#: wrapper forwarding through ``__getattr__`` counts on every Python
+#: version (from 3.12 protocol checks look attributes up statically).
+_STORE_METHODS = (
+    "record_created",
+    "record_step",
+    "record_closed",
+    "load",
+    "session_ids",
+    "flush",
+    "close",
+    "stats",
+    "scope",
+    "evict",
+)
 
 #: File suffixes that make a path argument open a SQLite store rather
 #: than a JSONL directory.
@@ -715,10 +693,9 @@ def open_store(target: "SessionStore | str | Path | None") -> SessionStore:
     ``None`` opens an in-memory store; a path with a SQLite suffix
     (:data:`SQLITE_SUFFIXES`) opens a
     :class:`~repro.pods.sqlite_store.SqliteStore`; any other path opens
-    a :class:`JsonlDirectoryStore` over that directory.  Store objects
-    pass through -- stores implementing only the PR 2 five-method seam
-    (no ``flush``/``close``/``stats``) are still accepted, with a
-    one-per-process DeprecationWarning.
+    a :class:`JsonlDirectoryStore` over that directory.  Objects
+    implementing the whole :class:`SessionStore` protocol pass through;
+    anything else raises :class:`~repro.errors.StoreError`.
     """
     if target is None:
         return InMemoryStore()
@@ -729,15 +706,6 @@ def open_store(target: "SessionStore | str | Path | None") -> SessionStore:
 
             return SqliteStore(path)
         return JsonlDirectoryStore(path)
-    if isinstance(target, SessionStore):
-        return target
-    if isinstance(target, LegacySessionStore):
-        warn_once(
-            "pods.legacy-store-protocol",
-            f"{type(target).__name__} implements only the five-method "
-            "SessionStore seam; add flush()/close()/stats() (inherit "
-            "repro.pods.store.StoreLifecycle) to implement the full "
-            "storage API",
-        )
+    if all(callable(getattr(target, name, None)) for name in _STORE_METHODS):
         return target
     raise StoreError(f"not a session store: {target!r}")

@@ -1,14 +1,13 @@
 """The paper's commerce store as a registered scenario.
 
 ``commerce`` wraps the FRIENDLY transducer over a seeded
-:class:`~repro.commerce.catalog.CatalogGenerator` catalog with the same
-per-customer scripts :func:`repro.commerce.workloads.
-simulate_concurrent_customers` has always generated -- same session
-ids (``customer-NNNNNN``), same per-customer seeds, same
-:class:`~repro.commerce.workloads.SessionGenerator` mix of orders,
-payments and mistakes.  That exact-parity contract is what lets the
-legacy entry point become a thin deprecation shim over the registry
-(and is pinned by a test).
+:class:`~repro.commerce.catalog.CatalogGenerator` catalog with one
+seeded :class:`~repro.commerce.workloads.SessionGenerator` script per
+customer: session ids ``customer-NNNNNN``, per-customer seed
+``seed * 1_000_003 + n``, a fixed session length, and the generator's
+mix of orders, payments and mistakes (pending-bills included).  The
+E16/E17/E25 benchmarks build the same traffic inline, and a test pins
+the two to each other.
 """
 
 from __future__ import annotations
@@ -68,12 +67,12 @@ class CommerceScenario(Scenario):
         return (paid_delivery_spec(),)
 
     def session_id(self, index: int) -> str:
-        # The ids simulate_concurrent_customers always used.
+        # The ids the E16/E17/E25 benchmarks use for the same traffic.
         return f"customer-{index:06d}"
 
     def session_length(self, index: int, *, seed: int, mean_steps: int) -> int:
-        # Fixed length: the legacy workload ran every customer for
-        # exactly steps_per_session steps, and shim parity pins that.
+        # Fixed length: every customer runs exactly ``mean_steps`` steps,
+        # as in the inline benchmark traffic.
         return mean_steps
 
     def session_script(self, index, *, seed, scale, length):

@@ -6,7 +6,8 @@ The client exposes the same traffic API as
 ``submit`` / ``submit_batch`` / ``run_session`` / ``drive`` /
 ``session`` / ``close_session`` / ``metrics`` -- so workload drivers
 and parity suites written against the in-process services (e.g.
-:func:`repro.commerce.workloads.simulate_concurrent_customers`) run
+``drive`` over per-customer
+:class:`~repro.commerce.workloads.SessionGenerator` scripts) run
 unchanged against a live :class:`~repro.server.frontend.PodServer`.
 
 Wire messages carry facts, never schemas, so the client holds its own

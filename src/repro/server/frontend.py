@@ -43,9 +43,10 @@ import os
 import socket
 import tempfile
 import threading
+from collections.abc import Callable, Mapping
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Mapping
+from typing import Any
 
 from repro.config import env_int
 from repro.errors import (

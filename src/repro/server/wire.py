@@ -30,8 +30,9 @@ stay server-side.)
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING
 
 from repro.errors import (
     AuditViolation,

@@ -22,12 +22,9 @@ engine backends:
 * :mod:`repro.verify.undecidable` -- the reductions of Proposition 3.1
   and Theorem 3.4 (executable undecidability constructions).
 
-The seed-era module-level entry points (``is_valid_log``,
-``is_goal_reachable``, ``holds_on_all_runs``, ``log_contains``,
-``are_log_equivalent``, ``pointwise_log_equal``,
-``holds_on_error_free_runs``, ``errorfree_contains``) keep working but
-emit one :class:`DeprecationWarning` per process; new code should go
-through :class:`repro.verify.api.Verifier`.
+Each backend's ``check_*`` function is the engine the
+:class:`~repro.verify.api.Verifier` calls; it is exported for callers
+that need the raw result types (benchmarks time these directly).
 """
 
 from repro.verify.api import (
@@ -45,36 +42,22 @@ from repro.verify.api import (
     Verifier,
 )
 from repro.verify.encoder import RunEncoder, decode_input_sequence
-from repro.verify.logvalidity import (
-    LogValidityResult,
-    check_log_validity,
-    is_valid_log,
-)
+from repro.verify.logvalidity import LogValidityResult, check_log_validity
 from repro.verify.reachability import (
     Goal,
     ReachabilityResult,
     check_goal_reachability,
-    is_goal_reachable,
 )
-from repro.verify.temporal import (
-    TemporalVerdict,
-    check_temporal_property,
-    holds_on_all_runs,
-)
+from repro.verify.temporal import TemporalVerdict, check_temporal_property
 from repro.verify.containment import (
     ContainmentVerdict,
-    are_log_equivalent,
     check_log_containment,
     check_log_equivalence,
     check_pointwise_log_equality,
-    log_contains,
-    pointwise_log_equal,
 )
 from repro.verify.errorfree import (
     check_error_free_containment,
     check_error_free_property,
-    errorfree_contains,
-    holds_on_error_free_runs,
 )
 from repro.verify.tsdi import TsdiConjunct, TsdiSentence, compile_tsdi, enforce_tsdi, satisfies_tsdi
 
@@ -104,20 +87,13 @@ __all__ = [
     # shared encoding
     "RunEncoder",
     "decode_input_sequence",
-    # deprecated seed-era entry points
-    "is_valid_log",
+    # engine result types
     "LogValidityResult",
     "Goal",
-    "is_goal_reachable",
     "ReachabilityResult",
-    "holds_on_all_runs",
     "TemporalVerdict",
-    "log_contains",
-    "are_log_equivalent",
-    "pointwise_log_equal",
     "ContainmentVerdict",
-    "holds_on_error_free_runs",
-    "errorfree_contains",
+    # Tsdi input disciplines
     "TsdiConjunct",
     "TsdiSentence",
     "compile_tsdi",

@@ -17,9 +17,6 @@ ROADMAP's typed-surfaces arc, after ``PodService`` and ``QueryPlan``):
   property violations into delta-capable query plans;
 * :mod:`repro.verify.api.auditor` -- :class:`OnlineAuditor`, attaching
   specs to live pods so every ``submit()`` is checked incrementally.
-
-The seed-era module-level functions (``is_valid_log`` & co.) remain as
-deprecation-warned wrappers over the same engines.
 """
 
 from repro.verify.api.auditor import AuditFinding, AuditOutcome, OnlineAuditor

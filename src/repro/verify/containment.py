@@ -16,7 +16,7 @@ keeps the small-model domain proportional to a single difference's
 existentials rather than their sum.
 
 Corollary 3.6 (same schema, full log) and log *equivalence* follow by
-symmetry.  :func:`pointwise_log_equal` additionally provides the
+symmetry.  :func:`check_pointwise_log_equality` additionally provides the
 sufficient criterion the paper uses for the short/friendly example,
 where the log is partial.
 """
@@ -31,7 +31,6 @@ from repro.logic.bsr import GroundingStats, decide_bsr
 from repro.logic.fol import Formula, Not, conjoin, disjoin
 from repro.logic.fol import exists as fol_exists
 from repro.relalg.instance import Instance
-from repro.verify.deprecation import warn_legacy
 from repro.verify.encoder import RunEncoder, decode_input_sequence
 
 
@@ -161,17 +160,6 @@ def _accumulate(total: GroundingStats, stats: GroundingStats) -> None:
     total.sat_conflicts += stats.sat_conflicts
 
 
-def log_contains(
-    bigger: SpocusTransducer,
-    smaller: SpocusTransducer,
-    database: dict | Instance | None = None,
-    replay: bool = True,
-) -> ContainmentVerdict:
-    """Deprecated seed-era entry point; see :func:`check_log_containment`."""
-    warn_legacy("log_contains", "Verifier.check_containment")
-    return check_log_containment(bigger, smaller, database, replay=replay)
-
-
 def check_log_containment(
     bigger: SpocusTransducer,
     smaller: SpocusTransducer,
@@ -232,16 +220,6 @@ def _replay_difference(
         )
 
 
-def are_log_equivalent(
-    first: SpocusTransducer,
-    second: SpocusTransducer,
-    database: dict | Instance | None = None,
-) -> bool:
-    """Deprecated seed-era entry point; see :func:`check_log_equivalence`."""
-    warn_legacy("are_log_equivalent", "Verifier.check_containment")
-    return check_log_equivalence(first, second, database)
-
-
 def check_log_equivalence(
     first: SpocusTransducer,
     second: SpocusTransducer,
@@ -252,16 +230,6 @@ def check_log_equivalence(
         check_log_containment(first, second, database).contained
         and check_log_containment(second, first, database).contained
     )
-
-
-def pointwise_log_equal(
-    base: SpocusTransducer,
-    extension: SpocusTransducer,
-    database: dict | Instance | None = None,
-) -> ContainmentVerdict:
-    """Deprecated entry point; see :func:`check_pointwise_log_equality`."""
-    warn_legacy("pointwise_log_equal", "Verifier.check_containment")
-    return check_pointwise_log_equality(base, extension, database)
 
 
 def check_pointwise_log_equality(

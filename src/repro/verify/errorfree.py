@@ -28,7 +28,6 @@ from repro.logic.fol import Formula, Not, Rel, conjoin
 from repro.logic.fol import exists as fol_exists
 from repro.logic.fol import forall as fol_forall
 from repro.relalg.instance import Instance
-from repro.verify.deprecation import warn_legacy
 from repro.verify.encoder import (
     RunEncoder,
     decode_database,
@@ -69,26 +68,13 @@ def _count_positive_state_literals(
 
 @dataclass
 class ErrorFreeVerdict:
-    """Outcome of :func:`holds_on_error_free_runs`."""
+    """Outcome of :func:`check_error_free_property`."""
 
     holds: bool
     counterexample_inputs: list[Instance] | None = None
     violated_conjunct: TsdiConjunct | None = None
     stats: GroundingStats = field(default_factory=GroundingStats)
     counterexample_database: Instance | None = None
-
-
-def holds_on_error_free_runs(
-    transducer: SpocusTransducer,
-    sentence: TsdiSentence,
-    database: dict | Instance | None = None,
-    error_relation: str = ERROR_RELATION,
-) -> ErrorFreeVerdict:
-    """Deprecated entry point; see :func:`check_error_free_property`."""
-    warn_legacy("holds_on_error_free_runs", "ErrorFreeness")
-    return check_error_free_property(
-        transducer, sentence, database, error_relation=error_relation
-    )
 
 
 def check_error_free_property(
@@ -188,25 +174,12 @@ def _rel_to_atom(formula: Rel):
 
 @dataclass
 class ErrorFreeContainment:
-    """Outcome of :func:`errorfree_contains`."""
+    """Outcome of :func:`check_error_free_containment`."""
 
     contained: bool
     separating_inputs: list[Instance] | None = None
     firing_rule: Rule | None = None
     stats: GroundingStats = field(default_factory=GroundingStats)
-
-
-def errorfree_contains(
-    first: SpocusTransducer,
-    second: SpocusTransducer,
-    database: dict | Instance | None = None,
-    error_relation: str = ERROR_RELATION,
-) -> ErrorFreeContainment:
-    """Deprecated entry point; see :func:`check_error_free_containment`."""
-    warn_legacy("errorfree_contains", "Verifier.check_containment")
-    return check_error_free_containment(
-        first, second, database, error_relation=error_relation
-    )
 
 
 def check_error_free_containment(

@@ -24,7 +24,6 @@ from repro.errors import VerificationError
 from repro.logic.bsr import GroundingStats, decide_bsr
 from repro.logic.fol import conjoin
 from repro.relalg.instance import Instance
-from repro.verify.deprecation import warn_legacy
 from repro.verify.encoder import (
     RunEncoder,
     decode_database,
@@ -36,7 +35,7 @@ LogLike = Sequence[Instance] | Sequence[dict]
 
 @dataclass
 class LogValidityResult:
-    """Outcome of :func:`is_valid_log`.
+    """Outcome of :func:`check_log_validity`.
 
     ``witness_inputs`` is a generating input sequence when the log is
     valid; ``witness_database`` is additionally populated in unknown-
@@ -62,17 +61,6 @@ def _coerce_log(
         else:
             coerced.append(Instance(schema, dict(entry)))
     return coerced
-
-
-def is_valid_log(
-    transducer: SpocusTransducer,
-    database: dict | Instance | None,
-    log: LogLike,
-    replay: bool = True,
-) -> LogValidityResult:
-    """Deprecated seed-era entry point; see :func:`check_log_validity`."""
-    warn_legacy("is_valid_log", "LogValidity")
-    return check_log_validity(transducer, database, log, replay=replay)
 
 
 def check_log_validity(

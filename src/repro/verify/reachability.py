@@ -28,7 +28,6 @@ from repro.logic.bsr import GroundingStats, decide_bsr
 from repro.logic.fol import Formula, Not, conjoin
 from repro.logic.fol import exists as fol_exists
 from repro.relalg.instance import Instance
-from repro.verify.deprecation import warn_legacy
 from repro.verify.encoder import RunEncoder, decode_input_sequence
 
 
@@ -77,20 +76,6 @@ class ReachabilityResult:
     reachable: bool
     witness_inputs: list[Instance] | None = None
     stats: GroundingStats = field(default_factory=GroundingStats)
-
-
-def is_goal_reachable(
-    transducer: SpocusTransducer,
-    database: dict | Instance,
-    goal: Goal,
-    prefix: Sequence[dict | Instance] = (),
-    replay: bool = True,
-) -> ReachabilityResult:
-    """Deprecated seed-era entry point; see :func:`check_goal_reachability`."""
-    warn_legacy("is_goal_reachable", "GoalReachability")
-    return check_goal_reachability(
-        transducer, database, goal, prefix=prefix, replay=replay
-    )
 
 
 def check_goal_reachability(

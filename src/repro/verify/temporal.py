@@ -42,7 +42,6 @@ from repro.logic.fol import (
 )
 from repro.logic.prenex import to_nnf
 from repro.relalg.instance import Instance
-from repro.verify.deprecation import warn_legacy
 from repro.verify.encoder import (
     RunEncoder,
     decode_database,
@@ -110,7 +109,7 @@ def _translate(formula: Formula, encoder: RunEncoder, step: int) -> Formula:
 
 @dataclass
 class TemporalVerdict:
-    """Outcome of :func:`holds_on_all_runs`.
+    """Outcome of :func:`check_temporal_property`.
 
     When the property fails, ``counterexample_inputs`` is a two-step
     input sequence whose run violates it at the second stage.
@@ -120,19 +119,6 @@ class TemporalVerdict:
     counterexample_inputs: list[Instance] | None = None
     stats: GroundingStats = field(default_factory=GroundingStats)
     counterexample_database: Instance | None = None
-
-
-def holds_on_all_runs(
-    transducer: SpocusTransducer,
-    property_formula: Formula,
-    database: dict | Instance | None = None,
-    replay: bool = True,
-) -> TemporalVerdict:
-    """Deprecated seed-era entry point; see :func:`check_temporal_property`."""
-    warn_legacy("holds_on_all_runs", "TemporalProperty")
-    return check_temporal_property(
-        transducer, property_formula, database, replay=replay
-    )
 
 
 def check_temporal_property(

@@ -61,13 +61,13 @@ class TestWorkloads:
                 assert amount == catalog.priced(product)
 
     def test_tampered_log_differs_and_is_invalid(self, short):
-        from repro.verify import is_valid_log
+        from repro.verify import check_log_validity
 
         catalog = CatalogGenerator(seed=0).generate(4)
         _run, logs = random_log(short, catalog, 6, seed=5)
         forged = tamper_log(logs, catalog, seed=6)
         assert list(forged) != list(logs)
-        assert not is_valid_log(short, catalog.as_database(), forged).valid
+        assert not check_log_validity(short, catalog.as_database(), forged).valid
 
 
 class TestGuardedStore:

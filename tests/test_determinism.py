@@ -19,7 +19,7 @@ from repro.commerce.catalog import CatalogGenerator
 from repro.commerce.models import build_short, default_database, FIGURE1_INPUTS
 from repro.commerce.workloads import random_log
 from repro.core.run import format_log, format_run_figure
-from repro.verify import is_valid_log
+from repro.verify import check_log_validity
 
 short = build_short()
 run = short.run(default_database(), FIGURE1_INPUTS)
@@ -29,7 +29,7 @@ catalog = CatalogGenerator(seed=5).generate(8)
 run, logs = random_log(short, catalog, 6, seed=3)
 print(format_log(logs))
 
-result = is_valid_log(short, catalog.as_database(), logs[:3])
+result = check_log_validity(short, catalog.as_database(), logs[:3])
 print("valid:", result.valid)
 if result.witness_inputs is not None:
     for step in result.witness_inputs:

@@ -1,10 +1,11 @@
 """The example scripts run clean -- they can no longer silently rot.
 
-Each example is executed as ``python examples/<name>.py`` in a
-subprocess (exactly how the README tells users to run them); a
-non-zero exit or a traceback is a test failure.  The scenario-backed
-examples (``fraud_detection``, ``guarded_store``, ``scenario_tour``)
-are additionally pinned to their registry twins.
+Every ``examples/*.py`` is executed as ``python examples/<name>.py``
+in a subprocess (exactly how the README tells users to run them), with
+``DeprecationWarning`` raised as an error; a non-zero exit or a
+traceback is a test failure.  The scenario-backed examples
+(``fraud_detection``, ``guarded_store``, ``scenario_tour``) are
+additionally pinned to their registry twins.
 """
 
 from __future__ import annotations
@@ -20,13 +21,7 @@ REPO = Path(__file__).resolve().parent.parent
 EXAMPLES = REPO / "examples"
 
 #: Every example the suite executes end to end.
-RUNNABLE = [
-    "quickstart.py",
-    "fraud_detection.py",
-    "guarded_store.py",
-    "scenario_tour.py",
-    "shadow_tour.py",
-]
+RUNNABLE = sorted(path.name for path in EXAMPLES.glob("*.py"))
 
 
 def _run(name: str) -> subprocess.CompletedProcess:
@@ -36,7 +31,7 @@ def _run(name: str) -> subprocess.CompletedProcess:
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     return subprocess.run(
-        [sys.executable, str(EXAMPLES / name)],
+        [sys.executable, "-W", "error::DeprecationWarning", str(EXAMPLES / name)],
         capture_output=True,
         text=True,
         env=env,

@@ -8,8 +8,8 @@ from repro.commerce.models import (
     build_short,
     default_database,
 )
-from repro.verify import Goal, is_goal_reachable, is_valid_log
-from repro.verify.containment import pointwise_log_equal
+from repro.verify import Goal, check_goal_reachability, check_log_validity
+from repro.verify.containment import check_pointwise_log_equality
 
 
 class TestPaperStory:
@@ -19,7 +19,7 @@ class TestPaperStory:
         short = build_short()
         db = default_database()
         run = short.run(db, FIGURE1_INPUTS)
-        result = is_valid_log(short, db, run.logs)
+        result = check_log_validity(short, db, run.logs)
         assert result.valid
         assert list(short.run(db, result.witness_inputs).logs) == list(run.logs)
 
@@ -31,11 +31,11 @@ class TestPaperStory:
         short, friendly = build_short(), build_friendly()
         db = default_database()
         assert is_syntactically_safe_customization(short, friendly).safe
-        assert pointwise_log_equal(short, friendly, db).contained
+        assert check_pointwise_log_equality(short, friendly, db).contained
         # The figure-2 log of friendly restricted to short's world is a
         # valid short log too (the containment's concrete meaning).
         run = friendly.run(db, FIGURE2_INPUTS)
-        assert is_valid_log(short, db, run.logs).valid
+        assert check_log_validity(short, db, run.logs).valid
 
     def test_symbolic_and_operational_reachability_agree(self):
         """For every product: the BSR reachability verdict equals a
@@ -46,7 +46,7 @@ class TestPaperStory:
         db = default_database()
         advisor = ProgressAdvisor(short, db)
         for product in ("time", "newsweek", "le_monde", "vogue"):
-            symbolic = is_goal_reachable(
+            symbolic = check_goal_reachability(
                 short, db, Goal.atoms(deliver=(product,))
             ).reachable
             operational = (
@@ -64,7 +64,7 @@ class TestPaperStory:
         reduced = short.with_log(("sendbill", "pay"))
         catalog = CatalogGenerator(seed=13).generate(3)
         _run, logs = random_log(reduced, catalog, 5, seed=8)
-        assert is_valid_log(reduced, catalog.as_database(), logs).valid
+        assert check_log_validity(reduced, catalog.as_database(), logs).valid
 
     def test_guarded_store_rejects_exactly_noncompliant_sessions(self):
         """Theorem 4.1 in the large: enforcement, operational checking,

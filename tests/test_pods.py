@@ -1,6 +1,4 @@
-"""Tests for the pod service layer: typed API, stores, sharding, shim."""
-
-import warnings
+"""Tests for the pod service layer: typed API, stores, sharding."""
 
 import pytest
 
@@ -11,7 +9,7 @@ from repro.commerce.models import (
     build_short,
     default_database,
 )
-from repro.commerce.workloads import SessionGenerator, simulate_concurrent_customers
+from repro.commerce.workloads import SessionGenerator
 from repro.errors import ReproError, SessionError, ShardError
 from repro.pods import (
     InMemoryStore,
@@ -25,8 +23,6 @@ from repro.pods import (
     open_store,
     shard_of,
 )
-import repro.runtime.engine as engine_module
-from repro.runtime import MultiSessionEngine
 
 
 @pytest.fixture
@@ -369,92 +365,35 @@ class TestStores:
 
 
 class TestWorkloadDriverOnPods:
-    def test_sharded_workload_matches_single_engine(self):
+    def test_sharded_workload_matches_single_engine(self, drive_customers):
         catalog = CatalogGenerator(seed=2).generate(30)
-        kwargs = dict(
-            sessions=12, steps_per_session=4, seed=5, keep_logs=True
+        single = PodService(build_friendly(), catalog.as_database())
+        sharded = ShardedPodService(
+            build_friendly(), catalog.as_database(), shards=4
         )
-        single = simulate_concurrent_customers(
-            build_friendly(), catalog, **kwargs
+        for service in (single, sharded):
+            scripts = drive_customers(service, catalog, 12, 4, seed=5)
+        assert sharded.shard_count == 4
+        assert len({sharded.shard_for(sid) for sid in scripts}) > 1
+        assert (
+            sharded.metrics.steps_executed
+            == single.metrics.steps_executed
+            == 48
         )
-        sharded = simulate_concurrent_customers(
-            build_friendly(), catalog, shards=4, **kwargs
-        )
-        assert sharded.shards == 4
-        assert sharded.total_steps == single.total_steps
-        assert sharded.sample_log_lengths == single.sample_log_lengths
+        assert sharded.logs() == single.logs()
 
-    def test_workload_with_persistent_store(self, tmp_path):
-        report = simulate_concurrent_customers(
+    def test_workload_with_persistent_store(self, tmp_path, drive_customers):
+        catalog = CatalogGenerator(seed=2).generate(10)
+        service = ShardedPodService(
             build_short(),
-            CatalogGenerator(seed=2).generate(10),
-            sessions=4,
-            steps_per_session=3,
-            keep_logs=True,
+            catalog.as_database(),
+            shards=1,
             store_factory=lambda index: tmp_path / f"shard-{index}",
         )
-        assert report.total_steps == 12
+        drive_customers(service, catalog, 4, 3, pending_bills=False)
+        assert service.metrics.steps_executed == 12
         store = JsonlDirectoryStore(tmp_path / "shard-0")
         assert store.session_ids() == [f"customer-{n:06d}" for n in range(4)]
-
-
-class TestEngineShim:
-    pytestmark = pytest.mark.filterwarnings(
-        "ignore:MultiSessionEngine is deprecated:DeprecationWarning"
-    )
-
-    def test_shim_warns_exactly_once_per_process(self, monkeypatch):
-        monkeypatch.setattr(engine_module, "_deprecation_warned", False)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            MultiSessionEngine(build_short(), default_database())
-            MultiSessionEngine(build_short(), default_database())
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "PodService" in str(deprecations[0].message)
-
-    def test_shim_parity_with_pr1_behavior(self):
-        """The deprecated engine surface produces exactly the outputs,
-        logs, and states of the typed service (and of Run)."""
-        transducer = build_friendly()
-        catalog = CatalogGenerator(seed=3).generate(20)
-        scripts = [
-            SessionGenerator(
-                catalog, seed=s, supports_pending_bills=True
-            ).session(5)
-            for s in range(4)
-        ]
-        engine = MultiSessionEngine(transducer, catalog.as_database())
-        workload = {engine.create_session(): script for script in scripts}
-        assert sorted(workload) == [0, 1, 2, 3]
-        engine.drive(workload, round_robin=True)
-        for session_id, script in workload.items():
-            run = transducer.run(catalog.as_database(), script)
-            assert (
-                list(engine.session(session_id).log().entries)
-                == list(run.logs)
-            )
-            assert engine.session(session_id).state == run.last_state
-        assert engine.metrics.steps_executed == 20
-        # Logs returned by the shim carry the PR 1 int ids.
-        assert [log.session_id for log in engine.logs()] == [0, 1, 2, 3]
-        closed = engine.close_session(2)
-        assert closed.session_id == 2
-
-    def test_shim_is_a_thin_client_of_pod_service(self):
-        engine = MultiSessionEngine(build_short(), default_database())
-        session_id = engine.create_session()
-        engine.step(session_id, FIGURE1_INPUTS[0])
-        assert isinstance(engine.service, PodService)
-        assert engine.service.metrics is engine.metrics
-        assert engine.service.session_ids() == [f"{session_id:08d}"]
-
-    def test_shim_unknown_session_raises_session_error(self):
-        engine = MultiSessionEngine(build_short(), default_database())
-        with pytest.raises(SessionError):
-            engine.step(99, FIGURE1_INPUTS[0])
 
 
 class TestMergedMetrics:
@@ -620,23 +559,17 @@ class TestSessionMigration:
         for session_id in ("alice", "bob"):
             assert back.load(session_id) == memory.load(session_id)
 
-    def test_report_still_compares_as_legacy_id_list(self, tmp_path):
-        # The PR 2 call shape keeps working (with a one-time
-        # DeprecationWarning): the report compares, iterates, and
-        # measures like the bare list of migrated ids.
-        from repro.pods import migrate_sessions
-        from repro.verify import deprecation
+    def test_report_is_a_plain_value(self):
+        from repro.pods import MigrationReport, migrate_sessions
 
         memory = InMemoryStore()
         service = PodService(build_short(), default_database(), store=memory)
         service.create_session("alice")
         report = migrate_sessions(memory, InMemoryStore())
-        deprecation._warned_keys.discard("pods.migration-report-as-list")
-        with pytest.warns(DeprecationWarning, match="report.migrated"):
-            assert report == ["alice"]
-        # Once per process: the second legacy use is silent.
-        assert list(report) == ["alice"]
-        assert len(report) == 1 and "alice" in report
+        assert report == MigrationReport(migrated=("alice",))
+        assert report != ["alice"]
+        assert hash(report) == hash(MigrationReport(migrated=("alice",)))
+        assert {report: "migrated"}[report] == "migrated"
 
     def test_migrated_sessions_resume_exactly(self, tmp_path):
         from repro.pods import migrate_sessions

@@ -234,12 +234,12 @@ class TestTransducerProperties:
         """Soundness of Theorem 3.1 end to end: logs of real runs always
         validate, and the decoded witness regenerates the log."""
         from repro.commerce.models import build_short, default_database
-        from repro.verify import is_valid_log
+        from repro.verify import check_log_validity
 
         short = build_short()
         db = default_database()
         run = short.run(db, inputs)
-        result = is_valid_log(short, db, run.logs)
+        result = check_log_validity(short, db, run.logs)
         assert result.valid
 
     @given(

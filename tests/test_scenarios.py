@@ -1,4 +1,4 @@
-"""The scenario subsystem: registry, traffic, runner, parity, shims.
+"""The scenario subsystem: registry, traffic, runner, parity.
 
 Covers the PR 8 contract:
 
@@ -12,8 +12,8 @@ Covers the PR 8 contract:
 * ``run_scenario`` drives the identical traffic through ``PodService``,
   ``ShardedPodService``, session stores, a ``PodClient`` over HTTP,
   and ``python -m repro.server --scenario`` -- same digest everywhere;
-* the ``simulate_concurrent_customers`` deprecation shim warns once
-  and stays in exact parity with the registry's ``commerce`` scenario.
+* the registry's ``commerce`` scenario generates exactly the
+  per-customer traffic the E16/E17/E25 benchmarks build inline.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import random
 import signal
 import subprocess
 import sys
-import warnings
 from functools import partial
 from pathlib import Path
 
@@ -33,7 +32,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.commerce.models import build_friendly
-from repro.commerce.workloads import simulate_concurrent_customers
 from repro.errors import ScenarioError
 from repro.pods import JsonlDirectoryStore, PodService, SqliteStore
 from repro.scenarios import (
@@ -52,7 +50,6 @@ from repro.scenarios import (
     scenario_transducer,
 )
 from repro.server import PodClient, PodServer
-from repro.verify import deprecation
 
 ALL_SCENARIOS = scenario_names()
 NEW_SCENARIOS = ("feed-delivery", "auction", "data-exchange", "adversarial")
@@ -307,47 +304,30 @@ class TestServiceSurfaces:
 
 
 class TestCommerceShim:
-    pytestmark = pytest.mark.filterwarnings(
-        "ignore:simulate_concurrent_customers:DeprecationWarning"
-    )
+    """The ``commerce`` scenario is the benchmarks' inline customer
+    traffic: same ids, same per-customer seeds, same scripts."""
 
-    def test_warns_exactly_once_per_process(self, monkeypatch):
-        monkeypatch.setattr(deprecation, "_warned_keys", set())
-        catalog = get_scenario("commerce").catalog(scale=5)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for _ in range(2):
-                simulate_concurrent_customers(
-                    build_friendly(), catalog, sessions=2, steps_per_session=2
-                )
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "run_scenario" in str(deprecations[0].message)
-
-    def test_exact_parity_with_the_commerce_scenario(self):
+    def test_exact_parity_with_the_commerce_scenario(self, drive_customers):
         """Same catalog, same session ids, same per-customer scripts:
-        the shim and the registry scenario produce identical logs."""
+        inline traffic and the registry scenario produce identical logs."""
         seed, scale, sessions, steps = 5, 12, 5, 6
-        catalog = get_scenario("commerce").catalog(seed=seed, scale=scale)
-        legacy_service = PodService(
+        scenario = get_scenario("commerce")
+        catalog = scenario.catalog(seed=seed, scale=scale)
+        inline = PodService(
             build_friendly(), catalog.as_database(), keep_logs=True
         )
-        simulate_concurrent_customers(
-            build_friendly(),
-            catalog,
-            sessions=sessions,
-            steps_per_session=steps,
-            seed=seed,
-            service=legacy_service,
-        )
-        ids = legacy_service.session_ids()
-        assert ids == [f"customer-{n:06d}" for n in range(sessions)]
+        scripts = drive_customers(inline, catalog, sessions, steps, seed=seed)
+        assert list(scripts) == [
+            scenario.session_id(n) for n in range(sessions)
+        ]
+        assert list(scripts.values()) == [
+            scenario.session_script(n, seed=seed, scale=scale, length=steps)
+            for n in range(sessions)
+        ]
         registry = run_scenario(
             "commerce", sessions=sessions, steps=steps, seed=seed, scale=scale
         )
-        assert log_digest(legacy_service, ids) == registry.log_digest
+        assert log_digest(inline, list(scripts)) == registry.log_digest
 
 
 class TestCommandLine:

@@ -44,10 +44,7 @@ from repro.commerce.models import (
     build_short,
     default_database,
 )
-from repro.commerce.workloads import (
-    SessionGenerator,
-    simulate_concurrent_customers,
-)
+from repro.commerce.workloads import SessionGenerator
 from repro.errors import (
     AuditViolation,
     Backpressure,
@@ -186,30 +183,22 @@ class TestParity:
             want = reference.submit(StepRequest(ref_handle, inputs))
             assert (got.step, got.output) == (want.step, want.output)
 
-    def test_workload_driver_runs_unchanged(self):
-        """simulate_concurrent_customers(service=PodClient) reproduces
-        the in-process report over the same seeded traffic."""
-        kwargs = dict(
-            sessions=6,
-            steps_per_session=4,
-            seed=3,
-            keep_logs=True,
-            sample_sessions=3,
-        )
-        reference = simulate_concurrent_customers(
-            build_friendly(), CATALOG, **kwargs
-        )
+    def test_workload_driver_runs_unchanged(self, drive_customers):
+        """``PodClient.drive`` over seeded customer traffic reproduces
+        the in-process logs and step counts."""
+        reference = PodService(build_friendly(), CATALOG.as_database())
         with PodServer(
             build_friendly, CATALOG.as_database(), workers=2
         ) as server:
-            report = simulate_concurrent_customers(
-                build_friendly(),
-                CATALOG,
-                service=PodClient(server.url, build_friendly()),
-                **kwargs,
-            )
-        assert report.sample_log_lengths == reference.sample_log_lengths
-        assert report.total_steps == reference.total_steps
+            remote = PodClient(server.url, build_friendly())
+            for service in (reference, remote):
+                scripts = drive_customers(service, CATALOG, 6, 4, seed=3)
+            for session_id in scripts:
+                assert remote.session(session_id).log() == (
+                    reference.session(session_id).log()
+                )
+            assert remote.metrics.snapshot()["steps_executed"] == 24
+        assert reference.metrics.steps_executed == 24
 
 
 # -- observability -------------------------------------------------------------

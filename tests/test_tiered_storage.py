@@ -48,7 +48,7 @@ from repro.pods import (
     open_store,
 )
 from repro.pods.session import Session
-from repro.pods.store import _encode_facts
+from repro.pods.store import _STORE_METHODS, SessionStore, _encode_facts
 from repro.relalg.schema import DatabaseSchema, RelationSchema
 from repro.verify.api import LogValidity, OnlineAuditor
 
@@ -752,10 +752,10 @@ class TestStoreLifecycleDefaults:
         assert stats.bytes_on_disk > 0
         assert stats.events >= 4  # created+step+closed for bob, created carol
 
-    def test_legacy_five_method_store_still_accepted(self):
-        from repro.verify import deprecation
+    def test_five_method_store_rejected(self):
+        class FiveMethods:
+            """Records and loads sessions, but lacks the lifecycle."""
 
-        class Legacy:
             def __init__(self):
                 self.inner = InMemoryStore()
 
@@ -774,16 +774,50 @@ class TestStoreLifecycleDefaults:
             def session_ids(self):
                 return self.inner.session_ids()
 
-        deprecation._warned_keys.discard("pods.legacy-store-protocol")
-        with pytest.warns(DeprecationWarning, match="StoreLifecycle"):
-            service = PodService(
-                build_short(), default_database(), store=Legacy()
-            )
-        handle = service.create_session("alice")
-        service.submit(StepRequest(handle, {"order": {("time",)}}))
-        assert service.flush() == 0  # treated as write-through
-        with pytest.raises(SessionError, match="not a session store"):
-            PodService(build_short(), default_database(), store=42)
+        for store in (FiveMethods(), 42):
+            with pytest.raises(StoreError, match="not a session store"):
+                PodService(build_short(), default_database(), store=store)
+
+    def test_required_methods_are_the_protocol(self):
+        public = {name for name in vars(SessionStore) if not name.startswith("_")}
+        assert set(_STORE_METHODS) == public
+
+    def test_forwarding_wrapper_accepted(self):
+        """A wrapper that forwards unknown attributes to a real store
+        (the shape of podbench's tracing store) is a session store, and
+        the service's lifecycle calls reach the wrapped store.  It
+        defines only ``evict`` on its class, so a static protocol check
+        (``isinstance`` from Python 3.12) would reject it."""
+
+        class Forwarding:
+            def __init__(self, inner):
+                self._inner = inner
+                self.evicted = []
+
+            def evict(self, session_id):
+                self.evicted.append(session_id)
+                self._inner.evict(session_id)
+
+            def __getattr__(self, attribute):
+                return getattr(self._inner, attribute)
+
+        inner = InMemoryStore()
+        store = Forwarding(inner)
+        service = PodService(
+            build_short(),
+            default_database(),
+            store=store,
+            max_resident_sessions=1,
+        )
+        order = {"order": {("time",)}}
+        for session_id in ("alice", "bob"):
+            service.submit(StepRequest(service.create_session(session_id), order))
+        assert store.evicted == ["alice"]
+        results = service.submit_batch([StepRequest("alice", order)])
+        assert results[0].step == 2
+        assert inner.load("alice").steps == 2
+        assert service.flush() == 0
+        service.close()
 
 
 class TestBatchedDurabilityExitDrain:

@@ -8,7 +8,7 @@ from repro.relalg.dependencies import (
     InclusionDependency as IND,
 )
 from repro.relalg.chase import implies_fd
-from repro.verify import is_valid_log
+from repro.verify import check_log_validity
 from repro.verify.undecidable import (
     containment_reduction,
     mimic_inputs_for_log,
@@ -96,7 +96,7 @@ class TestTheorem34:
         # without violF -- which the simulator T cannot produce.
         rows = [("a", "b"), ("c", "a")]
         run = reduction.t_fg.run({}, wellformed_sequence(reduction, rows))
-        assert not is_valid_log(reduction.simulator, {}, run.logs).valid
+        assert not check_log_validity(reduction.simulator, {}, run.logs).valid
 
     @pytest.fixture(scope="class")
     def implied_reduction(self):

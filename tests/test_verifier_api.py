@@ -26,13 +26,7 @@ from repro.datalog.ast import Variable
 from repro.errors import AuditViolation, SpecError, UndecidableError
 from repro.logic.fol import And, Forall, Implies, Not, Rel
 from repro.pods import PodService, ShardedPodService, StepRequest
-from repro.verify import deprecation as deprecation_module
-from repro.verify import (
-    Goal,
-    is_goal_reachable,
-    is_valid_log,
-    pointwise_log_equal,
-)
+from repro.verify import Goal
 from repro.verify.api import (
     AllOf,
     AnyOf,
@@ -589,28 +583,9 @@ class TestViolationCompilation:
 
 
 class TestDeprecationShim:
-    pytestmark = pytest.mark.filterwarnings(
-        "ignore::DeprecationWarning"
-    )
+    """The verification API emits no DeprecationWarning of its own."""
 
-    def test_legacy_entry_points_warn_exactly_once_per_process(
-        self, short, friendly, catalog_db, monkeypatch
-    ):
-        monkeypatch.setattr(deprecation_module, "_deprecation_warned", False)
-        log = short.log_of(catalog_db, FIGURE1_PREFIX)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            is_valid_log(short, catalog_db, log)
-            is_goal_reachable(short, catalog_db, Goal.atoms(deliver=("time",)))
-            pointwise_log_equal(short, friendly, catalog_db)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "repro.verify.api" in str(deprecations[0].message)
-
-    def test_new_api_never_warns(self, short, catalog_db, monkeypatch):
-        monkeypatch.setattr(deprecation_module, "_deprecation_warned", False)
+    def test_new_api_never_warns(self, short, catalog_db):
         log = short.log_of(catalog_db, FIGURE1_PREFIX)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

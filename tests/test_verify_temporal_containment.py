@@ -9,15 +9,16 @@ from repro.logic.fol import Bottom, Forall, Implies, Rel, conjoin
 from repro.verify import (
     TsdiConjunct,
     TsdiSentence,
+    check_error_free_containment,
+    check_error_free_property,
+    check_log_containment,
+    check_log_equivalence,
+    check_pointwise_log_equality,
+    check_temporal_property,
     compile_tsdi,
     enforce_tsdi,
-    errorfree_contains,
-    holds_on_all_runs,
-    holds_on_error_free_runs,
-    log_contains,
     satisfies_tsdi,
 )
-from repro.verify.containment import are_log_equivalent, pointwise_log_equal
 from repro.verify.temporal import check_run_satisfies
 
 x, y = V("x"), V("y")
@@ -33,20 +34,20 @@ NO_DELIVERY_BEFORE_PAY = Forall(
 
 class TestTemporal:
     def test_paper_property_holds_for_short(self, short, catalog_db):
-        assert holds_on_all_runs(short, NO_DELIVERY_BEFORE_PAY, catalog_db).holds
+        assert check_temporal_property(short, NO_DELIVERY_BEFORE_PAY, catalog_db).holds
 
     def test_paper_property_holds_for_friendly(self, friendly, catalog_db):
-        assert holds_on_all_runs(
+        assert check_temporal_property(
             friendly, NO_DELIVERY_BEFORE_PAY, catalog_db
         ).holds
 
     def test_buggy_store_violates(self, buggy, catalog_db):
-        verdict = holds_on_all_runs(buggy, NO_DELIVERY_BEFORE_PAY, catalog_db)
+        verdict = check_temporal_property(buggy, NO_DELIVERY_BEFORE_PAY, catalog_db)
         assert not verdict.holds
         assert verdict.counterexample_inputs is not None
 
     def test_counterexample_replays(self, buggy, catalog_db):
-        verdict = holds_on_all_runs(buggy, NO_DELIVERY_BEFORE_PAY, catalog_db)
+        verdict = check_temporal_property(buggy, NO_DELIVERY_BEFORE_PAY, catalog_db)
         run = buggy.run(catalog_db, verdict.counterexample_inputs)
         assert not check_run_satisfies(
             buggy, run, NO_DELIVERY_BEFORE_PAY, catalog_db
@@ -56,7 +57,7 @@ class TestTemporal:
         # Over all databases the property fails: with two prices for the
         # same product, paying one of them delivers while the other
         # remains unpaid.  The BSR countermodel finds this.
-        verdict = holds_on_all_runs(short, NO_DELIVERY_BEFORE_PAY, None)
+        verdict = check_temporal_property(short, NO_DELIVERY_BEFORE_PAY, None)
         assert not verdict.holds
 
     def test_output_only_property(self, short, catalog_db):
@@ -65,16 +66,16 @@ class TestTemporal:
             (x, y),
             Implies(Rel("sendbill", (x, y)), Rel("price", (x, y))),
         )
-        assert holds_on_all_runs(short, prop, catalog_db).holds
+        assert check_temporal_property(short, prop, catalog_db).holds
 
     def test_false_output_property_detected(self, short, catalog_db):
         prop = Forall((x,), Implies(Rel("deliver", (x,)), Bottom()))
-        assert not holds_on_all_runs(short, prop, catalog_db).holds
+        assert not check_temporal_property(short, prop, catalog_db).holds
 
     def test_unknown_relation_rejected(self, short, catalog_db):
         prop = Forall((x,), Rel("nonexistent", (x,)))
         with pytest.raises(VerificationError):
-            holds_on_all_runs(short, prop, catalog_db)
+            check_temporal_property(short, prop, catalog_db)
 
     def test_operational_checker_agrees(
         self, short, catalog_db, figure1_inputs
@@ -89,7 +90,7 @@ class TestContainment:
     def test_short_friendly_pointwise_equal(self, short, friendly, catalog_db):
         # The paper: "short and friendly yield exactly the same set of
         # valid logs."
-        assert pointwise_log_equal(short, friendly, catalog_db).contained
+        assert check_pointwise_log_equality(short, friendly, catalog_db).contained
 
     def test_pointwise_difference_detected(self, short, catalog_db):
         # A variant whose deliver rule drops the payment check logs
@@ -97,7 +98,7 @@ class TestContainment:
         from repro.commerce.models import build_buggy_store
 
         buggy = build_buggy_store()
-        verdict = pointwise_log_equal(short, buggy, catalog_db)
+        verdict = check_pointwise_log_equality(short, buggy, catalog_db)
         assert not verdict.contained
         assert verdict.difference is not None
 
@@ -105,7 +106,7 @@ class TestContainment:
         # short's log misses the input `order`, so the Theorem 3.5
         # hypothesis fails and the library refuses.
         with pytest.raises(VerificationError):
-            log_contains(short, friendly, catalog_db)
+            check_log_containment(short, friendly, catalog_db)
 
     def test_full_log_containment(self, catalog_db):
         from repro.core.spocus import SpocusTransducer
@@ -125,7 +126,7 @@ class TestContainment:
             extra_inputs={"hint": 1},
             extra_outputs={"unavailable": 1},
         )
-        verdict = log_contains(base, extended, catalog_db)
+        verdict = check_log_containment(base, extended, catalog_db)
         assert verdict.contained
 
     def test_full_log_equivalence(self, catalog_db):
@@ -148,7 +149,7 @@ class TestContainment:
             """,
             **kwargs,
         )
-        assert are_log_equivalent(one, two, catalog_db)
+        assert check_log_equivalence(one, two, catalog_db)
 
     def test_restriction_is_contained_not_equal(self, catalog_db):
         from repro.core.spocus import SpocusTransducer
@@ -171,9 +172,9 @@ class TestContainment:
         # unavailable (the default catalog has everything in stock, so
         # the two would genuinely coincide there).
         db = {"price": {("time", 55), ("rare", 9)}, "available": {("time",)}}
-        assert not are_log_equivalent(base, restricted, db)
+        assert not check_log_equivalence(base, restricted, db)
         # On an all-available catalog they really are equivalent.
-        assert are_log_equivalent(base, restricted, catalog_db)
+        assert check_log_equivalence(base, restricted, catalog_db)
 
 
 class TestTsdi:
@@ -256,14 +257,14 @@ class TestErrorFree:
                 Bottom(),
             )
         )
-        assert holds_on_error_free_runs(guarded, sentence, catalog_db).holds
+        assert check_error_free_property(guarded, sentence, catalog_db).holds
 
     def test_unenforced_property_fails_with_witness(self, short, catalog_db):
         guarded = self._guarded(short)
         sentence = TsdiSentence.of(
             TsdiConjunct.parse("order(X)", "available(X)")
         )
-        verdict = holds_on_error_free_runs(guarded, sentence, catalog_db)
+        verdict = check_error_free_property(guarded, sentence, catalog_db)
         assert not verdict.holds
         assert verdict.counterexample_inputs is not None
 
@@ -276,7 +277,7 @@ class TestErrorFree:
             TsdiConjunct.parse("order(X)", "available(X)")
         )
         with pytest.raises(UndecidableError):
-            holds_on_error_free_runs(guarded, sentence, catalog_db)
+            check_error_free_property(guarded, sentence, catalog_db)
 
     def test_errorfree_containment(self, short, catalog_db):
         lenient = self._guarded(short)
@@ -288,15 +289,15 @@ class TestErrorFree:
             extra_inputs={"cancel": 1},
             extra_outputs={"error": 0},
         )
-        assert errorfree_contains(strict, lenient, catalog_db).contained
-        verdict = errorfree_contains(lenient, strict, catalog_db)
+        assert check_error_free_containment(strict, lenient, catalog_db).contained
+        verdict = check_error_free_containment(lenient, strict, catalog_db)
         assert not verdict.contained
         assert verdict.firing_rule is not None
 
     def test_containment_requires_same_inputs(self, short, catalog_db):
         lenient = self._guarded(short)
         with pytest.raises(VerificationError):
-            errorfree_contains(short, lenient, catalog_db)
+            check_error_free_containment(short, lenient, catalog_db)
 
     def test_separating_run_replays(self, short, catalog_db):
         from repro.core.acceptors import is_error_free
@@ -310,7 +311,7 @@ class TestErrorFree:
             extra_inputs={"cancel": 1},
             extra_outputs={"error": 0},
         )
-        verdict = errorfree_contains(lenient, strict, catalog_db)
+        verdict = check_error_free_containment(lenient, strict, catalog_db)
         witness = verdict.separating_inputs
         assert is_error_free(lenient.run(catalog_db, witness))
         assert not is_error_free(strict.run(catalog_db, witness))
