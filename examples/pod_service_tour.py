@@ -107,28 +107,30 @@ def main() -> None:
         f"{merged.steps_executed} steps across {sharded.shard_count} shards"
     )
 
-    # 7. Concurrency: submit_batch(concurrency=N) groups a batch by
-    #    session, steps every session's subsequence in order on one
-    #    worker, and returns results in request order -- identical to
-    #    serial execution, because sessions share only the read-only
-    #    indexed catalog and the compiled query plan.  On the sharded
-    #    service each session's group lands inside its shard's slice.
+    # 7. Batches: submit_batch steps a batch serially, in request
+    #    order, and returns request-aligned results -- on the sharded
+    #    service too, whichever shard each request routes to.  Sessions
+    #    are independent (a step reads only the shared catalog and the
+    #    session's own state), so running them in parallel is a
+    #    deployment choice: the worker processes of
+    #    PodServer(workers=N), one shard per process (section 11).
     batch = [
         StepRequest(handle, inputs)
         for inputs in FIGURE1_SECOND_HALF
         for handle in handles
     ]
-    serial_results = sharded.submit_batch(batch, concurrency=1)
-    # A fresh identical service, this time stepped by 4 workers.
-    concurrent = ShardedPodService(transducer, database, shards=4)
+    batch_results = sharded.submit_batch(batch)
+    # The same traffic on a fresh identical service, one submit() at a
+    # time.
+    one_by_one = ShardedPodService(transducer, database, shards=4)
     for handle in handles:
-        concurrent.create_session(handle.session_id)
-        concurrent.run_session(handle, FIGURE1_FIRST_HALF)
-    concurrent_results = concurrent.submit_batch(batch, concurrency=4)
+        one_by_one.create_session(handle.session_id)
+        one_by_one.run_session(handle, FIGURE1_FIRST_HALF)
+    single_results = [one_by_one.submit(request) for request in batch]
     print(
-        f"\nconcurrent batch: {len(concurrent_results)} steps across "
-        f"{len(handles)} sessions on 4 workers; identical to serial: "
-        f"{[r.output for r in concurrent_results] == [r.output for r in serial_results]}"
+        f"\nbatch: {len(batch_results)} steps across {len(handles)} "
+        "sessions; identical to one submit() at a time: "
+        f"{[r.output for r in batch_results] == [r.output for r in single_results]}"
     )
 
     # 8. Query plans: every session steps through one shared compiled
@@ -239,7 +241,8 @@ def main() -> None:
 
     # 11. The pod *server*: the same runtime behind an HTTP front-end,
     #     one worker process per shard (crash isolation, own store
-    #     directory each), stdlib only.  PodClient speaks the versioned
+    #     directory each, and the runtime's only parallelism), stdlib
+    #     only.  PodClient speaks the versioned
     #     JSON wire protocol and re-exposes the familiar surface, so
     #     this section reads exactly like section 2 -- the HTTP hop and
     #     the process boundary are invisible until something fails

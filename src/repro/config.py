@@ -1,13 +1,12 @@
 """Validated environment-variable parsing for the runtime knobs.
 
 Every runtime tunable that can come from the environment --
-``REPRO_BATCH_CONCURRENCY`` (default ``submit_batch`` fan-out),
-``REPRO_MAX_RESIDENT`` (hot-session cache bound), and the
+``REPRO_MAX_RESIDENT`` (hot-session cache bound) and the
 ``REPRO_SERVER_*`` family of the process-level pod server -- funnels
 through :func:`env_int`, so every knob validates the same way and
 misconfiguration fails with the same clear message shape::
 
-    invalid REPRO_BATCH_CONCURRENCY='zero': need an integer >= 1
+    invalid REPRO_MAX_RESIDENT='zero': need an integer >= 0
 
 Errors are raised as :class:`~repro.errors.SessionError` (the lifecycle
 error type callers of :mod:`repro.pods` already handle); pass

@@ -393,8 +393,8 @@ class IncrementalExecutor:
       session's lifetime.
 
     An executor is per-session mutable state and is NOT thread-safe:
-    the concurrent batch path keeps it safe by stepping each session on
-    exactly one worker at a time (the shared, read-only
+    the pod service keeps it safe by stepping each session on exactly
+    one thread at a time (the shared, read-only
     :class:`PhysicalPlan` is what crosses threads).
     """
 

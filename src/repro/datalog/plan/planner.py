@@ -150,8 +150,8 @@ class Planner:
 _plan_cache: dict[tuple[Program, str], "PhysicalPlan"] = {}
 _PLAN_CACHE_LIMIT = 1024
 _cache_info = {"compiled": 0, "hits": 0}
-# The cache is process-wide and sessions may be created from worker
-# threads (concurrent submit_batch restores sessions lazily), so every
+# The cache is process-wide and sessions may be created from caller
+# threads (each thread's submit restores sessions lazily), so every
 # lookup-or-compile is serialized: one (program, ordering) pair is
 # compiled exactly once no matter how many threads race on first touch,
 # and the compiled/hits counters stay exact.

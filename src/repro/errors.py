@@ -194,11 +194,13 @@ class AuditViolation(VerificationError):
     When the violation surfaced inside ``submit_batch``,
     ``partial_results`` is a tuple aligned with the batch's requests:
     the :class:`~repro.pods.api.StepResult` of every request that
-    completed, ``None`` elsewhere.  Serially that is the prefix before
-    the violating request; under concurrency the violating session's
-    group stops at the violation while the other sessions' groups run
-    to completion (each session's results are always an in-order
-    prefix of its own subsequence).  The violating request itself is
+    completed, ``None`` elsewhere.  In process that is the prefix before
+    the violating request.  Across the shards of a
+    :class:`~repro.server.frontend.PodServer`, the violating shard stops
+    at the violation while the other shards run to completion, so each
+    shard's results are an in-order prefix of its own subsequence;
+    :class:`~repro.server.client.PodClient` raises them with the same
+    alignment.  The violating request itself is
     ``None`` even though its step *was* applied and persisted (the
     audit runs after apply) -- callers reconcile the ``None`` slots
     against the session store.  ``None`` (the default) means the

@@ -38,11 +38,9 @@ different sessions in any interleaving gives the same per-session runs
 as running them back to back (the run semantics of Section 2.2 is a
 fold over the session's own inputs) -- and, with a durable store, the
 same runs even across a service restart in the middle.  That isolation
-is what makes ``submit_batch(requests, concurrency=N)`` safe: the batch
-is grouped by session and fanned out to a worker pool, with results,
-logs, and snapshots identical to serial execution
-(:func:`~repro.pods.service.batch_concurrency` resolves the default
-from ``REPRO_BATCH_CONCURRENCY``).
+is what makes parallelism a deployment choice: ``submit_batch`` steps
+its batch serially, and sessions run in parallel across the worker
+processes of :class:`~repro.server.frontend.PodServer` (``workers=N``).
 """
 
 from repro.pods.api import (
@@ -58,10 +56,8 @@ from repro.pods.cache import (
 )
 from repro.pods.metrics import RuntimeMetrics, merge_snapshots
 from repro.pods.service import (
-    CONCURRENCY_ENV,
     PodService,
     ShardedPodService,
-    batch_concurrency,
     shard_of,
 )
 from repro.pods.session import Session, SessionLog
@@ -84,13 +80,11 @@ __all__ = [
     "StepResult",
     "RuntimeMetrics",
     "merge_snapshots",
-    "CONCURRENCY_ENV",
     "MAX_RESIDENT_ENV",
     "LruSessionCache",
     "max_resident_sessions",
     "PodService",
     "ShardedPodService",
-    "batch_concurrency",
     "shard_of",
     "Session",
     "SessionLog",

@@ -15,11 +15,11 @@ written, because the store already holds its snapshot -- and the next
 from the store.  Logs, snapshots, and outputs are identical whether a
 session was evicted zero or N times.
 
-Pinning makes eviction safe under ``submit_batch`` concurrency: the
-service pins a session for the duration of a step (through the store
-write-through), and the cache never evicts a pinned entry.  If every
-entry is pinned the cache temporarily overflows its limit and sheds the
-surplus as pins are released.
+Pinning makes eviction safe when callers call ``submit`` from their own
+threads: the service pins a session for the duration of a step (through
+the store write-through), and the cache never evicts a pinned entry.  If
+every entry is pinned the cache temporarily overflows its limit and
+sheds the surplus as pins are released.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ class LruSessionCache:
     """An LRU map of resident sessions with per-entry pinning.
 
     All operations are internally locked (the cache is touched by every
-    worker of a concurrent batch); none of them call out while holding
+    thread that calls ``submit``); none of them call out while holding
     the lock.  Mutating operations return the entries they evicted as
     ``(session_id, session)`` pairs so the owning service can do its
     bookkeeping (metrics, the evicted-id set) under its own lock --

@@ -12,11 +12,11 @@ view: counts add, latency extremes combine, and the elapsed clock spans
 from the earliest shard start.
 
 Accumulation is thread-safe: every ``record_*`` method updates its
-counters under an internal lock, so the workers of a concurrent
-``submit_batch`` (and any caller threads submitting directly) never
-lose increments to read-modify-write races.  Reads (:meth:`snapshot`,
-the derived rates, :meth:`merged`) are lock-free -- they read plain
-ints/floats, each of which is updated atomically under the lock.
+counters under an internal lock, so caller threads submitting directly
+never lose increments to read-modify-write races.  Reads
+(:meth:`snapshot`, the derived rates, :meth:`merged`) are lock-free --
+they read plain ints/floats, each of which is updated atomically under
+the lock.
 """
 
 from __future__ import annotations

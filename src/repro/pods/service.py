@@ -22,8 +22,8 @@ to write -- and the next :class:`~repro.pods.api.StepRequest` for it
 rehydrates from the store through the same restore path a process
 restart uses.  Logs, snapshots, and outputs are identical whether a
 session was evicted zero or N times; sessions are pinned in the cache
-for the duration of a step so concurrent batch workers never evict a
-session mid-step.
+for the duration of a step so a caller's thread shedding cache surplus
+never evicts another thread's session mid-step.
 
 A :class:`ShardedPodService` presents the same API over N internal
 single-shard services, hash-routing each session id with a *stable*
@@ -32,19 +32,16 @@ in every process, every run.  Shards share the database instance -- and
 therefore the transducer's cached hash indexes -- but nothing else;
 splitting them across real processes is pure deployment.
 
-Concurrency: ``submit_batch(requests, concurrency=N)`` steps the batch
-on a worker pool.  Requests are grouped by session id, each session's
-subsequence runs in order on exactly one worker, and results come back
-in request order -- so per-session semantics (and persisted snapshots)
-are identical to serial execution, which stays the byte-identical
-default (``concurrency=1``).  Sessions share only read-only state (the
-indexed database store, the compiled physical plan); everything
-mutable is either per-session (stepped by one worker at a time) or
-internally locked (metrics, the session map, store writes, audit
-findings).  On a sharded service the same grouping applies: a session's
-group is by construction a subset of one shard's slice of the batch,
-so the pool fans each shard's slice out without ever racing a shard's
-per-session state.
+Concurrency: ``submit_batch`` steps its batch serially, in request
+order.  A step depends only on the database, the session's own state and
+its input, so sessions are independent and running them in parallel is
+a deployment choice: worker processes behind
+:class:`~repro.server.frontend.PodServer`.  Callers that call
+``submit`` from their own threads on distinct sessions are still safe:
+sessions share only read-only state (the indexed database store, the
+compiled physical plan), and everything mutable is either per-session
+or internally locked (metrics, the session map, store writes, audit
+findings).
 """
 
 from __future__ import annotations
@@ -52,13 +49,11 @@ from __future__ import annotations
 import threading
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 if TYPE_CHECKING:
     from repro.verify.api.auditor import OnlineAuditor
 
-from repro.config import env_int
 from repro.core.transducer import InputLike, RelationalTransducer
 from repro.errors import AuditViolation, SessionError, ShardError
 from repro.pods.api import (
@@ -107,31 +102,6 @@ def _fresh_session_id(prefix, counter, exists):
             return candidate, counter
 
 
-#: Environment override for the default batch concurrency: when
-#: ``submit_batch`` is called without an explicit ``concurrency``, this
-#: variable (an integer >= 1) supplies it.  CI runs the whole test
-#: suite once with ``REPRO_BATCH_CONCURRENCY=4`` so every batch-shaped
-#: code path is exercised through the worker pool.
-CONCURRENCY_ENV = "REPRO_BATCH_CONCURRENCY"
-
-
-def batch_concurrency(concurrency: "int | None" = None) -> int:
-    """Resolve a ``submit_batch`` concurrency argument.
-
-    ``None`` falls back to :data:`CONCURRENCY_ENV` (parsed by the
-    shared :func:`repro.config.env_int` helper), then to 1 (serial).
-    Anything below 1 -- explicit or from the environment -- raises
-    :class:`~repro.errors.SessionError`.
-    """
-    if concurrency is None:
-        concurrency = env_int(CONCURRENCY_ENV, default=1, minimum=1)
-    if concurrency < 1:
-        raise SessionError(
-            f"batch concurrency must be >= 1, got {concurrency}"
-        )
-    return concurrency
-
-
 def shard_of(session_id: str, shards: int) -> int:
     """The shard a session id routes to: stable across processes.
 
@@ -147,44 +117,32 @@ def shard_of(session_id: str, shards: int) -> int:
 class _PodApi:
     """The traffic methods every pod service offers over ``submit()``."""
 
+    def create_session(self, session_id: str | None = None) -> SessionHandle:
+        raise NotImplementedError
+
+    def create_sessions(self, count: int) -> list[SessionHandle]:
+        return [self.create_session() for _ in range(count)]
+
     def submit(self, request: StepRequest) -> StepResult:
         raise NotImplementedError
 
     def submit_batch(
-        self,
-        requests: Iterable[StepRequest],
-        *,
-        concurrency: "int | None" = None,
+        self, requests: Iterable[StepRequest]
     ) -> list[StepResult]:
-        """Advance many sessions; results align with the requests.
+        """Advance many sessions in request order; results align.
 
-        Sessions may appear multiple times.  ``concurrency=1`` (the
-        default, or via :data:`CONCURRENCY_ENV`) executes the batch
-        serially in the given order.  ``concurrency=N`` groups the
-        requests by session id and dispatches each session's
-        subsequence -- in order, on a single worker -- to a pool of up
-        to N threads; because sessions share only read-only state, the
-        per-session results, logs, and persisted snapshots are
-        identical to serial execution, and the returned list is in
-        request order either way.
+        Sessions may appear multiple times.  Parallelism across sessions
+        is a deployment choice -- worker processes behind
+        :class:`~repro.server.frontend.PodServer` -- not a batch option.
 
         If a strict auditor raises :class:`~repro.errors.AuditViolation`
         mid-batch, the already-completed results are attached to the
         exception as ``partial_results`` (request-aligned, ``None`` for
         requests that did not complete) so callers can reconcile with
         the store -- the violating step itself *was* applied and
-        persisted.  Under concurrency, each session's completed results
-        still form a prefix of that session's subsequence.
+        persisted.
         """
         requests = list(requests)
-        concurrency = batch_concurrency(concurrency)
-        if concurrency == 1 or len(requests) <= 1:
-            return self._submit_serial(requests)
-        return self._submit_concurrent(requests, concurrency)
-
-    def _submit_serial(
-        self, requests: Sequence[StepRequest]
-    ) -> list[StepResult]:
         results: "list[StepResult | None]" = [None] * len(requests)
         try:
             for index, request in enumerate(requests):
@@ -192,56 +150,6 @@ class _PodApi:
         except AuditViolation as violation:
             violation.partial_results = tuple(results)
             raise
-        return results  # fully populated: no request failed
-
-    def _submit_concurrent(
-        self, requests: Sequence[StepRequest], concurrency: int
-    ) -> list[StepResult]:
-        # Group by session id, preserving each session's request order.
-        # One group runs on one worker, so a session's steps (and its
-        # store writes and audit observations) never race themselves.
-        groups: dict[str, list[int]] = {}
-        for index, request in enumerate(requests):
-            groups.setdefault(
-                session_id_of(request.session), []
-            ).append(index)
-        if len(groups) == 1:
-            # One session = one worker executing the serial schedule;
-            # skip the pool (run_session under an env-set concurrency
-            # would otherwise pay pool setup per call for nothing).
-            return self._submit_serial(requests)
-        results: "list[StepResult | None]" = [None] * len(requests)
-
-        def run_group(indices: list[int]) -> None:
-            for index in indices:
-                results[index] = self.submit(requests[index])
-
-        with ThreadPoolExecutor(
-            max_workers=min(concurrency, len(groups)),
-            thread_name_prefix="pod-batch",
-        ) as pool:
-            futures = [
-                pool.submit(run_group, indices)
-                for indices in groups.values()
-            ]
-        # The pool context waited for every group: a failing group stops
-        # at its failing request, the others run to completion.
-        errors = [
-            exc
-            for exc in (future.exception() for future in futures)
-            if exc is not None
-        ]
-        if errors:
-            # Deterministic choice: the first failing group in request
-            # (= first-appearance) order; audit violations win so their
-            # partial results reach the caller.
-            violation = next(
-                (e for e in errors if isinstance(e, AuditViolation)), None
-            )
-            if violation is not None:
-                violation.partial_results = tuple(results)
-                raise violation
-            raise errors[0]
         return results  # fully populated: no request failed
 
     def run_session(
@@ -342,8 +250,8 @@ class PodService(_PodApi):
         self._evicted: set[str] = set()
         self._evicted_lock = threading.Lock()
         self._next_id = 0
-        # Guards session creation and lazy restore: concurrent batch
-        # workers touching distinct sessions must not race the session
+        # Guards session creation and lazy restore: caller threads
+        # touching distinct sessions must not race the session
         # map or restore the same session twice.  submit() reads the
         # cache lock-free-in-spirit on its hot path (one short cache
         # lock, never the service lock -- see session()).
@@ -430,9 +338,6 @@ class PodService(_PodApi):
             self.metrics.record_eval(session.eval_counters())
             self._note_evictions(self._sessions.put(session_id, session))
         return SessionHandle(session_id, self._shard_index)
-
-    def create_sessions(self, count: int) -> list[SessionHandle]:
-        return [self.create_session() for _ in range(count)]
 
     def _restore(self, snapshot: SessionSnapshot) -> Session:
         schema = self._transducer.schema
@@ -637,10 +542,7 @@ class PodService(_PodApi):
     # -- traffic ---------------------------------------------------------------
 
     def submit_batch(
-        self,
-        requests: Iterable[StepRequest],
-        *,
-        concurrency: "int | None" = None,
+        self, requests: Iterable[StepRequest]
     ) -> list[StepResult]:
         """:meth:`_PodApi.submit_batch` inside one store scope.
 
@@ -648,7 +550,7 @@ class PodService(_PodApi):
         makes the batch's steps durable together, before returning.
         """
         with self._store.scope():
-            return super().submit_batch(requests, concurrency=concurrency)
+            return super().submit_batch(requests)
 
     def submit(self, request: StepRequest) -> StepResult:
         """Advance one session by one input instance.
@@ -658,8 +560,8 @@ class PodService(_PodApi):
         runner, the HTTP worker) funnels through here, and the store
         write-through happens here.  The session is pinned in the
         hot-session cache for the duration of the step
-        (rehydrating it first if it was evicted), so concurrent batch
-        workers shedding cache surplus can never drop a session whose
+        (rehydrating it first if it was evicted), so other caller
+        threads shedding cache surplus can never drop a session whose
         step -- or step write-through, or audit -- is still in flight.
         """
         session_id = session_id_of(request.session)
@@ -733,6 +635,11 @@ class ShardedPodService(_PodApi):
 
     ``metrics`` is the merged, service-wide view; per-shard counters
     stay available through :meth:`shard`.
+
+    Shards are a partition, not parallelism: ``submit_batch`` steps the
+    batch serially whichever shard each request routes to.  To run
+    shards side by side, serve them from the worker processes of
+    :class:`~repro.server.frontend.PodServer` (``workers=N``).
     """
 
     def __init__(
@@ -813,9 +720,6 @@ class ShardedPodService(_PodApi):
                     self._id_prefix, self._next_id, self.has_session
                 )
         return self._route(session_id).create_session(session_id)
-
-    def create_sessions(self, count: int) -> list[SessionHandle]:
-        return [self.create_session() for _ in range(count)]
 
     def session(self, session: SessionHandle | str) -> Session:
         return self._route(session).session(session_id_of(session))

@@ -51,12 +51,11 @@ class Session:
     them at their defaults starts a fresh run (state S_0, step 0).
 
     Sessions are NOT thread-safe: a session's steps must be applied
-    sequentially by one thread at a time.  The service's concurrent
-    batch path (``submit_batch(concurrency=N)``) upholds this by
-    grouping each batch by session id and stepping every session's
-    subsequence on exactly one worker; everything a session *shares*
-    (the database instance, its indexed store, the compiled plan) is
-    read-only.
+    sequentially by one thread at a time.  The service's batch path
+    (``submit_batch``) upholds this by stepping its batch serially, and
+    callers that call ``submit`` from their own threads keep each
+    session on one thread; everything a session *shares* (the database
+    instance, its indexed store, the compiled plan) is read-only.
     """
 
     __slots__ = ("session_id", "_transducer", "_database", "_state",

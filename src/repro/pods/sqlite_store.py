@@ -43,8 +43,8 @@ it, each event runs in its own ``SAVEPOINT`` of one open transaction,
 so a failing event rolls back alone, and the transaction commits when
 the scope exits -- also when the batch raised.  A process killed
 mid-batch loses only that unacknowledged batch.  Scopes are per
-thread: a thread outside one (a plain ``submit``, a pool worker of a
-concurrent batch) still commits per event.
+thread: a thread outside one (a plain ``submit`` from another caller
+thread) still commits per event.
 
 The state column is re-encoded per relation, not per state: a Spocus
 step changes only the ``past-*`` relations its input touched, and the

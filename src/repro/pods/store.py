@@ -25,9 +25,9 @@ on load.
 
 All stores serialize their writes per session: record events for one
 session are applied atomically and in call order even when they arrive
-from different threads (the workers of a concurrent ``submit_batch``
-own disjoint sessions, but nothing stops callers from submitting the
-same session from their own threads -- the store stays consistent
+from different threads (callers that submit from their own threads
+usually own disjoint sessions, but nothing stops two of them from
+submitting the same session -- the store stays consistent
 either way; *ordering* across racing writers of one session remains the
 caller's contract).
 

@@ -36,8 +36,8 @@ Concurrency contract: a store that is only *read* (lookups, scans,
 stats) may be shared between threads -- lazy index/column construction
 is serialized internally, so the first concurrent touches of a
 (predicate, positions) pattern build its buckets exactly once.  That is
-what the shared database store of a concurrent
-:meth:`~repro.pods.service.PodService.submit_batch` relies on.  Mutation
+what the shared database store relies on when callers call
+:meth:`~repro.pods.service.PodService.submit` from their own threads.  Mutation
 (:meth:`add`) is not synchronized against concurrent readers of the
 same layer; per-step layered stores are session-private by design.
 """
@@ -141,8 +141,8 @@ class FactStore:
         self._index_lock = threading.Lock()
         self._version = 0
         # (predicate, positions) -> (version, IndexStats); consulted
-        # and updated under the index lock (PR 5's thread-safety audit
-        # applies: planner probes arrive from concurrent batch workers).
+        # and updated under the index lock: planner probes arrive from
+        # every caller thread that steps a session.
         self._stats_cache: dict[tuple[str, Positions], tuple[int, IndexStats]] = {}
         if facts:
             for name, rows in facts.items():

@@ -16,8 +16,8 @@ values like ``True``/``1``/``1.0`` are never conflated), so
 Interning is *canonicalization only*: nothing is ever allowed to depend
 on pool residency for correctness, so both pools are bounded and simply
 cleared when they overflow (mirroring the plan cache's policy).  The
-pools are process-wide and written from the worker threads of a
-concurrent ``submit_batch``; all mutation happens under one lock, and
+pools are process-wide and written from every caller thread that
+steps a session; all mutation happens under one lock, and
 reads go through ``dict.setdefault``-free locked paths so one canonical
 object wins every race.
 """

@@ -2,7 +2,7 @@
 
     $ python -m repro.scenarios --list
     $ python -m repro.scenarios --run feed-delivery --sessions 64 --steps 8
-    $ python -m repro.scenarios --run auction --shards 4 --concurrency 4 --json
+    $ python -m repro.scenarios --run auction --shards 4 --json
     $ python -m repro.scenarios --run commerce --shadow adversarial
 
 ``--shadow CANDIDATE`` shadow-deploys the candidate scenario's
@@ -41,12 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--scale", type=int, default=None, help="database size knob"
     )
     parser.add_argument("--shards", type=int, default=1)
-    parser.add_argument(
-        "--concurrency",
-        type=int,
-        default=None,
-        help="submit_batch worker threads",
-    )
     parser.add_argument(
         "--store", default=None, metavar="PATH", help="session store path"
     )
@@ -92,7 +86,6 @@ def main(argv: "list[str] | None" = None) -> int:
         scale=args.scale,
         shards=args.shards,
         store=args.store,
-        concurrency=args.concurrency,
         audit=not args.no_audit,
         keep_logs=not args.no_logs,
         shadow_candidate=args.shadow,

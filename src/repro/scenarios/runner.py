@@ -153,7 +153,6 @@ def run_scenario(
     shards: int = 1,
     store=None,
     store_factory=None,
-    concurrency: "int | None" = None,
     batch_size: int = 64,
     audit: bool = True,
     keep_logs: bool = True,
@@ -271,11 +270,10 @@ def run_scenario(
             service.submit(request)
     else:
         for chunk in _chunked(schedule, batch_size):
-            service.submit_batch(chunk, concurrency=concurrency)
+            service.submit_batch(chunk)
     wall = perf_counter() - started
     snapshot = service.metrics.snapshot()
-    find = getattr(service, "audit_findings", None)
-    findings = len(find()) if find is not None else 0
+    findings = len(service.audit_findings())
     # Session.log() is empty when the service retains no logs -- in
     # that case there is nothing meaningful to digest.
     digest = None

@@ -22,7 +22,6 @@ package lifts the same runtime across process boundaries:
 
 from repro.server.client import ClientSessionView, PodClient
 from repro.server.frontend import (
-    CONCURRENCY_ENV,
     QUEUE_DEPTH_ENV,
     WORKERS_ENV,
     PodServer,
@@ -31,7 +30,6 @@ from repro.server.worker import WorkerConfig, WorkerHandle, worker_main
 from repro.server.wire import WIRE_VERSION
 
 __all__ = [
-    "CONCURRENCY_ENV",
     "ClientSessionView",
     "PodClient",
     "PodServer",

@@ -89,13 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: REPRO_SERVER_QUEUE_DEPTH or 64)",
     )
     parser.add_argument(
-        "--concurrency",
-        type=int,
-        default=None,
-        help="in-worker submit_batch threads "
-        "(default: REPRO_SERVER_CONCURRENCY or 1)",
-    )
-    parser.add_argument(
         "--store",
         default=None,
         metavar="DIR",
@@ -142,7 +135,6 @@ def main(argv: "list[str] | None" = None) -> int:
         database,
         workers=args.workers,
         queue_depth=args.queue_depth,
-        worker_concurrency=args.concurrency,
         store_root=args.store,
         store_kind=args.store_kind,
         durability=args.durability,

@@ -1,8 +1,9 @@
 """`PodClient`: the in-process service surface, spoken over HTTP.
 
-The client exposes the same traffic API as
+The client shares the traffic API of
 :class:`~repro.pods.service.PodService` /
-:class:`~repro.pods.service.ShardedPodService` -- ``create_session`` /
+:class:`~repro.pods.service.ShardedPodService` (it subclasses their
+:class:`~repro.pods.service._PodApi` mixin) -- ``create_session`` /
 ``submit`` / ``submit_batch`` / ``run_session`` / ``drive`` /
 ``session`` / ``close_session`` / ``metrics`` -- so workload drivers
 and parity suites written against the in-process services (e.g.
@@ -41,7 +42,7 @@ import threading
 import urllib.parse
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from repro.errors import ServerError, WireError
+from repro.errors import AuditViolation, ServerError, WireError
 from repro.pods.api import (
     SessionHandle,
     SessionSnapshot,
@@ -49,6 +50,7 @@ from repro.pods.api import (
     StepResult,
     session_id_of,
 )
+from repro.pods.service import _PodApi
 from repro.pods.session import SessionLog
 from repro.server import wire
 
@@ -101,12 +103,16 @@ class ClientMetricsView:
         return self._client.metrics_payload()["pods"]
 
 
-class PodClient:
+class PodClient(_PodApi):
     """Speak the pod wire protocol to a server at ``base_url``.
 
     ``transducer`` must be (an equal copy of) the transducer the server
     runs -- typically the same module-level factory the server was
     configured with, called locally.
+
+    ``run_session`` and ``create_sessions`` come from the shared
+    :class:`~repro.pods.service._PodApi` traffic methods; ``submit``,
+    ``submit_batch`` and ``drive`` are one HTTP call each.
     """
 
     def __init__(
@@ -201,9 +207,6 @@ class PodClient:
         reply = self._post("/v1/sessions", "create", body, "handle")
         return wire.decode_handle(reply)
 
-    def create_sessions(self, count: int) -> list[SessionHandle]:
-        return [self.create_session() for _ in range(count)]
-
     def submit(self, request: StepRequest) -> StepResult:
         reply = self._post(
             "/v1/submit", "submit", wire.encode_step_request(request), "result"
@@ -211,32 +214,32 @@ class PodClient:
         return wire.decode_step_result(reply, self._transducer.schema.outputs)
 
     def submit_batch(
-        self,
-        requests: Iterable[StepRequest],
-        *,
-        concurrency: "int | None" = None,
+        self, requests: Iterable[StepRequest]
     ) -> list[StepResult]:
+        """One ``POST /v1/submit_batch``; results align with requests.
+
+        A strict audit violation is raised with its request-aligned
+        ``partial_results`` decoded, as in process (see
+        :class:`~repro.errors.AuditViolation` for the cross-shard shape).
+        """
         encoded = [wire.encode_step_request(r) for r in requests]
-        reply = self._post(
-            "/v1/submit_batch",
-            "batch",
-            {"requests": encoded, "concurrency": concurrency},
-            "results",
-        )
         outputs = self._transducer.schema.outputs
+        try:
+            reply = self._post(
+                "/v1/submit_batch", "batch", {"requests": encoded}, "results"
+            )
+        except AuditViolation as violation:
+            if violation.partial_results is not None:
+                violation.partial_results = tuple(
+                    None if body is None
+                    else wire.decode_step_result(body, outputs)
+                    for body in violation.partial_results
+                )
+            raise
         return [
             wire.decode_step_result(body, outputs)
             for body in reply.get("results", ())
         ]
-
-    def run_session(
-        self,
-        session: "SessionHandle | str",
-        input_sequence: "Sequence[InputLike]",
-    ) -> list[StepResult]:
-        return self.submit_batch(
-            StepRequest(session, inputs) for inputs in input_sequence
-        )
 
     def drive(
         self,

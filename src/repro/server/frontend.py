@@ -26,7 +26,9 @@ deployment between the two topologies preserves every session's home
 shard and on-disk store directory.  A batch fans out per shard -- each
 shard's subsequence stays in order inside one worker ``submit_batch``
 call (one admission slot per shard) -- and reassembles in request
-order, preserving the serial-equivalence guarantee end to end.
+order, preserving the serial-equivalence guarantee end to end.  The
+worker processes are the server's only parallelism: each worker steps
+its slice serially.
 
 Everything is stdlib: ``http.server`` + ``multiprocessing`` +
 ``threading``.  This is deliberately not a production web stack; it is
@@ -68,10 +70,9 @@ from repro.server.worker import (
 
 #: Environment overrides for the server knobs, all parsed by the shared
 #: :func:`repro.config.env_int` helper (same validation and messages as
-#: ``REPRO_BATCH_CONCURRENCY`` / ``REPRO_MAX_RESIDENT``).
+#: ``REPRO_MAX_RESIDENT``).
 WORKERS_ENV = "REPRO_SERVER_WORKERS"
 QUEUE_DEPTH_ENV = "REPRO_SERVER_QUEUE_DEPTH"
-CONCURRENCY_ENV = "REPRO_SERVER_CONCURRENCY"
 
 
 def _session_id_of_wire(session) -> str:
@@ -99,9 +100,9 @@ class PodServer:
     nothing survives the *server* object itself.
 
     Unset knobs read ``REPRO_SERVER_WORKERS`` /
-    ``REPRO_SERVER_QUEUE_DEPTH`` / ``REPRO_SERVER_CONCURRENCY``; the
-    queue depth is the per-worker admission bound whose overflow is the
-    typed ``backpressure`` rejection.
+    ``REPRO_SERVER_QUEUE_DEPTH``; the queue depth is the per-worker
+    admission bound whose overflow is the typed ``backpressure``
+    rejection.
     """
 
     def __init__(
@@ -111,7 +112,6 @@ class PodServer:
         *,
         workers: "int | None" = None,
         queue_depth: "int | None" = None,
-        worker_concurrency: "int | None" = None,
         store_root: "str | None" = None,
         store_kind: str = "jsonl",
         durability: str = "step",
@@ -134,17 +134,12 @@ class PodServer:
             queue_depth = env_int(
                 QUEUE_DEPTH_ENV, default=64, minimum=1, error=ServerError
             )
-        if worker_concurrency is None:
-            worker_concurrency = env_int(
-                CONCURRENCY_ENV, default=1, minimum=1, error=ServerError
-            )
         if store_kind not in ("jsonl", "sqlite"):
             raise ServerError(
                 f"unknown store_kind {store_kind!r}: choose jsonl or sqlite"
             )
         self.worker_count = workers
         self.queue_depth = queue_depth
-        self.worker_concurrency = worker_concurrency
         self._host = host
         self._port = port
         self._id_prefix = id_prefix
@@ -162,7 +157,6 @@ class PodServer:
                 database_facts=database_facts,
                 store_target=self._shard_store_target(index, store_kind),
                 keep_logs=keep_logs,
-                batch_concurrency=worker_concurrency,
                 auditor_factory=auditor_factory,
                 durability=durability,
                 id_prefix=id_prefix,
@@ -316,9 +310,7 @@ class PodServer:
         encoded = body.get("requests")
         if not isinstance(encoded, (list, tuple)):
             raise WireError(f"malformed batch request list: {encoded!r}")
-        concurrency = body.get("concurrency")
-        # Group by shard, preserving each shard's subsequence order --
-        # the same grouping submit_batch does by session, one level up.
+        # Group by shard, preserving each shard's subsequence order.
         by_shard: dict[int, list[int]] = {}
         for index, entry in enumerate(encoded):
             if not isinstance(entry, Mapping):
@@ -329,16 +321,17 @@ class PodServer:
         errors: dict[int, Exception] = {}
 
         def run_shard(shard: int, indices: list[int]) -> None:
-            payload = {
-                "requests": [encoded[i] for i in indices],
-                "concurrency": concurrency,
-            }
+            payload = {"requests": [encoded[i] for i in indices]}
             try:
                 reply = self._workers[shard].call("batch", payload)
+                completed = reply.get("results", ())
+            except AuditViolation as violation:  # the slice stopped early
+                errors[shard] = violation
+                completed = violation.partial_results or ()
             except Exception as error:  # kept typed; re-raised below
                 errors[shard] = error
                 return
-            for position, result in zip(indices, reply.get("results", ())):
+            for position, result in zip(indices, completed):
                 results[position] = result
 
         shards = list(by_shard)
@@ -349,13 +342,22 @@ class PodServer:
                 for shard in shards:
                     pool.submit(run_shard, shard, by_shard[shard])
         if errors:
-            # Prefer an audit violation (it carries findings the caller
-            # must see); otherwise surface the failing shard that owns
-            # the earliest request in the batch.
-            for error in errors.values():
-                if isinstance(error, AuditViolation):
-                    raise error
-            raise errors[min(errors, key=lambda shard: by_shard[shard][0])]
+            # Prefer an audit violation (it carries findings and partial
+            # results the caller must see), then the failing shard that
+            # owns the earliest request in the batch.
+            first = min(
+                errors,
+                key=lambda shard: (
+                    not isinstance(errors[shard], AuditViolation),
+                    by_shard[shard][0],
+                ),
+            )
+            error = errors[first]
+            if isinstance(error, AuditViolation):
+                # Request-aligned across every shard: the violating
+                # shards' prefixes plus the other shards' full slices.
+                error.partial_results = tuple(results)
+            raise error
         return wire.message("results", {"results": results})
 
     def snapshot(self, body: Mapping) -> dict:
@@ -416,7 +418,6 @@ class PodServer:
                 "server": {
                     "workers": self.worker_count,
                     "queue_depth": self.queue_depth,
-                    "worker_concurrency": self.worker_concurrency,
                     "restarts": sum(w.restarts for w in self._workers),
                     "cpu_count": os.cpu_count(),
                 },

@@ -24,8 +24,9 @@ catches :class:`~repro.errors.SessionError` /
 :class:`~repro.errors.AuditViolation` /
 :class:`~repro.errors.Backpressure` exactly as an in-process caller
 would.  (Audit findings travel as plain ``(session_id, step,
-violation)`` records -- counterexample traces and batch partial results
-stay server-side.)
+violation)`` records -- counterexample traces stay server-side.  A
+batch's partial results travel as encoded step results; the client
+decodes them with its own output schema.)
 """
 
 from __future__ import annotations
@@ -357,6 +358,15 @@ def encode_error(error: BaseException) -> dict:
             }
             for finding in error.findings
         ]
+        if error.partial_results is not None:
+            # Live StepResults from a service, or bodies already encoded
+            # by a worker when the front-end re-raises its violation.
+            details["partial_results"] = [
+                entry
+                if entry is None or isinstance(entry, Mapping)
+                else encode_step_result(entry)
+                for entry in error.partial_results
+            ]
     body = {"code": code, "message": str(error), "status": status}
     if details:
         details = {key: details[key] for key in sorted(details)}
@@ -395,7 +405,16 @@ def decode_error(body) -> Exception:
             for f in details.get("findings", ())
             if isinstance(f, Mapping)
         )
-        return AuditViolation(text, findings=findings)
+        # Partial results stay encoded: decoding them needs the output
+        # schema, which only the receiver (PodClient) has.
+        partial = details.get("partial_results")
+        return AuditViolation(
+            text,
+            findings=findings,
+            partial_results=(
+                tuple(partial) if isinstance(partial, list) else None
+            ),
+        )
     plain = {
         "wire-error": WireError,
         "server-error": ServerError,

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.errors import Backpressure, ReproError, ServerError, WireError
-from repro.pods.api import SessionHandle, facts_of
+from repro.pods.api import facts_of
 from repro.pods.service import PodService
 from repro.server import wire
 
@@ -75,8 +75,6 @@ class WorkerConfig:
     #: durability -- test use only).
     store_target: "str | None"
     keep_logs: bool = True
-    #: Threads the worker's own ``submit_batch`` may fan out to.
-    batch_concurrency: int = 1
     #: Optional module-level ``factory(shard_index) -> OnlineAuditor``.
     auditor_factory: "Callable[[int], Any] | None" = None
     #: Durability mode for SQLite store targets.
@@ -122,37 +120,25 @@ def _handle_op(service: PodService, shard_index: int, op: str, body) -> dict:
         session_id = body.get("session_id")
         if session_id is not None and not isinstance(session_id, str):
             raise WireError(f"malformed session id: {session_id!r}")
+        # The service was built with this worker's shard index, so its
+        # handles and results already name the server-wide shard.
         handle = service.create_session(session_id)
-        # The service stamps shard 0 on its own handles; the worker
-        # speaks for a shard of the larger server, so re-stamp.
-        handle = SessionHandle(handle.session_id, shard_index)
         return wire.message("handle", wire.encode_handle(handle))
     if op == "submit":
         result = service.submit(wire.decode_step_request(body))
-        stamped = wire.encode_step_result(result)
-        stamped["session"]["shard"] = shard_index
-        return wire.message("result", stamped)
+        return wire.message("result", wire.encode_step_result(result))
     if op == "batch":
         encoded = body.get("requests")
         if not isinstance(encoded, (list, tuple)):
             raise WireError(f"malformed batch request list: {encoded!r}")
         requests = [wire.decode_step_request(entry) for entry in encoded]
-        concurrency = body.get("concurrency")
-        if concurrency is None:
-            concurrency = _WORKER_BATCH_CONCURRENCY[0]
-        elif (
-            not isinstance(concurrency, int)
-            or isinstance(concurrency, bool)
-            or concurrency < 1
-        ):
-            raise WireError(f"malformed batch concurrency: {concurrency!r}")
-        results = service.submit_batch(requests, concurrency=concurrency)
-        encoded_results = []
-        for result in results:
-            stamped = wire.encode_step_result(result)
-            stamped["session"]["shard"] = shard_index
-            encoded_results.append(stamped)
-        return wire.message("results", {"results": encoded_results})
+        # A strict audit's partial results ride the error envelope
+        # (wire.encode_error).
+        results = service.submit_batch(requests)
+        return wire.message(
+            "results",
+            {"results": [wire.encode_step_result(r) for r in results]},
+        )
     if op == "snapshot":
         session_id = body.get("session_id")
         if not isinstance(session_id, str):
@@ -195,12 +181,6 @@ def _handle_op(service: PodService, shard_index: int, op: str, body) -> dict:
     raise WireError(f"unknown worker op {op!r}")
 
 
-#: The worker's resolved default batch concurrency, set by worker_main
-#: (a module-level cell so _handle_op stays a pure function of its
-#: arguments otherwise).
-_WORKER_BATCH_CONCURRENCY = [1]
-
-
 def worker_main(
     shard_index: int,
     config: WorkerConfig,
@@ -219,7 +199,6 @@ def worker_main(
     # write-behind exit hooks (which only claim a default SIGTERM
     # disposition) defer to this handler.
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(0))
-    _WORKER_BATCH_CONCURRENCY[0] = max(1, int(config.batch_concurrency))
     service = _build_service(shard_index, config)
     import queue as queue_module
 

@@ -192,8 +192,8 @@ class AuditLedger:
     ``store`` accepts everything :func:`~repro.pods.store.open_store`
     does: ``None`` (in-memory -- survives service instances, not the
     process), a directory path (JSONL), a ``.sqlite`` path, or a live
-    store object.  Thread-safe: appends arrive concurrently from the
-    workers of a concurrent ``submit_batch``.
+    store object.  Thread-safe: appends arrive concurrently from caller
+    threads that submit to distinct sessions.
 
     ``max_findings_per_session`` bounds retention: when an append would
     exceed the bound, the oldest records of that session are pruned on

@@ -12,16 +12,16 @@ counterexample); completeness is bounded by the traffic actually seen
 abstraction-refinement tradition prescribes.
 
 A :class:`ShadowService` *is* a pod service: it subclasses the
-:class:`~repro.pods.service._PodApi` traffic mixin, so ``submit_batch``
-(with session-grouped concurrency), ``run_session``, and ``drive`` work
-unchanged, and it can be dropped anywhere a
-:class:`~repro.pods.service.PodService` goes -- including
-``run_scenario``.  The incumbent stays authoritative: its results are
-what callers receive, its errors propagate untouched, and a fail-open
-policy never lets candidate trouble (divergence *or* crash) disturb
-serving.  Either side may be a local :class:`PodService`, a
-:class:`ShardedPodService`, or a :class:`~repro.server.client.PodClient`
-speaking HTTP to a remote pod server.
+:class:`~repro.pods.service._PodApi` traffic mixin, so ``submit_batch``,
+``run_session``, ``create_sessions`` and ``drive`` work unchanged, and
+it can be dropped anywhere a :class:`~repro.pods.service.PodService`
+goes -- including ``run_scenario``.  The incumbent stays authoritative:
+its results are what callers receive, its errors propagate untouched,
+and a fail-open policy never lets candidate trouble (divergence *or*
+crash) disturb serving.  Either side may be a local :class:`PodService`,
+a :class:`ShardedPodService`, or a
+:class:`~repro.server.client.PodClient` speaking HTTP to a remote pod
+server.
 """
 
 from __future__ import annotations
@@ -197,9 +197,6 @@ class ShadowService(_PodApi):
         with self._lock:
             self._sessions[handle.session_id] = shadow
         return handle
-
-    def create_sessions(self, count: int) -> list[SessionHandle]:
-        return [self.create_session() for _ in range(count)]
 
     def session(self, session: "SessionHandle | str"):
         return self.incumbent.session(session)

@@ -150,9 +150,9 @@ class OnlineAuditor:
         self._sessions: dict[str, _SessionAudit] = {}
         self._findings: list[AuditFinding] = []
         # Guards the cross-session shared pieces (_sessions, _findings):
-        # observe_step calls arrive concurrently from the workers of a
-        # concurrent submit_batch -- one session per worker, so each
-        # _SessionAudit stays single-threaded, but registration and the
+        # observe_step calls arrive concurrently from caller threads
+        # that submit to distinct sessions -- one session per thread, so
+        # each _SessionAudit stays single-threaded, but registration and the
         # findings ledger are shared and must not lose entries.
         self._lock = threading.Lock()
         # Optional persistent violations ledger: every finding is also

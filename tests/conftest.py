@@ -1,5 +1,7 @@
 """Shared fixtures: the paper's example transducers, catalog and traffic."""
 
+import threading
+
 import pytest
 
 from repro.commerce.models import (
@@ -11,6 +13,7 @@ from repro.commerce.models import (
     default_database,
 )
 from repro.commerce.workloads import SessionGenerator
+from repro.pods.api import session_id_of
 
 
 @pytest.fixture
@@ -71,3 +74,60 @@ def _drive_customers(
 @pytest.fixture
 def drive_customers():
     return _drive_customers
+
+
+def _submit_threaded(service, requests, threads):
+    """Step ``requests`` from ``threads`` plain caller threads, each
+    owning whole sessions (round-robin by first appearance) and calling
+    ``service.submit`` for them in request order.  Returns the results
+    aligned with ``requests``, like ``submit_batch``; a thread's error is
+    raised once every thread has finished."""
+    requests = list(requests)
+    lane_of: dict[str, int] = {}
+    for request in requests:
+        session_id = session_id_of(request.session)
+        lane_of.setdefault(session_id, len(lane_of) % threads)
+    results = [None] * len(requests)
+    errors = []
+
+    def run(lane):
+        try:
+            for index, request in enumerate(requests):
+                if lane_of[session_id_of(request.session)] == lane:
+                    results[index] = service.submit(request)
+        except Exception as error:  # re-raised in the caller
+            errors.append(error)
+
+    workers = [
+        threading.Thread(target=run, args=(lane,), name=f"caller-{lane}")
+        for lane in range(min(threads, len(lane_of)))
+    ]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=120)
+        assert not worker.is_alive(), f"{worker.name} did not finish"
+    if errors:
+        raise errors[0]
+    return results
+
+
+def _run_batch(service, session_ids, batch, threads=1):
+    """Create the sessions, then step ``batch``: one serial
+    ``submit_batch``, or :func:`_submit_threaded` over ``threads``."""
+    for session_id in session_ids:
+        service.create_session(session_id)
+    if threads == 1:
+        return service.submit_batch(batch)
+    return _submit_threaded(service, batch, threads)
+
+
+# Session-scoped so hypothesis tests can take them too.
+@pytest.fixture(scope="session")
+def submit_threaded():
+    return _submit_threaded
+
+
+@pytest.fixture(scope="session")
+def run_batch():
+    return _run_batch

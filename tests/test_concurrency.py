@@ -1,14 +1,16 @@
-"""Concurrent submit_batch: equivalence with serial execution.
+"""Caller threads on distinct sessions: equivalence with serial execution.
 
-The tentpole guarantee of the concurrency layer is *observational
-transparency*: ``submit_batch(requests, concurrency=N)`` produces, for
-every session, exactly the results, logs, final states, and persisted
-snapshots of serial execution -- for random interleaved multi-session
-workloads (hypothesis), through a JSONL-store restart, and under both
-non-strict and strict online audits.  Strict audits stopping a batch
-midway attach the completed results to the raised
-:class:`~repro.errors.AuditViolation` with per-session prefix ordering
-guaranteed under both execution modes.
+``submit_batch`` is serial; parallelism across sessions belongs to the
+worker processes of the pod server.  Callers may still call ``submit``
+from their own threads, and the service's locks (the session map, the
+cache pins, the index build-once lock, the store and auditor locks)
+must make that *observationally transparent*: a few plain threads, each
+stepping its own sessions, produce exactly the results, logs, final
+states, and persisted snapshots of a serial ``submit_batch`` of the same
+traffic -- for random interleaved multi-session workloads (hypothesis),
+through a JSONL-store restart, and under a non-strict online audit.  A
+strict audit stopping a batch midway attaches the completed results to
+the raised :class:`~repro.errors.AuditViolation`.
 """
 
 import sys
@@ -21,21 +23,18 @@ from hypothesis import strategies as st
 
 from repro.commerce.catalog import Catalog, CatalogGenerator
 from repro.commerce.models import (
-    FIGURE1_INPUTS,
     build_buggy_store,
     build_friendly,
     build_short,
     default_database,
 )
 from repro.commerce.workloads import SessionGenerator
-from repro.errors import AuditViolation, SessionError, ShardError
+from repro.errors import AuditViolation
 from repro.pods import (
-    CONCURRENCY_ENV,
     PodService,
     SessionHandle,
     ShardedPodService,
     StepRequest,
-    batch_concurrency,
 )
 from repro.verify.api import LogValidity, OnlineAuditor
 
@@ -79,12 +78,6 @@ def batch_of(scripts, order):
     return batch
 
 
-def run_batch(service, scripts, batch, concurrency):
-    for session_id in scripts:
-        service.create_session(session_id)
-    return service.submit_batch(batch, concurrency=concurrency)
-
-
 def assert_equivalent(serial, concurrent, scripts, serial_results, results):
     assert [r.step for r in results] == [r.step for r in serial_results]
     assert [r.output for r in results] == [r.output for r in serial_results]
@@ -113,17 +106,15 @@ def workloads(draw):
 
 
 class TestConcurrentEqualsSerial:
-    def test_fixed_workload_all_concurrency_levels(self):
+    def test_fixed_workload_all_concurrency_levels(self, run_batch):
         scripts = scripts_for([4, 4, 4, 4, 4, 4], seed=3)
         order = [i for step in range(4) for i in range(6)]
         serial = PodService(build_friendly(), CATALOG.as_database())
-        serial_results = run_batch(
-            serial, scripts, batch_of(scripts, order), concurrency=1
-        )
-        for concurrency in (2, 8):
+        serial_results = run_batch(serial, scripts, batch_of(scripts, order))
+        for threads in (2, 8):
             service = PodService(build_friendly(), CATALOG.as_database())
             results = run_batch(
-                service, scripts, batch_of(scripts, order), concurrency
+                service, scripts, batch_of(scripts, order), threads
             )
             assert_equivalent(
                 serial, service, scripts, serial_results, results
@@ -132,33 +123,33 @@ class TestConcurrentEqualsSerial:
 
     @settings(max_examples=25, deadline=None)
     @given(workloads())
-    def test_random_interleaved_workloads(self, workload):
+    def test_random_interleaved_workloads(self, run_batch, workload):
         counts, order, seed = workload
         scripts = scripts_for(counts, seed)
         batch = batch_of(scripts, order)
         serial = PodService(build_friendly(), CATALOG.as_database())
         concurrent = PodService(build_friendly(), CATALOG.as_database())
-        serial_results = run_batch(serial, scripts, batch, concurrency=1)
-        results = run_batch(concurrent, scripts, batch, concurrency=3)
+        serial_results = run_batch(serial, scripts, batch)
+        results = run_batch(concurrent, scripts, batch, 3)
         assert_equivalent(serial, concurrent, scripts, serial_results, results)
 
     @settings(max_examples=10, deadline=None)
     @given(workloads())
-    def test_jsonl_store_restart_roundtrip(self, workload):
-        """Concurrent stepping persists the exact serial snapshots, and a
+    def test_jsonl_store_restart_roundtrip(self, run_batch, workload):
+        """Threaded stepping persists the exact serial snapshots, and a
         service revived over the directory finishes with the logs of an
         uninterrupted serial run."""
         counts, order, seed = workload
         scripts = scripts_for(counts, seed)
         batch = batch_of(scripts, order)
         serial = PodService(build_friendly(), CATALOG.as_database())
-        run_batch(serial, scripts, batch, concurrency=1)
+        run_batch(serial, scripts, batch)
         with tempfile.TemporaryDirectory() as scratch:
             directory = Path(scratch) / "pods"
             concurrent = PodService(
                 build_friendly(), CATALOG.as_database(), store=directory
             )
-            run_batch(concurrent, scripts, batch, concurrency=4)
+            run_batch(concurrent, scripts, batch, 4)
             for session_id in scripts:
                 assert (
                     concurrent.store.load(session_id)
@@ -180,9 +171,9 @@ class TestConcurrentEqualsSerial:
 
     @settings(max_examples=10, deadline=None)
     @given(workloads())
-    def test_audited_non_strict_matches_serial(self, workload):
+    def test_audited_non_strict_matches_serial(self, run_batch, workload):
         """A (non-strict) auditor over the drifting store records the same
-        findings under serial and concurrent execution."""
+        findings under serial and threaded execution."""
         counts, order, seed = workload
         scripts = scripts_for(
             counts, seed, catalog=FIGURE1_CATALOG, pending_bills=False
@@ -199,8 +190,8 @@ class TestConcurrentEqualsSerial:
 
         serial = audited_service()
         concurrent = audited_service()
-        serial_results = run_batch(serial, scripts, batch, concurrency=1)
-        results = run_batch(concurrent, scripts, batch, concurrency=3)
+        serial_results = run_batch(serial, scripts, batch)
+        results = run_batch(concurrent, scripts, batch, 3)
         assert_equivalent(serial, concurrent, scripts, serial_results, results)
 
         def digest(findings):
@@ -221,7 +212,7 @@ class TestConcurrentEqualsSerial:
             concurrent.metrics.audit_checks == serial.metrics.audit_checks
         )
 
-    def test_sharded_service_fans_out_identically(self):
+    def test_sharded_service_fans_out_identically(self, run_batch):
         scripts = scripts_for([3, 3, 3, 3, 3, 3, 3, 3], seed=9)
         order = [i for step in range(3) for i in range(8)]
         batch = batch_of(scripts, order)
@@ -231,8 +222,8 @@ class TestConcurrentEqualsSerial:
         concurrent = ShardedPodService(
             build_friendly(), CATALOG.as_database(), shards=4
         )
-        serial_results = run_batch(serial, scripts, batch, concurrency=1)
-        results = run_batch(concurrent, scripts, batch, concurrency=4)
+        serial_results = run_batch(serial, scripts, batch)
+        results = run_batch(concurrent, scripts, batch, 4)
         assert_equivalent(serial, concurrent, scripts, serial_results, results)
         assert concurrent.metrics.steps_executed == len(order)
         assert sum(
@@ -266,7 +257,7 @@ class TestStrictAuditPartialResults:
     def test_serial_prefix_attached(self):
         service = self.make_service()
         with pytest.raises(AuditViolation) as excinfo:
-            service.submit_batch(self.BATCH, concurrency=1)
+            service.submit_batch(self.BATCH)
         partial = excinfo.value.partial_results
         assert [r is not None for r in partial] == [True, True, False, False]
         assert partial[0].session == SessionHandle("alice", 0)
@@ -277,28 +268,6 @@ class TestStrictAuditPartialResults:
         assert service.session("bob").steps == 1
         assert excinfo.value.findings[0].step == 2
 
-    def test_concurrent_per_session_prefixes(self):
-        service = self.make_service()
-        with pytest.raises(AuditViolation) as excinfo:
-            service.submit_batch(self.BATCH, concurrency=2)
-        partial = excinfo.value.partial_results
-        assert len(partial) == len(self.BATCH)
-        # bob's group is unaffected and ran to completion; alice's
-        # stopped at the violating request (applied, result discarded).
-        assert [r is not None for r in partial] == [True, True, False, True]
-        assert partial[3].step == 2
-        assert service.session("alice").steps == 2
-        assert service.session("bob").steps == 2
-        # Ordering guarantee: each session's completed results form a
-        # prefix of that session's subsequence, in order.
-        for session_id in ("alice", "bob"):
-            steps = [
-                r.step
-                for r, request in zip(partial, self.BATCH)
-                if r is not None and request.session == session_id
-            ]
-            assert steps == list(range(1, len(steps) + 1))
-
     def test_submit_outside_a_batch_has_no_partial_results(self):
         service = self.make_service()
         service.submit(StepRequest("alice", {"order": {("time",)}}))
@@ -307,69 +276,8 @@ class TestStrictAuditPartialResults:
         assert excinfo.value.partial_results is None
 
 
-class TestConcurrencyKnob:
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv(CONCURRENCY_ENV, raising=False)
-        assert batch_concurrency() == 1
-        assert batch_concurrency(None) == 1
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(CONCURRENCY_ENV, "4")
-        assert batch_concurrency() == 4
-        assert batch_concurrency(2) == 2  # explicit argument wins
-
-    def test_invalid_values_rejected(self, monkeypatch):
-        with pytest.raises(SessionError, match=">= 1"):
-            batch_concurrency(0)
-        monkeypatch.setenv(CONCURRENCY_ENV, "zero")
-        with pytest.raises(SessionError, match="need an integer"):
-            batch_concurrency()
-        monkeypatch.setenv(CONCURRENCY_ENV, "-2")
-        service = PodService(build_short(), default_database())
-        with pytest.raises(SessionError, match=">= 1"):
-            service.submit_batch([])
-
-    def test_env_drives_submit_batch(self, monkeypatch):
-        monkeypatch.setenv(CONCURRENCY_ENV, "3")
-        scripts = scripts_for([2, 2, 2], seed=5)
-        order = [0, 1, 2, 0, 1, 2]
-        serial = PodService(build_friendly(), CATALOG.as_database())
-        concurrent = PodService(build_friendly(), CATALOG.as_database())
-        batch = batch_of(scripts, order)
-        monkeypatch.delenv(CONCURRENCY_ENV, raising=False)
-        serial_results = run_batch(serial, scripts, batch, concurrency=None)
-        monkeypatch.setenv(CONCURRENCY_ENV, "3")
-        for session_id in scripts:
-            concurrent.create_session(session_id)
-        results = concurrent.submit_batch(batch)
-        assert_equivalent(serial, concurrent, scripts, serial_results, results)
-
-    def test_non_audit_errors_propagate(self):
-        service = PodService(build_short(), default_database())
-        service.create_session("alice")
-        batch = [
-            StepRequest("alice", FIGURE1_INPUTS[0]),
-            StepRequest("ghost", FIGURE1_INPUTS[0]),
-        ]
-        with pytest.raises(SessionError, match="no such session"):
-            service.submit_batch(batch, concurrency=2)
-        # alice's group was unaffected by the failing ghost group.
-        assert service.session("alice").steps == 1
-
-    def test_stale_handle_propagates_from_worker(self):
-        service = ShardedPodService(
-            build_short(), default_database(), shards=4
-        )
-        handle = service.create_session("alice")
-        stale = SessionHandle("alice", (handle.shard + 1) % 4)
-        with pytest.raises(ShardError, match="routes to shard"):
-            service.submit_batch(
-                [StepRequest(stale, FIGURE1_INPUTS[0])] * 2, concurrency=2
-            )
-
-
 class TestFirstTouchRace:
-    def test_fresh_plan_first_touch_matches_serial(self):
+    def test_fresh_plan_first_touch_matches_serial(self, run_batch):
         """Restores racing on a just-compiled shared plan -- its rule
         categories and (order, kernel) memos -- serve the serial logs
         and compile exactly the serial run's kernels and plans."""
@@ -383,7 +291,7 @@ class TestFirstTouchRace:
         scripts = scripts_for([4] * 8, seed=5)
         order = [i for step in range(4) for i in range(8)]
 
-        def run(concurrency):
+        def run(threads):
             clear_plan_cache()
             kernels_before = kernels_compiled()
             plans_before = plan_cache_info()["compiled"]
@@ -393,7 +301,7 @@ class TestFirstTouchRace:
                 max_resident_sessions=2,
             )
             results = run_batch(
-                service, scripts, batch_of(scripts, order), concurrency
+                service, scripts, batch_of(scripts, order), threads
             )
             return (
                 [(r.session, r.step, r.output) for r in results],
@@ -403,12 +311,12 @@ class TestFirstTouchRace:
                 service.metrics.sessions_rehydrated > 0,
             )
 
-        serial = run(concurrency=1)
+        serial = run(threads=1)
         assert serial[2] > 0 and serial[3] == 1 and serial[4]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads as often as possible
         try:
             for _ in range(3):
-                assert run(concurrency=4) == serial
+                assert run(threads=4) == serial
         finally:
             sys.setswitchinterval(interval)

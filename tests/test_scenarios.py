@@ -167,14 +167,32 @@ class TestEveryScenario:
         assert first.audit_violations == second.audit_violations
 
     @pytest.mark.parametrize("name", ALL_SCENARIOS)
-    @given(seed=st.integers(min_value=0, max_value=40), concurrency=st.sampled_from([2, 4]))
+    @given(
+        seed=st.integers(min_value=0, max_value=40),
+        threads=st.sampled_from([2, 4]),
+    )
     @settings(max_examples=3, deadline=None)
     def test_serial_vs_concurrent_submit_batch_identical(
-        self, name, seed, concurrency
+        self, submit_threaded, name, seed, threads
     ):
-        serial = run_scenario(name, seed=seed, concurrency=1, **_size(name))
+        """Every batch stepped from caller threads, each owning whole
+        sessions, gives the serial run's logs and audit verdicts."""
+
+        class ThreadedBatches(PodService):
+            def submit_batch(self, requests):
+                return submit_threaded(self, requests, threads)
+
+        scenario = get_scenario(name)
+        serial = run_scenario(name, seed=seed, **_size(name))
         threaded = run_scenario(
-            name, seed=seed, concurrency=concurrency, **_size(name)
+            name,
+            seed=seed,
+            service=ThreadedBatches(
+                scenario.build_transducer(),
+                scenario.database(seed=seed),
+                auditor=make_auditor(scenario),
+            ),
+            **_size(name),
         )
         assert serial.log_digest == threaded.log_digest
         assert serial.audit_violations == threaded.audit_violations

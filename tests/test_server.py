@@ -113,7 +113,7 @@ def client(parity_server):
 
 
 class TestParity:
-    def run_both(self, client, scripts, order, concurrency=None):
+    def run_both(self, client, scripts, order):
         reference = ShardedPodService(
             build_friendly(), CATALOG.as_database(), shards=2
         )
@@ -121,8 +121,8 @@ class TestParity:
             handle = client.create_session(session_id)
             assert reference.create_session(session_id) == handle
         batch = batch_of(scripts, order)
-        expected = reference.submit_batch(batch, concurrency=1)
-        results = client.submit_batch(batch, concurrency=concurrency)
+        expected = reference.submit_batch(batch)
+        results = client.submit_batch(batch)
         return reference, expected, results
 
     def assert_equivalent(self, client, reference, scripts, expected, results):
@@ -144,15 +144,6 @@ class TestParity:
         scripts = scripts_for([4, 4, 4], seed=7, prefix=prefix)
         order = [i for _step in range(4) for i in range(3)]
         reference, expected, results = self.run_both(client, scripts, order)
-        self.assert_equivalent(client, reference, scripts, expected, results)
-
-    def test_in_worker_concurrency_changes_nothing(self, client):
-        prefix = fresh_prefix()
-        scripts = scripts_for([3, 3, 3, 3], seed=21, prefix=prefix)
-        order = [i for _step in range(3) for i in range(4)]
-        reference, expected, results = self.run_both(
-            client, scripts, order, concurrency=4
-        )
         self.assert_equivalent(client, reference, scripts, expected, results)
 
     @settings(max_examples=10, deadline=None)
@@ -321,6 +312,47 @@ class TestTypedErrors:
             # the violating step was applied and persisted (audit runs
             # after apply), same as in-process semantics
             assert client.session(handle).steps == 2
+
+    def test_batch_partial_results_cross_the_wire(self):
+        """A strict audit stopping a batch raises its completed results
+        over HTTP too, request-aligned and decoded: the violating
+        shard's in-order prefix plus the other shard's full slice."""
+        # alice (shard 1 of 2) goes invalid on her empty step 2, so her
+        # step 3 never runs; bob (shard 0) runs to completion.
+        batch = [
+            StepRequest("alice", {"order": {("time",)}}),
+            StepRequest("bob", {"order": {("newsweek",)}}),
+            StepRequest("alice", {}),
+            StepRequest("bob", {"pay": {("newsweek", 45)}}),
+            StepRequest("alice", {"pay": {("time", 55)}}),
+        ]
+        reference = ShardedPodService(
+            build_buggy_store(), default_database(), shards=2
+        )
+        with PodServer(
+            build_buggy_store,
+            default_database(),
+            workers=2,
+            auditor_factory=strict_short_auditor,
+        ) as server:
+            client = PodClient(server.url, build_buggy_store())
+            for session_id in ("alice", "bob"):
+                reference.create_session(session_id)
+                client.create_session(session_id)
+            with pytest.raises(AuditViolation) as caught:
+                client.submit_batch(batch)
+            partial = caught.value.partial_results
+            assert [r is not None for r in partial] == [
+                True, True, False, True, False,
+            ]
+            expected = [reference.submit(r) for r in batch[:2]]
+            assert [(r.session, r.step, r.output) for r in partial[:2]] == [
+                (r.session, r.step, r.output) for r in expected
+            ]
+            assert partial[3].step == 2
+            # The violating step was applied; the one after it was not.
+            assert client.session("alice").steps == 2
+            assert client.session("bob").steps == 2
 
 
 # -- backpressure --------------------------------------------------------------
@@ -565,24 +597,18 @@ class TestKeepAlive:
 
 class TestServerKnobs:
     """REPRO_SERVER_* flow through the same validated env helper as
-    REPRO_BATCH_CONCURRENCY / REPRO_MAX_RESIDENT."""
+    REPRO_MAX_RESIDENT."""
 
     def test_env_knobs_apply(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVER_WORKERS", "3")
         monkeypatch.setenv("REPRO_SERVER_QUEUE_DEPTH", "5")
-        monkeypatch.setenv("REPRO_SERVER_CONCURRENCY", "2")
         server = PodServer(build_short, default_database())  # not started
         assert server.worker_count == 3
         assert server.queue_depth == 5
-        assert server.worker_concurrency == 2
 
     @pytest.mark.parametrize(
         "variable",
-        [
-            "REPRO_SERVER_WORKERS",
-            "REPRO_SERVER_QUEUE_DEPTH",
-            "REPRO_SERVER_CONCURRENCY",
-        ],
+        ["REPRO_SERVER_WORKERS", "REPRO_SERVER_QUEUE_DEPTH"],
     )
     def test_non_integer_rejected_with_clear_message(
         self, monkeypatch, variable
@@ -607,7 +633,6 @@ class TestServerKnobs:
             default_database(),
             workers=2,
             queue_depth=7,
-            worker_concurrency=3,
         )
         assert server.worker_count == 2
         assert server.queue_depth == 7

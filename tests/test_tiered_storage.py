@@ -1,15 +1,14 @@
 """Tiered session storage: SQLite store, LRU cache, lifecycle API.
 
-The tentpole guarantee mirrors the concurrency layer's: *observational
-transparency*.  Whatever the backend ({in-memory, JSONL directory,
-single-file SQLite}) and whatever the residency bound (unlimited, or as
-tight as ``max_resident_sessions=1`` forcing an eviction on almost
-every step), a service produces byte-identical logs, states, and
-persisted snapshots -- serially, under concurrent ``submit_batch``,
-across a restart, and with an :class:`OnlineAuditor` attached (audits
-keep firing after rehydration).  On top sit the lifecycle surface
-(``flush``/``close``/``stats``), the typed ``MigrationReport``, and the
-crash-safety of JSONL compaction.
+The guarantee is *observational transparency*.  Whatever the backend
+({in-memory, JSONL directory, single-file SQLite}) and whatever the
+residency bound (unlimited, or as tight as ``max_resident_sessions=1``
+forcing an eviction on almost every step), a service produces
+byte-identical logs, states, and persisted snapshots -- serially, from
+caller threads on distinct sessions, across a restart, and with an
+:class:`OnlineAuditor` attached (audits keep firing after rehydration).
+On top sit the lifecycle surface (``flush``/``close``/``stats``), the
+typed ``MigrationReport``, and the crash-safety of JSONL compaction.
 """
 
 import json
@@ -82,12 +81,6 @@ def batch_of(scripts, order):
     return batch
 
 
-def run_batch(service, scripts, batch, concurrency):
-    for session_id in scripts:
-        service.create_session(session_id)
-    return service.submit_batch(batch, concurrency=concurrency)
-
-
 def canonical(snapshot):
     """A snapshot in its canonical bytes (the JSONL/SQLite wire form)."""
     return (
@@ -118,17 +111,17 @@ def workloads(draw):
 
 
 class TestSqliteStore:
-    def test_service_roundtrip_and_restart(self, tmp_path):
+    def test_service_roundtrip_and_restart(self, tmp_path, run_batch):
         path = tmp_path / "pods.sqlite"
         scripts = scripts_for([3, 2], seed=7)
         order = [0, 1, 0, 1, 0]
         batch = batch_of(scripts, order)
         reference = PodService(build_friendly(), CATALOG.as_database())
-        run_batch(reference, scripts, batch, concurrency=1)
+        run_batch(reference, scripts, batch)
         service = PodService(
             build_friendly(), CATALOG.as_database(), store=SqliteStore(path)
         )
-        run_batch(service, scripts, batch, concurrency=1)
+        run_batch(service, scripts, batch)
         revived = PodService(
             build_friendly(), CATALOG.as_database(), store=SqliteStore(path)
         )
@@ -478,16 +471,18 @@ class TestEvictionRehydration:
         with pytest.raises(SessionError, match="no such session"):
             service.close_session(handles[0])
 
-    def test_concurrent_batches_under_heavy_eviction(self):
+    def test_concurrent_batches_under_heavy_eviction(self, run_batch):
+        """Caller threads shedding cache surplus never evict a session
+        another thread is stepping (the pin holds it)."""
         scripts = scripts_for([4, 4, 4, 4, 4, 4], seed=3)
         order = [i for _ in range(4) for i in range(6)]
         batch = batch_of(scripts, order)
         reference = PodService(build_friendly(), CATALOG.as_database())
-        reference_results = run_batch(reference, scripts, batch, 1)
+        reference_results = run_batch(reference, scripts, batch)
         service = PodService(
             build_friendly(), CATALOG.as_database(), max_resident_sessions=1
         )
-        results = run_batch(service, scripts, batch, concurrency=4)
+        results = run_batch(service, scripts, batch, 4)
         assert [r.output for r in results] == [
             r.output for r in reference_results
         ]
@@ -548,18 +543,13 @@ class TestAuditSurvivesRehydration:
     def digest(self, findings):
         return sorted((f.session_id, f.step, f.violation) for f in findings)
 
-    @pytest.mark.parametrize("concurrency", [1, 2])
-    def test_violation_found_after_rehydration(self, concurrency):
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_violation_found_after_rehydration(self, run_batch, threads):
         reference = self.audited(max_resident=0)
-        for session_id in ("alice", "bob"):
-            reference.create_session(session_id)
-        reference.submit_batch(self.BATCH, concurrency=1)
-
+        run_batch(reference, ("alice", "bob"), self.BATCH)
         service = self.audited(max_resident=1)
-        for session_id in ("alice", "bob"):
-            service.create_session(session_id)
-        service.submit_batch(self.BATCH, concurrency=concurrency)
-        if concurrency == 1:
+        run_batch(service, ("alice", "bob"), self.BATCH, threads)
+        if threads == 1:
             assert service.metrics.sessions_evicted > 0
             assert service.metrics.sessions_rehydrated > 0
         assert service.auditor.is_registered("alice")
@@ -585,7 +575,7 @@ class TestAuditSurvivesRehydration:
 
 class TestThreeWayEquivalence:
     """{InMemory, Jsonl, Sqlite} x {unbounded, max_resident=1} x
-    {serial, concurrent} all produce the baseline's bytes."""
+    {serial, threaded} all produce the baseline's bytes."""
 
     def store_of(self, kind, root):
         if kind == "memory":
@@ -596,12 +586,12 @@ class TestThreeWayEquivalence:
 
     @settings(max_examples=6, deadline=None)
     @given(workloads())
-    def test_all_backends_and_residencies_agree(self, workload):
+    def test_all_backends_and_residencies_agree(self, run_batch, workload):
         counts, order, seed = workload
         scripts = scripts_for(counts, seed)
         batch = batch_of(scripts, order)
         baseline = PodService(build_friendly(), CATALOG.as_database())
-        baseline_results = run_batch(baseline, scripts, batch, 1)
+        baseline_results = run_batch(baseline, scripts, batch)
         expected = {
             session_id: canonical(baseline.store.load(session_id))
             for session_id in scripts
@@ -610,7 +600,7 @@ class TestThreeWayEquivalence:
             ("memory", "jsonl", "sqlite"), (0, 1), (1, 3)
         )
         with tempfile.TemporaryDirectory() as scratch:
-            for index, (kind, resident, concurrency) in enumerate(cases):
+            for index, (kind, resident, threads) in enumerate(cases):
                 root = Path(scratch) / f"case-{index}"
                 store = self.store_of(kind, root)
                 service = PodService(
@@ -619,7 +609,7 @@ class TestThreeWayEquivalence:
                     store=store,
                     max_resident_sessions=resident,
                 )
-                results = run_batch(service, scripts, batch, concurrency)
+                results = run_batch(service, scripts, batch, threads)
                 assert [(r.session, r.step, r.output) for r in results] == [
                     (r.session, r.step, r.output) for r in baseline_results
                 ]
@@ -647,7 +637,7 @@ class TestThreeWayEquivalence:
 
     @settings(max_examples=4, deadline=None)
     @given(workloads())
-    def test_forced_eviction_mid_run_then_restart(self, workload):
+    def test_forced_eviction_mid_run_then_restart(self, run_batch, workload):
         """Half the batch unbounded, then the bound drops to 1 by
         'restarting' over the same store -- the tail still matches."""
         counts, order, seed = workload
@@ -655,20 +645,20 @@ class TestThreeWayEquivalence:
         batch = batch_of(scripts, order)
         half = len(batch) // 2
         baseline = PodService(build_friendly(), CATALOG.as_database())
-        run_batch(baseline, scripts, batch, 1)
+        run_batch(baseline, scripts, batch)
         with tempfile.TemporaryDirectory() as scratch:
             store = SqliteStore(Path(scratch) / "pods.sqlite")
             first = PodService(
                 build_friendly(), CATALOG.as_database(), store=store
             )
-            run_batch(first, scripts, batch[:half], 1)
+            run_batch(first, scripts, batch[:half])
             second = PodService(
                 build_friendly(),
                 CATALOG.as_database(),
                 store=store,
                 max_resident_sessions=1,
             )
-            second.submit_batch(batch[half:], concurrency=1)
+            second.submit_batch(batch[half:])
             for session_id in scripts:
                 assert canonical(store.load(session_id)) == canonical(
                     baseline.store.load(session_id)
@@ -972,7 +962,7 @@ class TestOneCommitPerBatch:
         assert len(requests) == 32
 
         before = store.stats().commits
-        service.submit_batch(requests, concurrency=1)
+        service.submit_batch(requests)
         assert store.stats().commits - before == 1
 
         before = store.stats().commits
@@ -984,7 +974,7 @@ class TestOneCommitPerBatch:
         store = SqliteStore(tmp_path / "pods.sqlite", durability="batched")
         service = PodService(build_short(), default_database(), store=store)
         service.create_session("alice")
-        service.submit_batch(self.batch(["alice"]), concurrency=1)
+        service.submit_batch(self.batch(["alice"]))
         assert store.stats().commits == 1  # the read in stats() flushed
         assert InMemoryStore().stats().commits == 0
         assert JsonlDirectoryStore(tmp_path / "j").stats().commits == 0
@@ -996,7 +986,7 @@ class TestOneCommitPerBatch:
         )
         for session_id in ("alice", "bob"):
             service.create_session(session_id)
-        service.submit_batch(self.batch(["alice", "bob"]), concurrency=1)
+        service.submit_batch(self.batch(["alice", "bob"]))
         other = self.reopened(path)  # a second connection to the file
         for session_id in ("alice", "bob"):
             snapshot = other.load(session_id)
@@ -1027,8 +1017,7 @@ service.submit_batch(
         StepRequest(session_id, step)
         for step in ({"pay": {("time", 55)}}, {"order": {("le_monde",)}})
         for session_id in ("alice", "bob")
-    ],
-    concurrency=1,
+    ]
 )
 """
 
@@ -1084,7 +1073,7 @@ service.submit_batch(
         )
         store._conn.commit()
         with pytest.raises(StoreError, match="injected"):
-            service.submit_batch(self.batch(["alice", "bob"]), concurrency=1)
+            service.submit_batch(self.batch(["alice", "bob"]))
         after = self.reopened(path)
         for session_id in ("alice", "bob"):
             snapshot = after.load(session_id)
@@ -1109,9 +1098,7 @@ service.submit_batch(
         for session_id in ("alice", "bob"):
             service.create_session(session_id)
         with pytest.raises(AuditViolation) as raised:
-            service.submit_batch(
-                TestAuditSurvivesRehydration.BATCH, concurrency=1
-            )
+            service.submit_batch(TestAuditSurvivesRehydration.BATCH)
         # alice's step 2 violated; bob's step 2 never ran.
         assert [r is not None for r in raised.value.partial_results] == [
             True, True, False, False,
@@ -1160,7 +1147,6 @@ service.submit_batch(
             threading.Thread(
                 target=service.submit_batch,
                 args=(self.batch(ids[part::2]),),
-                kwargs={"concurrency": 1},
             )
             for part in range(2)
         ]
