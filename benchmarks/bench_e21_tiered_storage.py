@@ -68,11 +68,11 @@ def session_script(catalog: Catalog, index: int, steps: int) -> list[dict]:
     return script
 
 
-def make_store(backend: str, scratch: Path, durability: str = "batched"):
+def make_store(backend: str, scratch: Path):
     if backend == "jsonl":
         return JsonlDirectoryStore(scratch / "pods")
     if backend == "sqlite":
-        return SqliteStore(scratch / "pods.sqlite", durability=durability)
+        return SqliteStore(scratch / "pods.sqlite")
     raise ValueError(f"unknown backend {backend!r}")
 
 
@@ -86,6 +86,9 @@ def measure_tier(
     scratch: Path,
 ) -> dict:
     """Create+step ``sessions`` pods sequentially, then revisit a spread.
+
+    Each session's script is one ``run_session`` call, so the SQLite
+    store commits once per session rather than once per step.
 
     ``max_resident=0`` means explicitly unlimited (the all-resident
     baseline, immune to ``REPRO_MAX_RESIDENT`` in the environment).
@@ -107,8 +110,7 @@ def measure_tier(
     started = time.perf_counter()
     for n in range(sessions):
         handle = service.create_session(f"customer-{n:06d}")
-        for inputs in session_script(catalog, n, steps):
-            service.submit(StepRequest(handle, inputs))
+        service.run_session(handle, session_script(catalog, n, steps))
     for r in range(revisits):
         n = (r * stride) % sessions
         product = catalog.products[(n + steps) % len(catalog.products)]
@@ -116,7 +118,6 @@ def measure_tier(
             StepRequest(f"customer-{n:06d}", {"order": {(product,)}})
         )
     elapsed = time.perf_counter() - started
-    service.flush()
     counters = service.metrics.snapshot()
     stats = service.store.stats()
     total_steps = sessions * steps + revisits
@@ -239,7 +240,7 @@ def run_experiment(
             "sessions": sessions,
             "steps_per_session": STEPS_PER_SESSION,
             "revisits": revisits,
-            "store": "sqlite (durability=batched)",
+            "store": "sqlite (durability=step)",
             "seed": SEED,
         },
         "headline": headline,

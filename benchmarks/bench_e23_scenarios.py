@@ -69,7 +69,7 @@ def _store_for(kind: str, scratch: Path, tag: str):
     if kind == "memory":
         return None
     if kind == "sqlite":
-        return SqliteStore(scratch / f"{tag}.sqlite", durability="batched")
+        return SqliteStore(scratch / f"{tag}.sqlite")
     raise ValueError(f"unknown store kind {kind!r}")
 
 

@@ -205,7 +205,7 @@ def main() -> None:
         tiered = PodService(
             transducer,
             database,
-            store=SqliteStore(db_file, durability="batched"),
+            store=SqliteStore(db_file),
             max_resident_sessions=1,
         )
         frank = tiered.create_session("frank")
@@ -222,11 +222,10 @@ def main() -> None:
             f"evictions={counters['sessions_evicted']}, "
             f"rehydrations={counters['sessions_rehydrated']}"
         )
-        # The write-behind buffer flushes on demand (and on any read).
-        flushed = tiered.flush()
+        # Every step committed before its result returned.
         stats = tiered.store.stats()
         print(
-            f"  flushed {flushed} buffered event(s); store holds "
+            f"  store holds "
             f"{stats.sessions} sessions / {stats.events} events in "
             f"{stats.bytes_on_disk} bytes ({db_file.name})"
         )

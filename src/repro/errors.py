@@ -194,17 +194,13 @@ class AuditViolation(VerificationError):
     When the violation surfaced inside ``submit_batch``,
     ``partial_results`` is a tuple aligned with the batch's requests:
     the :class:`~repro.pods.api.StepResult` of every request that
-    completed, ``None`` elsewhere.  In process that is the prefix before
-    the violating request.  Across the shards of a
-    :class:`~repro.server.frontend.PodServer`, the violating shard stops
-    at the violation while the other shards run to completion, so each
-    shard's results are an in-order prefix of its own subsequence;
-    :class:`~repro.server.client.PodClient` raises them with the same
-    alignment.  The violating request itself is
-    ``None`` even though its step *was* applied and persisted (the
-    audit runs after apply) -- callers reconcile the ``None`` slots
-    against the session store.  ``None`` (the default) means the
-    violation did not come from a batch.
+    completed, ``None`` elsewhere.  Its contract, which every surface
+    meets, is stated on :meth:`~repro.pods.service._PodApi.submit_batch`:
+    the violating request is ``None`` even though its step *was*
+    applied and persisted, no later request of that session ran, and
+    other sessions' requests may or may not have run -- callers
+    reconcile the ``None`` slots against the session store.  ``None``
+    (the default) means the violation did not come from a batch.
     """
 
     def __init__(

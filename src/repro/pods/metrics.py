@@ -56,7 +56,6 @@ class RuntimeMetrics:
     sessions_closed: int = 0
     sessions_evicted: int = 0
     sessions_rehydrated: int = 0
-    store_flushes: int = 0
     steps_executed: int = 0
     step_seconds_total: float = 0.0
     step_seconds_min: float = field(default=float("inf"))
@@ -99,11 +98,6 @@ class RuntimeMetrics:
         """An evicted session was restored on its next request."""
         with self._lock:
             self.sessions_rehydrated += 1
-
-    def record_flush(self) -> None:
-        """An explicit store flush was requested through the service."""
-        with self._lock:
-            self.store_flushes += 1
 
     def record_step(self, seconds: float) -> None:
         with self._lock:
@@ -158,7 +152,6 @@ class RuntimeMetrics:
             total.sessions_closed += p.sessions_closed
             total.sessions_evicted += p.sessions_evicted
             total.sessions_rehydrated += p.sessions_rehydrated
-            total.store_flushes += p.store_flushes
             total.steps_executed += p.steps_executed
             total.step_seconds_total += p.step_seconds_total
             total.plans_compiled += p.plans_compiled
@@ -213,7 +206,6 @@ class RuntimeMetrics:
             "sessions_closed": self.sessions_closed,
             "sessions_evicted": self.sessions_evicted,
             "sessions_rehydrated": self.sessions_rehydrated,
-            "store_flushes": self.store_flushes,
             "steps_executed": self.steps_executed,
             "step_seconds_total": round(self.step_seconds_total, 9),
             "elapsed_seconds": round(self.elapsed(), 6),
@@ -250,7 +242,6 @@ _SUMMED_KEYS = (
     "sessions_closed",
     "sessions_evicted",
     "sessions_rehydrated",
-    "store_flushes",
     "steps_executed",
     "step_seconds_total",
     "plans_compiled",

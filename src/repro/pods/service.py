@@ -136,11 +136,21 @@ class _PodApi:
         :class:`~repro.server.frontend.PodServer` -- not a batch option.
 
         If a strict auditor raises :class:`~repro.errors.AuditViolation`
-        mid-batch, the already-completed results are attached to the
-        exception as ``partial_results`` (request-aligned, ``None`` for
-        requests that did not complete) so callers can reconcile with
-        the store -- the violating step itself *was* applied and
-        persisted.
+        mid-batch, the exception carries ``partial_results``.  Every
+        surface (in process, sharded, shadowed, over HTTP) meets one
+        contract:
+
+        * entries align with the batch's requests;
+        * a :class:`StepResult` entry was applied and persisted;
+        * the violating request's entry is ``None``, but its step was
+          applied and persisted (the audit runs after apply);
+        * no later request of the violating session ran;
+        * other sessions' requests may or may not have run -- in
+          process the batch stops at the violation, across
+          :class:`~repro.server.frontend.PodServer` workers the other
+          shards run to completion.
+
+        Callers reconcile the ``None`` entries against the session store.
         """
         requests = list(requests)
         results: "list[StepResult | None]" = [None] * len(requests)
@@ -518,23 +528,14 @@ class PodService(_PodApi):
         self.metrics.record_close()
         return live.log()
 
-    def flush(self) -> int:
-        """Flush the store's write-behind buffer (if it has one).
-
-        Returns how many buffered events were flushed (0 for
-        write-through stores).
-        """
-        flushed = self._store.flush()
-        self.metrics.record_flush()
-        return flushed
-
     def close(self) -> None:
-        """Release the service: flush and close its store.
+        """Release the service: close its store.
 
         The shutdown hook of the process-level pod server -- a worker
         embedding a :class:`PodService` calls this once on graceful
-        exit so a write-behind store drains before the process dies.
-        Open sessions are *not* closed (they stay resumable from the
+        exit.  Every acknowledged step is already persisted (stores
+        are write-through), so closing only releases the backend.  Open
+        sessions are *not* closed (they stay resumable from the
         store); the service must not be used afterwards.
         """
         self._store.close()
@@ -748,12 +749,8 @@ class ShardedPodService(_PodApi):
     def close_session(self, session: SessionHandle | str) -> SessionLog:
         return self._route(session).close_session(session_id_of(session))
 
-    def flush(self) -> int:
-        """Flush every shard's store; returns total events flushed."""
-        return sum(shard.flush() for shard in self._shards)
-
     def close(self) -> None:
-        """Release every shard (flush and close each shard's store)."""
+        """Release every shard (close each shard's store)."""
         for shard in self._shards:
             shard.close()
 

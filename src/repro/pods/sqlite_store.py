@@ -21,30 +21,24 @@ wire format of facts is exactly the JSONL store's
 snapshots are byte-identical across the two backends and
 :func:`~repro.pods.store.migrate_sessions` moves sessions either way.
 
-**Durability knob.**  Per-step fsyncs would bottleneck hot-path
-stepping, so writes are governed by ``durability=``:
+**Durability.**  Every store is write-through: a recorded event
+commits before the call that recorded it returns.  ``durability=``
+picks only SQLite's ``synchronous`` level:
 
 * ``"full"`` -- ``synchronous=FULL``: a power loss loses nothing ever
   acknowledged;
 * ``"step"`` (default) -- ``synchronous=NORMAL`` under WAL:
   crash-of-the-process loses nothing acknowledged, power loss can lose
-  the tail of the WAL but never corrupts the database;
-* ``"batched"`` -- write-behind: events buffer in memory and commit as
-  one transaction every ``flush_every`` events, on any read
-  (``load``/``session_ids``/``stats`` -- read-your-writes always
-  holds), on :meth:`flush`, and on :meth:`close`.  A crash loses at
-  most the unflushed tail; the database itself stays consistent.
+  the tail of the WAL but never corrupts the database.
 
-In ``"full"`` and ``"step"`` mode a recorded event commits before the
-call that recorded it returns.  A plain ``submit`` commits once per
-event; a ``submit_batch`` commits once per call, before it returns.
-The service brackets the batch in :meth:`SqliteStore.scope`: inside
-it, each event runs in its own ``SAVEPOINT`` of one open transaction,
-so a failing event rolls back alone, and the transaction commits when
-the scope exits -- also when the batch raised.  A process killed
-mid-batch loses only that unacknowledged batch.  Scopes are per
-thread: a thread outside one (a plain ``submit`` from another caller
-thread) still commits per event.
+A plain ``submit`` commits once per event; a ``submit_batch`` commits
+once per call, before it returns.  The service brackets the batch in
+:meth:`SqliteStore.scope`: inside it, each event runs in its own
+``SAVEPOINT`` of one open transaction, so a failing event rolls back
+alone, and the transaction commits when the scope exits -- also when
+the batch raised.  A process killed mid-batch loses only that
+unacknowledged batch.  Scopes are per thread: a thread outside one (a
+plain ``submit`` from another caller thread) still commits per event.
 
 The state column is re-encoded per relation, not per state: a Spocus
 step changes only the ``past-*`` relations its input touched, and the
@@ -61,14 +55,10 @@ guarantee of the :class:`~repro.pods.store.SessionStore` contract.
 
 from __future__ import annotations
 
-import atexit
 import contextlib
 import json
-import os
-import signal
 import sqlite3
 import threading
-import weakref
 from pathlib import Path
 
 from repro.errors import SessionError, StoreError
@@ -82,68 +72,7 @@ from repro.pods.store import (
 )
 from repro.relalg.instance import Instance
 
-DURABILITY_MODES = ("full", "step", "batched")
-
-# Open write-behind stores, so an interpreter exit (atexit) or a
-# SIGTERM can drain buffers the owner never flush()ed/close()d.  Weak
-# references: registration must not keep an abandoned store (and its
-# sqlite connection) alive.
-_OPEN_BATCHED: "weakref.WeakSet[SqliteStore]" = weakref.WeakSet()
-_EXIT_HOOKS = {"installed": False}
-_EXIT_HOOKS_LOCK = threading.Lock()
-
-
-def drain_open_stores() -> int:
-    """Flush every open ``durability="batched"`` store; returns events.
-
-    The last-resort drain behind the exit hooks; safe to call at any
-    time (a store closed or flushed concurrently just contributes 0).
-    Failures are swallowed -- this runs during interpreter shutdown or
-    inside a signal handler, where raising would mask the exit itself.
-    """
-    drained = 0
-    for store in list(_OPEN_BATCHED):
-        try:
-            drained += store.flush()
-        except Exception:
-            continue
-    return drained
-
-
-def _sigterm_drain(signum, frame):
-    """Drain buffers, then die by SIGTERM as if unhandled.
-
-    Restoring ``SIG_DFL`` and re-raising keeps the kill semantics a
-    supervisor expects (the process reports termination-by-signal, not
-    a clean exit) while still making acknowledged-but-buffered events
-    durable first.
-    """
-    drain_open_stores()
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    os.kill(os.getpid(), signal.SIGTERM)
-
-
-def _install_exit_hooks() -> None:
-    """Register the atexit drain (and a SIGTERM drain when possible).
-
-    Called once, lazily, by the first batched store.  The SIGTERM hook
-    is only installed when the process still has the *default* handler
-    and we are on the main thread -- an application (or test harness)
-    that manages SIGTERM itself is never overridden; it can call
-    :func:`drain_open_stores` from its own handler.
-    """
-    with _EXIT_HOOKS_LOCK:
-        if _EXIT_HOOKS["installed"]:
-            return
-        _EXIT_HOOKS["installed"] = True
-        atexit.register(drain_open_stores)
-        try:
-            if signal.getsignal(signal.SIGTERM) == signal.SIG_DFL:
-                signal.signal(signal.SIGTERM, _sigterm_drain)
-        except (ValueError, OSError):
-            # Not the main thread (or an embedded interpreter without
-            # signal support): the atexit hook still covers clean exits.
-            pass
+DURABILITY_MODES = ("full", "step")
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS snapshots (
@@ -164,13 +93,13 @@ class SqliteStore(StoreLifecycle):
     """Every session of a service in one transactional SQLite file.
 
     ``path`` is the database file (created, with parents, on first
-    open); ``durability`` and ``flush_every`` are documented in the
-    module docstring.  The store is also usable as a context manager::
+    open); ``durability`` is documented in the module docstring.  The
+    store is also usable as a context manager::
 
-        with SqliteStore(tmp / "pods.sqlite", durability="batched") as s:
+        with SqliteStore(tmp / "pods.sqlite") as s:
             service = PodService(transducer, db, store=s)
             ...
-        # exiting flushed and closed the file
+        # exiting closed the file
     """
 
     def __init__(
@@ -178,23 +107,16 @@ class SqliteStore(StoreLifecycle):
         path: str | Path,
         *,
         durability: str = "step",
-        flush_every: int = 256,
     ) -> None:
         if durability not in DURABILITY_MODES:
             raise StoreError(
                 f"unknown durability {durability!r}: "
                 f"choose one of {DURABILITY_MODES}"
             )
-        if flush_every < 1:
-            raise StoreError(f"flush_every must be >= 1, got {flush_every}")
         self._path = Path(path)
         self._path.parent.mkdir(parents=True, exist_ok=True)
         self.durability = durability
-        self.flush_every = flush_every
         self._lock = threading.RLock()
-        # (sql, params) statements not yet committed (batched mode).
-        self._pending: list[tuple[str, tuple]] = []
-        self._pending_events = 0
         self._closed = False
         self._commits = 0
         # Per-thread scope depth (see scope()).
@@ -217,12 +139,6 @@ class SqliteStore(StoreLifecycle):
             raise StoreError(
                 f"cannot open SQLite store at {self._path}: {error}"
             ) from error
-        if durability == "batched":
-            # A SIGTERM or plain interpreter exit must not lose the
-            # write-behind buffer of a store nobody close()d: register
-            # for the module's exit-time drain.
-            _install_exit_hooks()
-            _OPEN_BATCHED.add(self)
 
     @property
     def path(self) -> Path:
@@ -236,22 +152,15 @@ class SqliteStore(StoreLifecycle):
             raise StoreError(f"SQLite store at {self._path} is closed")
 
     def _execute(self, statements: list[tuple[str, tuple]]) -> None:
-        """Apply one event's statements per the durability mode.
+        """Apply one event's statements.
 
-        Called with the lock held.  ``batched`` buffers and commits on
-        threshold.  ``full``/``step`` run the event in its own savepoint
+        Called with the lock held.  The event runs in its own savepoint
         of the open transaction, so a failing event rolls back alone.
         Outside a :meth:`scope` the event commits at once; inside one,
         the scope's exit commits.  An unscoped commit also commits
         events another thread's scope left open: they become durable
         sooner, never later.
         """
-        if self.durability == "batched":
-            self._pending.extend(statements)
-            self._pending_events += 1
-            if self._pending_events >= self.flush_every:
-                self._flush_locked()
-            return
         conn = self._conn
         try:
             if not conn.in_transaction:
@@ -275,29 +184,13 @@ class SqliteStore(StoreLifecycle):
             self._conn.commit()
             self._commits += 1
 
-    def _flush_locked(self) -> int:
-        if not self._pending:
-            return 0
-        try:
-            for sql, params in self._pending:
-                self._conn.execute(sql, params)
-            self._commit_locked()
-        except sqlite3.Error as error:
-            self._conn.rollback()
-            raise StoreError(f"SQLite flush failed: {error}") from error
-        flushed = self._pending_events
-        self._pending.clear()
-        self._pending_events = 0
-        return flushed
-
     @contextlib.contextmanager
     def scope(self):
         """Commit the events this thread records inside, once, on exit.
 
         The exit commit runs whether or not the body raised, so the
         events that completed before an error stay durable.  Scopes
-        nest; only the outermost one commits.  (``batched`` events
-        are buffered, not executed, so its scopes commit nothing.)
+        nest; only the outermost one commits.
         """
         depth = getattr(self._local, "depth", 0)
         self._local.depth = depth + 1
@@ -415,7 +308,6 @@ class SqliteStore(StoreLifecycle):
         with self._lock:
             # Check and insert under one lock hold, so two racing
             # imports of one id cannot both pass the check.
-            self._flush_locked()
             exists = self._conn.execute(
                 "SELECT 1 FROM snapshots WHERE session_id = ?",
                 (snapshot.session_id,),
@@ -431,7 +323,6 @@ class SqliteStore(StoreLifecycle):
     def load(self, session_id: str) -> SessionSnapshot | None:
         self._check_open()
         with self._lock:
-            self._flush_locked()
             row = self._conn.execute(
                 "SELECT steps, state FROM snapshots WHERE session_id = ?",
                 (session_id,),
@@ -458,7 +349,6 @@ class SqliteStore(StoreLifecycle):
     def session_ids(self) -> list[str]:
         self._check_open()
         with self._lock:
-            self._flush_locked()
             rows = self._conn.execute(
                 "SELECT session_id FROM snapshots ORDER BY session_id"
             ).fetchall()
@@ -466,33 +356,16 @@ class SqliteStore(StoreLifecycle):
 
     # -- lifecycle -------------------------------------------------------------
 
-    def flush(self) -> int:
-        """Commit all buffered events; returns how many were pending."""
-        self._check_open()
-        with self._lock:
-            return self._flush_locked()
-
     def close(self) -> None:
-        """Flush and close the database file; idempotent."""
+        """Close the database file; idempotent."""
         with self._lock:
             if self._closed:
                 return
-            self._flush_locked()
             # A scope still open on another thread: keep its events.
             self._commit_locked()
             self._closed = True
             self._conn.close()
         self._state_memo.clear()
-        _OPEN_BATCHED.discard(self)
-
-    def __del__(self) -> None:
-        # Best-effort drain for a store garbage-collected before exit
-        # (the exit hooks hold only weak references, so GC would
-        # otherwise silently drop a pending write-behind buffer).
-        try:
-            self.close()
-        except Exception:
-            pass
 
     def evict(self, session_id: str) -> None:
         """Drop the evicted session's state memo."""
@@ -505,7 +378,6 @@ class SqliteStore(StoreLifecycle):
         transactions committed since the store was opened."""
         self._check_open()
         with self._lock:
-            self._flush_locked()
             # Checkpoint so bytes_on_disk reflects the database file,
             # not an arbitrarily long WAL tail (not possible while a
             # scope on another thread holds a transaction open).

@@ -14,9 +14,8 @@ and can reproduce any live session as a
   where it stopped -- the byoda data-pod shape: the pod's state outlives
   the serving process;
 * :class:`~repro.pods.sqlite_store.SqliteStore` keeps every session in
-  one transactional SQLite file (events + snapshots tables, WAL mode,
-  optional write-behind batching) -- the tier that scales past "one
-  file per session".
+  one transactional SQLite file (events + snapshots tables, WAL mode)
+  -- the tier that scales past "one file per session".
 
 The JSON wire format stores relation facts as sorted lists of rows;
 values must be JSON-representable (the repro domain uses strings and
@@ -31,12 +30,14 @@ submitting the same session -- the store stays consistent
 either way; *ordering* across racing writers of one session remains the
 caller's contract).
 
-Beyond the recording seam, every store is a managed resource: it
-exposes :meth:`~StoreLifecycle.flush` (drain any write-behind buffer;
-returns the number of events persisted), :meth:`~StoreLifecycle.close`
-(flush and release the backend), works as a context manager, and
-reports a typed :class:`StoreStats`.  :func:`open_store` rejects any
-object that lacks part of this surface.
+Every store is write-through: an event is persisted when the call that
+recorded it returns (for a batch, when the batch's
+:meth:`~StoreLifecycle.scope` exits); no store keeps a buffer that
+needs draining.  Beyond the recording seam, every store is a managed
+resource: it exposes :meth:`~StoreLifecycle.close` (release the
+backend), works as a context manager, and reports a typed
+:class:`StoreStats`.  :func:`open_store` rejects any object that lacks
+part of this surface.
 """
 
 from __future__ import annotations
@@ -101,19 +102,18 @@ class SessionStore(Protocol):
     :meth:`record_step` receives the live (immutable) instances, so a
     store decides for itself when to pay for serialization: the
     in-memory store just keeps references on the hot path, the JSONL
-    store encodes eagerly, the SQLite store encodes eagerly but may
-    defer the commit (write-behind).  ``log_entry`` is ``None`` when
-    the service runs with logging off; stores then persist only state
-    and step count, and restored sessions resume with an empty log
-    (matching ``keep_logs=False`` semantics).
+    store encodes eagerly, the SQLite store encodes eagerly and
+    commits once per call (see :meth:`scope`).  ``log_entry`` is
+    ``None`` when the service runs with logging off; stores then
+    persist only state and step count, and restored sessions resume
+    with an empty log (matching ``keep_logs=False`` semantics).
 
     On top of the recording seam, a store is a managed resource:
-    :meth:`flush` makes every buffered event durable (returns how many
-    it persisted), :meth:`close` flushes and releases the backend, and
-    :meth:`stats` reports a typed :class:`StoreStats`.  The service
-    also brackets each batch call in :meth:`scope` and reports every
-    session it drops from memory through :meth:`evict`.
-    :class:`StoreLifecycle` supplies defaults for the last five.
+    :meth:`close` releases the backend and :meth:`stats` reports a
+    typed :class:`StoreStats`.  The service also brackets each batch
+    call in :meth:`scope` and reports every session it drops from
+    memory through :meth:`evict`.  :class:`StoreLifecycle` supplies
+    defaults for the last four.
     """
 
     def record_created(self, session_id: str) -> None:
@@ -142,12 +142,8 @@ class SessionStore(Protocol):
         """Sorted ids of all resumable sessions."""
         ...
 
-    def flush(self) -> int:
-        """Persist buffered events; returns the number flushed."""
-        ...
-
     def close(self) -> None:
-        """Flush and release the backend; the store is unusable after."""
+        """Release the backend; the store is unusable after."""
         ...
 
     def stats(self) -> StoreStats:
@@ -166,9 +162,8 @@ class SessionStore(Protocol):
 class StoreLifecycle:
     """Default lifecycle surface shared by the concrete stores.
 
-    Write-through stores inherit the no-op :meth:`flush` and
-    :meth:`close`; every store gets the context-manager protocol for
-    free (``with open_store(path) as store: ...`` closes on exit).
+    Stores inherit the no-op :meth:`close` and the context-manager
+    protocol (``with open_store(path) as store: ...`` closes on exit).
     Subclasses override :meth:`stats` (the default reports an empty
     store) and whichever lifecycle methods their backend needs.
 
@@ -176,10 +171,6 @@ class StoreLifecycle:
     brackets one service call (``submit_batch``), and :meth:`evict`
     tells the store a session left the service's memory.
     """
-
-    def flush(self) -> int:
-        """Persist buffered events; write-through stores have none."""
-        return 0
 
     def scope(self) -> "contextlib.AbstractContextManager[None]":
         """A context manager around one service call on this thread.
@@ -195,8 +186,7 @@ class StoreLifecycle:
         default."""
 
     def close(self) -> None:
-        """Flush and release the backend (no-op by default)."""
-        self.flush()
+        """Release the backend (no-op by default)."""
 
     def stats(self) -> StoreStats:
         return StoreStats()
@@ -655,9 +645,6 @@ def migrate_sessions(
             errors.append((session_id, str(error)))
             continue
         migrated.append(session_id)
-    # Migrations are rare and load-bearing: make the destination
-    # durable before reporting success, whatever its durability knob.
-    dst_store.flush()
     return MigrationReport(
         migrated=tuple(migrated),
         skipped=tuple(skipped),
@@ -675,7 +662,6 @@ _STORE_METHODS = (
     "record_closed",
     "load",
     "session_ids",
-    "flush",
     "close",
     "stats",
     "scope",

@@ -4,7 +4,7 @@ Starts a :class:`~repro.server.frontend.PodServer` over one of the
 commerce models, prints the listening URL on stdout (machine-readable:
 the last whitespace-separated token of the first line), and serves
 until SIGINT/SIGTERM, then drains: HTTP stops, every worker shuts down
-and flushes its store, and the process exits 0.
+and closes its store, and the process exits 0.
 
     $ python -m repro.server --workers 2 --port 8080 --store /tmp/pods
     pod server listening on http://127.0.0.1:8080
@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--durability",
-        choices=("full", "step", "batched"),
+        choices=("full", "step"),
         default="step",
         help="SQLite durability mode (ignored for jsonl stores)",
     )

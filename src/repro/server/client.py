@@ -218,9 +218,17 @@ class PodClient(_PodApi):
     ) -> list[StepResult]:
         """One ``POST /v1/submit_batch``; results align with requests.
 
-        A strict audit violation is raised with its request-aligned
-        ``partial_results`` decoded, as in process (see
-        :class:`~repro.errors.AuditViolation` for the cross-shard shape).
+        A strict audit violation is raised with its ``partial_results``
+        decoded, under the contract of
+        :meth:`~repro.pods.service._PodApi.submit_batch`:
+
+        * entries align with the batch's requests;
+        * a :class:`StepResult` entry was applied and persisted;
+        * the violating request's entry is ``None``, but its step was
+          applied and persisted;
+        * no later request of the violating session ran;
+        * other sessions' requests may or may not have run (over HTTP
+          the shards other than the violating one run to completion).
         """
         encoded = [wire.encode_step_request(r) for r in requests]
         outputs = self._transducer.schema.outputs
@@ -298,10 +306,6 @@ class PodClient(_PodApi):
                 reply.get("entries", ()), self._transducer.schema.log_schema
             ),
         )
-
-    def flush(self) -> int:
-        reply = self._post("/v1/flush", "flush", {}, "flushed")
-        return int(reply.get("flushed", 0))
 
     # -- observability ---------------------------------------------------------
 

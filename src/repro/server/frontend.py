@@ -11,13 +11,13 @@ over five endpoints::
     GET  /v1/metrics       merged per-worker runtime counters
     GET  /healthz          worker process liveness (200 ok / 503 degraded)
 
-plus ``POST /v1/snapshot``, ``POST /v1/close``, ``POST /v1/flush`` and
-``GET /v1/sessions`` for session lifecycle, and ``GET /v1/audits`` for
-the merged audit findings of every worker's auditor (the queryable face
-of the per-pod violations ledger).  Requests and responses are
-wire messages (see :mod:`repro.server.wire`); errors come back as typed
-error envelopes riding the matching HTTP status -- queue overflow is a
-``429`` carrying a ``backpressure`` envelope, never a hang.
+plus ``POST /v1/snapshot``, ``POST /v1/close`` and ``GET /v1/sessions``
+for session lifecycle, and ``GET /v1/audits`` for the merged audit
+findings of every worker's auditor (the queryable face of the per-pod
+violations ledger).  Requests and responses are wire messages (see
+:mod:`repro.server.wire`); errors come back as typed error envelopes
+riding the matching HTTP status -- queue overflow is a ``429`` carrying
+a ``backpressure`` envelope, never a hang.
 
 Sessions route to workers by the same CRC-32
 :func:`~repro.pods.service.shard_of` hash the in-process
@@ -219,7 +219,7 @@ class PodServer:
 
     def shutdown(self) -> None:
         """Graceful stop: drain HTTP, then shut every worker down --
-        each flushes and closes its store on the way out."""
+        each closes its store on the way out."""
         if self._closed:
             return
         self._closed = True
@@ -384,13 +384,6 @@ class PodServer:
             ids.extend(worker.call("ids", {}).get("session_ids", ()))
         return wire.message("ids", {"session_ids": sorted(ids)})
 
-    def flush(self) -> dict:
-        flushed = sum(
-            worker.call("flush", {}).get("flushed", 0)
-            for worker in self._workers
-        )
-        return wire.message("flushed", {"flushed": flushed})
-
     def audits(self) -> dict:
         """Merged audit findings across workers, (session, step)-ordered.
 
@@ -523,7 +516,6 @@ class _PodRequestHandler(BaseHTTPRequestHandler):
             "/v1/submit_batch": self.pod.submit_batch,
             "/v1/snapshot": self.pod.snapshot,
             "/v1/close": self.pod.close_session,
-            "/v1/flush": lambda body: self.pod.flush(),
         }
         handler = routes.get(self.path)
         try:

@@ -43,11 +43,13 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.errors import Backpressure, ReproError, ServerError, WireError
 from repro.pods.api import facts_of
 from repro.pods.service import PodService
+from repro.pods.store import SQLITE_SUFFIXES
 from repro.server import wire
 
 if TYPE_CHECKING:
@@ -87,7 +89,7 @@ def _open_worker_store(config: WorkerConfig):
     target = config.store_target
     if target is None:
         return None
-    if str(target).endswith((".sqlite", ".sqlite3", ".db")):
+    if Path(target).suffix.lower() in SQLITE_SUFFIXES:
         from repro.pods.sqlite_store import SqliteStore
 
         return SqliteStore(target, durability=config.durability)
@@ -163,8 +165,6 @@ def _handle_op(service: PodService, shard_index: int, op: str, body) -> dict:
         return wire.message(
             "metrics", {"metrics": service.metrics.snapshot()}
         )
-    if op == "flush":
-        return wire.message("flushed", {"flushed": service.flush()})
     if op == "audits":
         return wire.message(
             "audits", wire.encode_audit_findings(service.audit_findings())
@@ -192,12 +192,10 @@ def worker_main(
     Serves ``(request_id, op, wire_message)`` tuples until a
     ``shutdown`` op arrives; every response -- success or typed error
     envelope -- is tagged with its request id.  The service's store is
-    flushed and closed on *any* exit path, including SIGTERM.
+    closed on *any* exit path, including SIGTERM.
     """
     # Graceful SIGTERM: raise SystemExit so the finally below closes
-    # the store.  Installed before the store exists, so the SQLite
-    # write-behind exit hooks (which only claim a default SIGTERM
-    # disposition) defer to this handler.
+    # the store.
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(0))
     service = _build_service(shard_index, config)
     import queue as queue_module
@@ -417,7 +415,7 @@ class WorkerHandle:
         """Stop the worker: graceful shutdown op, then escalate.
 
         Bypasses admission (shutdown must succeed under saturation).
-        The store is flushed/closed by the worker's exit path.
+        The store is closed by the worker's exit path.
         """
         process = self._process
         if process is None:
@@ -453,8 +451,8 @@ class WorkerHandle:
                 pass
 
     def kill(self) -> None:
-        """Hard-kill the worker process (supervision tests): no flush,
-        no goodbye -- the next call detects the corpse and restarts."""
+        """Hard-kill the worker process (supervision tests): no store
+        close, no goodbye -- the next call detects the corpse and restarts."""
         process = self._process
         if process is not None and process.is_alive():
             process.terminate()

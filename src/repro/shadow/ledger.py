@@ -305,9 +305,6 @@ class AuditLedger:
 
     # -- lifecycle (delegates to the backing store) ----------------------------
 
-    def flush(self) -> int:
-        return self._store.flush()
-
     def close(self) -> None:
         self._store.close()
 

@@ -232,16 +232,6 @@ class ShadowService(_PodApi):
             f"{type(self.incumbent).__name__} does not expose snapshots"
         )
 
-    def flush(self) -> int:
-        flushed = self.incumbent.flush()
-        try:
-            flushed += self.candidate.flush()
-        except Exception:  # noqa: BLE001 - candidate faults contained
-            pass
-        if self._ledger is not None:
-            self._ledger.flush()
-        return flushed
-
     def close(self) -> None:
         self.incumbent.close()
         try:

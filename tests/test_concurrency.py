@@ -19,16 +19,13 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.commerce.catalog import Catalog, CatalogGenerator
 from repro.commerce.models import (
     build_buggy_store,
     build_friendly,
     build_short,
     default_database,
 )
-from repro.commerce.workloads import SessionGenerator
 from repro.errors import AuditViolation
 from repro.pods import (
     PodService,
@@ -37,45 +34,13 @@ from repro.pods import (
     StepRequest,
 )
 from repro.verify.api import LogValidity, OnlineAuditor
-
-CATALOG = CatalogGenerator(seed=11).generate(20)
-# The Figure 1 catalog (matches default_database()): the audited
-# variants run the per-step BSR-backed LogValidity monitor, whose cost
-# grows with the domain, so they script against the tiny catalog.
-FIGURE1_CATALOG = Catalog(
-    ("time", "newsweek", "le_monde"),
-    {"time": 55, "newsweek": 45, "le_monde": 350},
-    frozenset(("time", "newsweek", "le_monde")),
+from traffic import (
+    CATALOG,
+    FIGURE1_CATALOG,
+    batch_of,
+    scripts_for,
+    workloads,
 )
-
-
-def scripts_for(counts, seed, catalog=CATALOG, pending_bills=True):
-    """One seeded shopping script per session, lengths from ``counts``.
-
-    ``pending_bills=False`` restricts the scripts to order/pay steps
-    (the input schema of the SHORT/buggy stores).
-    """
-    return {
-        f"customer-{index:02d}": SessionGenerator(
-            catalog, seed=seed * 1_000_003 + index,
-            supports_pending_bills=pending_bills,
-        ).session(count)
-        for index, count in enumerate(counts)
-    }
-
-
-def batch_of(scripts, order):
-    """An interleaved batch: ``order`` names sessions, scripts feed steps."""
-    ids = sorted(scripts)
-    cursors = {session_id: 0 for session_id in ids}
-    batch = []
-    for index in order:
-        session_id = ids[index]
-        batch.append(
-            StepRequest(session_id, scripts[session_id][cursors[session_id]])
-        )
-        cursors[session_id] += 1
-    return batch
 
 
 def assert_equivalent(serial, concurrent, scripts, serial_results, results):
@@ -93,21 +58,9 @@ def assert_equivalent(serial, concurrent, scripts, serial_results, results):
         )
 
 
-@st.composite
-def workloads(draw):
-    """(per-session step counts, interleaving, generator seed)."""
-    counts = draw(
-        st.lists(st.integers(0, 5), min_size=1, max_size=4)
-    )
-    multiset = [i for i, count in enumerate(counts) for _ in range(count)]
-    order = draw(st.permutations(multiset))
-    seed = draw(st.integers(0, 999))
-    return counts, list(order), seed
-
-
 class TestConcurrentEqualsSerial:
     def test_fixed_workload_all_concurrency_levels(self, run_batch):
-        scripts = scripts_for([4, 4, 4, 4, 4, 4], seed=3)
+        scripts = scripts_for([4, 4, 4, 4, 4, 4], seed=3, pending_bills=True)
         order = [i for step in range(4) for i in range(6)]
         serial = PodService(build_friendly(), CATALOG.as_database())
         serial_results = run_batch(serial, scripts, batch_of(scripts, order))
@@ -125,7 +78,7 @@ class TestConcurrentEqualsSerial:
     @given(workloads())
     def test_random_interleaved_workloads(self, run_batch, workload):
         counts, order, seed = workload
-        scripts = scripts_for(counts, seed)
+        scripts = scripts_for(counts, seed, pending_bills=True)
         batch = batch_of(scripts, order)
         serial = PodService(build_friendly(), CATALOG.as_database())
         concurrent = PodService(build_friendly(), CATALOG.as_database())
@@ -140,7 +93,7 @@ class TestConcurrentEqualsSerial:
         service revived over the directory finishes with the logs of an
         uninterrupted serial run."""
         counts, order, seed = workload
-        scripts = scripts_for(counts, seed)
+        scripts = scripts_for(counts, seed, pending_bills=True)
         batch = batch_of(scripts, order)
         serial = PodService(build_friendly(), CATALOG.as_database())
         run_batch(serial, scripts, batch)
@@ -213,7 +166,7 @@ class TestConcurrentEqualsSerial:
         )
 
     def test_sharded_service_fans_out_identically(self, run_batch):
-        scripts = scripts_for([3, 3, 3, 3, 3, 3, 3, 3], seed=9)
+        scripts = scripts_for([3, 3, 3, 3, 3, 3, 3, 3], seed=9, pending_bills=True)
         order = [i for step in range(3) for i in range(8)]
         batch = batch_of(scripts, order)
         serial = ShardedPodService(
@@ -288,7 +241,7 @@ class TestFirstTouchRace:
         )
         from repro.scenarios.runner import log_digest
 
-        scripts = scripts_for([4] * 8, seed=5)
+        scripts = scripts_for([4] * 8, seed=5, pending_bills=True)
         order = [i for step in range(4) for i in range(8)]
 
         def run(threads):

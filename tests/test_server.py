@@ -37,7 +37,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.commerce.catalog import CatalogGenerator
 from repro.commerce.models import (
     build_buggy_store,
     build_friendly,
@@ -52,11 +51,11 @@ from repro.errors import (
     SessionError,
 )
 from repro.pods import ShardedPodService, SqliteStore, StepRequest
-from repro.pods.service import PodService
+from repro.pods.api import facts_of
+from repro.pods.service import PodService, shard_of
 from repro.server import PodClient, PodServer, wire
 from repro.verify.api import LogValidity, OnlineAuditor
-
-CATALOG = CatalogGenerator(seed=11).generate(20)
+from traffic import CATALOG, batch_of, scripts_for
 
 #: Unique session-id prefixes so hypothesis examples can share one
 #: server without id collisions.
@@ -65,28 +64,6 @@ _PREFIX = itertools.count()
 
 def fresh_prefix() -> str:
     return f"w{next(_PREFIX):04d}"
-
-
-def scripts_for(counts, seed, prefix):
-    return {
-        f"{prefix}-customer-{index:02d}": SessionGenerator(
-            CATALOG, seed=seed * 1_000_003 + index
-        ).session(count)
-        for index, count in enumerate(counts)
-    }
-
-
-def batch_of(scripts, order):
-    ids = sorted(scripts)
-    cursors = dict.fromkeys(ids, 0)
-    batch = []
-    for index in order:
-        session_id = ids[index]
-        batch.append(
-            StepRequest(session_id, scripts[session_id][cursors[session_id]])
-        )
-        cursors[session_id] += 1
-    return batch
 
 
 def strict_short_auditor(shard_index):
@@ -313,12 +290,14 @@ class TestTypedErrors:
             # after apply), same as in-process semantics
             assert client.session(handle).steps == 2
 
-    def test_batch_partial_results_cross_the_wire(self):
-        """A strict audit stopping a batch raises its completed results
-        over HTTP too, request-aligned and decoded: the violating
-        shard's in-order prefix plus the other shard's full slice."""
+    def test_batch_partial_results_cross_the_wire(self, tmp_path):
+        """A strict audit stopping a batch raises request-aligned
+        partial results in process and over HTTP, and each surface's
+        own SQLite store agrees with them (the contract stated on
+        ``_PodApi.submit_batch``).  Only the contract is shared: over
+        HTTP the other shard runs to completion."""
         # alice (shard 1 of 2) goes invalid on her empty step 2, so her
-        # step 3 never runs; bob (shard 0) runs to completion.
+        # step 3 never runs; bob lives on shard 0.
         batch = [
             StepRequest("alice", {"order": {("time",)}}),
             StepRequest("bob", {"order": {("newsweek",)}}),
@@ -326,33 +305,105 @@ class TestTypedErrors:
             StepRequest("bob", {"pay": {("newsweek", 45)}}),
             StepRequest("alice", {"pay": {("time", 55)}}),
         ]
-        reference = ShardedPodService(
-            build_buggy_store(), default_database(), shards=2
+        reference = PodService(build_buggy_store(), default_database())
+        for session_id in ("alice", "bob"):
+            reference.create_session(session_id)
+        expected = [reference.submit(r) for r in batch]
+
+        in_process = ShardedPodService(
+            build_buggy_store(),
+            default_database(),
+            shards=2,
+            store_factory=lambda i: str(tmp_path / f"local-{i:02d}.sqlite"),
+            auditor_factory=strict_short_auditor,
         )
+        for session_id in ("alice", "bob"):
+            in_process.create_session(session_id)
+        with pytest.raises(AuditViolation) as caught:
+            in_process.submit_batch(batch)
+        in_process.close()
+        assert_partial_results_contract(
+            batch, caught.value, expected,
+            lambda i: tmp_path / f"local-{i:02d}.sqlite",
+        )
+
+        root = tmp_path / "served"
         with PodServer(
             build_buggy_store,
             default_database(),
             workers=2,
+            store_root=str(root),
+            store_kind="sqlite",
             auditor_factory=strict_short_auditor,
         ) as server:
             client = PodClient(server.url, build_buggy_store())
             for session_id in ("alice", "bob"):
-                reference.create_session(session_id)
                 client.create_session(session_id)
             with pytest.raises(AuditViolation) as caught:
                 client.submit_batch(batch)
-            partial = caught.value.partial_results
-            assert [r is not None for r in partial] == [
+            assert [r is not None for r in caught.value.partial_results] == [
                 True, True, False, True, False,
             ]
-            expected = [reference.submit(r) for r in batch[:2]]
-            assert [(r.session, r.step, r.output) for r in partial[:2]] == [
-                (r.session, r.step, r.output) for r in expected
-            ]
-            assert partial[3].step == 2
-            # The violating step was applied; the one after it was not.
-            assert client.session("alice").steps == 2
-            assert client.session("bob").steps == 2
+        assert_partial_results_contract(
+            batch, caught.value, expected,
+            lambda i: root / f"shard-{i:02d}.sqlite",
+        )
+
+
+def assert_partial_results_contract(batch, violation, expected, shard_file):
+    """Check ``violation.partial_results`` of ``batch`` against the
+    surface's own store (``shard_file(i)`` is shard i's SQLite file).
+
+    ``expected`` holds the results of the same requests run one at a
+    time with no audit; every session starts the batch at step 0.
+    """
+    partial = violation.partial_results
+    assert len(partial) == len(batch)
+
+    def stored(session_id):
+        store = SqliteStore(shard_file(shard_of(session_id, 2)))
+        try:
+            return store.load(session_id)
+        finally:
+            store.close()
+
+    # A StepResult entry was applied and persisted.
+    for request, result, reference in zip(batch, partial, expected):
+        if result is None:
+            continue
+        assert (result.session.session_id, result.step, result.output) == (
+            request.session, reference.step, reference.output
+        )
+        snapshot = stored(request.session)
+        assert snapshot.steps >= result.step
+        assert snapshot.log_facts[result.step - 1] == facts_of(
+            reference.log_entry
+        )
+    # The violating request is None but was applied; no later request
+    # of its session ran.
+    (finding,) = violation.findings
+    positions = [
+        index
+        for index, request in enumerate(batch)
+        if request.session == finding.session_id
+    ]
+    violating = positions[finding.step - 1]
+    assert partial[violating] is None
+    assert all(partial[index] is None for index in positions[finding.step:])
+    snapshot = stored(finding.session_id)
+    assert snapshot.steps == finding.step
+    assert list(snapshot.log_facts) == [
+        facts_of(expected[index].log_entry)
+        for index in positions[:finding.step]
+    ]
+    # Other sessions' requests may or may not have run; what ran is the
+    # reference's prefix.
+    for session_id in {r.session for r in batch} - {finding.session_id}:
+        snapshot = stored(session_id)
+        mine = [e for r, e in zip(batch, expected) if r.session == session_id]
+        assert list(snapshot.log_facts) == [
+            facts_of(e.log_entry) for e in mine[: snapshot.steps]
+        ]
 
 
 # -- backpressure --------------------------------------------------------------
@@ -475,29 +526,6 @@ class TestSupervision:
         assert list(view.log().entries) == list(
             reference.session("durable").log().entries
         )
-
-    def test_graceful_shutdown_flushes_sqlite_batched(self, tmp_path):
-        root = str(tmp_path / "pods")
-        with PodServer(
-            build_short,
-            default_database(),
-            workers=1,
-            store_root=root,
-            store_kind="sqlite",
-            durability="batched",
-        ) as server:
-            client = PodClient(server.url, build_short())
-            handle = client.create_session("flushed")
-            client.submit(StepRequest(handle, {"order": {("time",)}}))
-        # shutdown drained the worker: the batched write-behind buffer
-        # reached the SQLite file before the process exited
-        store = SqliteStore(os.path.join(root, "shard-00.sqlite"))
-        try:
-            snapshot = store.load("flushed")
-            assert snapshot is not None and snapshot.steps == 1
-        finally:
-            store.close()
-
 
 class TestKeepAlive:
     """One HTTP/1.1 connection per client thread, never a re-sent POST."""

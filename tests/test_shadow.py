@@ -104,7 +104,6 @@ class TestIdenticalCandidate:
         results = shadow.run_session(handle, [{"order": {("time",)}}])
         assert [r.step for r in results] == [1]
         assert shadow.session("s1").steps == 1
-        assert shadow.flush() == 0
         log = shadow.close_session(handle)
         assert len(log) == 1
         assert shadow.session_ids() == []

@@ -7,7 +7,7 @@ forcing an eviction on almost every step), a service produces
 byte-identical logs, states, and persisted snapshots -- serially, from
 caller threads on distinct sessions, across a restart, and with an
 :class:`OnlineAuditor` attached (audits keep firing after rehydration).
-On top sit the lifecycle surface (``flush``/``close``/``stats``), the
+On top sit the lifecycle surface (``close``/``stats``), the
 typed ``MigrationReport``, and the crash-safety of JSONL compaction.
 """
 
@@ -23,14 +23,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.commerce.catalog import Catalog, CatalogGenerator
+from repro.commerce.catalog import CatalogGenerator
 from repro.commerce.models import (
     build_buggy_store,
     build_friendly,
     build_short,
     default_database,
 )
-from repro.commerce.workloads import SessionGenerator
 from repro.errors import AuditViolation, SessionError, StoreError
 from repro.pods import (
     MAX_RESIDENT_ENV,
@@ -50,35 +49,9 @@ from repro.pods.session import Session
 from repro.pods.store import _STORE_METHODS, SessionStore, _encode_facts
 from repro.relalg.schema import DatabaseSchema, RelationSchema
 from repro.verify.api import LogValidity, OnlineAuditor
+from traffic import batch_of, scripts_for, workloads
 
 CATALOG = CatalogGenerator(seed=23).generate(12)
-FIGURE1_CATALOG = Catalog(
-    ("time", "newsweek", "le_monde"),
-    {"time": 55, "newsweek": 45, "le_monde": 350},
-    frozenset(("time", "newsweek", "le_monde")),
-)
-
-
-def scripts_for(counts, seed):
-    return {
-        f"customer-{index:02d}": SessionGenerator(
-            CATALOG, seed=seed * 1_000_003 + index
-        ).session(count)
-        for index, count in enumerate(counts)
-    }
-
-
-def batch_of(scripts, order):
-    ids = sorted(scripts)
-    cursors = {session_id: 0 for session_id in ids}
-    batch = []
-    for index in order:
-        session_id = ids[index]
-        batch.append(
-            StepRequest(session_id, scripts[session_id][cursors[session_id]])
-        )
-        cursors[session_id] += 1
-    return batch
 
 
 def canonical(snapshot):
@@ -101,19 +74,10 @@ def fresh_session(session_id="s"):
     )
 
 
-@st.composite
-def workloads(draw):
-    counts = draw(st.lists(st.integers(0, 5), min_size=1, max_size=4))
-    multiset = [i for i, count in enumerate(counts) for _ in range(count)]
-    order = draw(st.permutations(multiset))
-    seed = draw(st.integers(0, 999))
-    return counts, list(order), seed
-
-
 class TestSqliteStore:
     def test_service_roundtrip_and_restart(self, tmp_path, run_batch):
         path = tmp_path / "pods.sqlite"
-        scripts = scripts_for([3, 2], seed=7)
+        scripts = scripts_for([3, 2], seed=7, catalog=CATALOG)
         order = [0, 1, 0, 1, 0]
         batch = batch_of(scripts, order)
         reference = PodService(build_friendly(), CATALOG.as_database())
@@ -154,52 +118,8 @@ class TestSqliteStore:
     def test_knob_validation(self, tmp_path):
         with pytest.raises(StoreError, match="durability"):
             SqliteStore(tmp_path / "a.sqlite", durability="paranoid")
-        with pytest.raises(StoreError, match="flush_every"):
-            SqliteStore(tmp_path / "b.sqlite", flush_every=0)
         # StoreError is a SessionError: existing handlers keep working.
         assert issubclass(StoreError, SessionError)
-
-    def test_batched_flush_counts_events(self, tmp_path):
-        store = SqliteStore(
-            tmp_path / "pods.sqlite", durability="batched", flush_every=10_000
-        )
-        service = PodService(
-            build_short(), default_database(), store=store
-        )
-        handle = service.create_session("alice")
-        for inputs in ({"order": {("time",)}}, {"pay": {("time", 55)}}):
-            service.submit(StepRequest(handle, inputs))
-        # created + 2 steps are buffered; flush commits and counts them.
-        assert store.flush() == 3
-        assert store.flush() == 0
-
-    def test_batched_threshold_autocommits(self, tmp_path):
-        path = tmp_path / "pods.sqlite"
-        store = SqliteStore(path, durability="batched", flush_every=2)
-        store.record_created("alice")
-        session = fresh_session("alice")
-        session.step({"order": {("time",)}})
-        store.record_step(
-            "alice", session.steps, session.state, session.last_log_entry
-        )
-        # Two events crossed the threshold: a second, independent
-        # connection sees the committed rows without any explicit flush.
-        reader = SqliteStore(path)
-        assert reader.session_ids() == ["alice"]
-        assert reader.load("alice").steps == 1
-
-    def test_read_your_writes_under_batched(self, tmp_path):
-        store = SqliteStore(
-            tmp_path / "pods.sqlite", durability="batched", flush_every=10_000
-        )
-        store.record_created("alice")
-        assert store.session_ids() == ["alice"]
-        session = fresh_session("alice")
-        session.step({"order": {("time",)}})
-        store.record_step(
-            "alice", session.steps, session.state, session.last_log_entry
-        )
-        assert store.load("alice").steps == 1
 
     def test_durability_full_sets_synchronous(self, tmp_path):
         store = SqliteStore(tmp_path / "pods.sqlite", durability="full")
@@ -218,9 +138,11 @@ class TestSqliteStore:
 
     def test_context_manager_flushes_and_closes(self, tmp_path):
         path = tmp_path / "pods.sqlite"
-        with SqliteStore(
-            path, durability="batched", flush_every=10_000
-        ) as store:
+        with SqliteStore(path) as store:
+            # A scope left open (e.g. by another thread) holds its
+            # events in an uncommitted transaction; closing commits it.
+            scope = store.scope()
+            scope.__enter__()
             store.record_created("alice")
         assert SqliteStore(path).session_ids() == ["alice"]
         with pytest.raises(StoreError, match="closed"):
@@ -474,7 +396,7 @@ class TestEvictionRehydration:
     def test_concurrent_batches_under_heavy_eviction(self, run_batch):
         """Caller threads shedding cache surplus never evict a session
         another thread is stepping (the pin holds it)."""
-        scripts = scripts_for([4, 4, 4, 4, 4, 4], seed=3)
+        scripts = scripts_for([4, 4, 4, 4, 4, 4], seed=3, catalog=CATALOG)
         order = [i for _ in range(4) for i in range(6)]
         batch = batch_of(scripts, order)
         reference = PodService(build_friendly(), CATALOG.as_database())
@@ -504,22 +426,6 @@ class TestEvictionRehydration:
         assert snapshot["sessions_rehydrated"] == (
             service.metrics.sessions_rehydrated
         )
-        assert "store_flushes" in snapshot
-
-    def test_service_flush_and_counter(self, tmp_path):
-        store = SqliteStore(
-            tmp_path / "pods.sqlite", durability="batched", flush_every=10_000
-        )
-        service = PodService(build_short(), default_database(), store=store)
-        handle = service.create_session("alice")
-        service.submit(StepRequest(handle, {"order": {("time",)}}))
-        assert service.flush() == 2  # created + one step
-        assert service.metrics.store_flushes == 1
-        assert service.flush() == 0
-        # In-memory stores are write-through: flush is a no-op count.
-        plain = PodService(build_short(), default_database())
-        assert plain.flush() == 0
-
 
 class TestAuditSurvivesRehydration:
     def audited(self, max_resident):
@@ -588,7 +494,7 @@ class TestThreeWayEquivalence:
     @given(workloads())
     def test_all_backends_and_residencies_agree(self, run_batch, workload):
         counts, order, seed = workload
-        scripts = scripts_for(counts, seed)
+        scripts = scripts_for(counts, seed, catalog=CATALOG)
         batch = batch_of(scripts, order)
         baseline = PodService(build_friendly(), CATALOG.as_database())
         baseline_results = run_batch(baseline, scripts, batch)
@@ -641,7 +547,7 @@ class TestThreeWayEquivalence:
         """Half the batch unbounded, then the bound drops to 1 by
         'restarting' over the same store -- the tail still matches."""
         counts, order, seed = workload
-        scripts = scripts_for(counts, seed)
+        scripts = scripts_for(counts, seed, catalog=CATALOG)
         batch = batch_of(scripts, order)
         half = len(batch) // 2
         baseline = PodService(build_friendly(), CATALOG.as_database())
@@ -727,7 +633,6 @@ class TestStoreLifecycleDefaults:
         memory = InMemoryStore()
         with memory as store:
             store.record_created("alice")
-            assert store.flush() == 0
         stats = memory.stats()
         assert stats.sessions == 1 and stats.bytes_on_disk == 0
         jsonl = JsonlDirectoryStore(tmp_path / "pods")
@@ -806,124 +711,7 @@ class TestStoreLifecycleDefaults:
         results = service.submit_batch([StepRequest("alice", order)])
         assert results[0].step == 2
         assert inner.load("alice").steps == 2
-        assert service.flush() == 0
         service.close()
-
-
-class TestBatchedDurabilityExitDrain:
-    """Regression: ``durability="batched"`` must not lose its
-    write-behind buffer when the process exits without ``flush()``.
-
-    Before the exit hooks, a SIGTERM (or a plain ``sys.exit``) between
-    flushes silently dropped every event acknowledged since the last
-    commit -- steps the caller had already seen results for.  Now an
-    atexit hook drains open batched stores on interpreter exit, and a
-    SIGTERM drain runs when the process still had the default handler
-    (then re-raises the signal so kill semantics are preserved).
-    """
-
-    CHILD = """
-import os, sys, time
-from repro.commerce.models import build_short, default_database
-from repro.pods import PodService, SqliteStore, StepRequest
-
-store = SqliteStore(sys.argv[1], durability="batched", flush_every=10_000)
-service = PodService(build_short(), default_database(), store=store)
-handle = service.create_session("alice")
-service.submit(StepRequest(handle, {"order": {("time",)}}))
-service.submit(StepRequest(handle, {"pay": {("time", 55)}}))
-# nothing flushed: both steps live only in the write-behind buffer
-print("READY", flush=True)
-{ending}
-"""
-
-    def _run_child(self, tmp_path, ending, kill=False):
-        import signal as signal_module
-        import subprocess
-        import sys as sys_module
-
-        db = str(tmp_path / "sessions.sqlite")
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-        )
-        proc = subprocess.Popen(
-            [
-                sys_module.executable,
-                "-c",
-                self.CHILD.replace("{ending}", ending),
-                db,
-            ],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-            env=env,
-        )
-        try:
-            assert proc.stdout.readline().startswith("READY")
-            if kill:
-                proc.send_signal(signal_module.SIGTERM)
-            out, err = proc.communicate(timeout=60)
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.communicate(timeout=10)
-        return db, proc.returncode, err
-
-    def _assert_both_steps_durable(self, db):
-        store = SqliteStore(db)
-        try:
-            snapshot = store.load("alice")
-            assert snapshot is not None, "buffered session lost"
-            assert snapshot.steps == 2
-            assert len(snapshot.log_facts) == 2
-        finally:
-            store.close()
-
-    def test_sigterm_midway_drains_buffer(self, tmp_path):
-        db, returncode, err = self._run_child(
-            tmp_path, "time.sleep(60)", kill=True
-        )
-        # killed by SIGTERM (the drain re-raises it), not a clean exit
-        assert returncode != 0, err
-        self._assert_both_steps_durable(db)
-
-    def test_plain_interpreter_exit_drains_buffer(self, tmp_path):
-        db, returncode, err = self._run_child(tmp_path, "sys.exit(0)")
-        assert returncode == 0, err
-        self._assert_both_steps_durable(db)
-
-    def test_abandoned_store_object_drains_on_gc(self, tmp_path):
-        """A batched store dropped without close() flushes best-effort
-        when collected -- the in-process safety net under the hooks."""
-        import gc
-
-        db = str(tmp_path / "gc.sqlite")
-        store = SqliteStore(db, durability="batched", flush_every=10_000)
-        store.record_created("gc-session")
-        del store
-        gc.collect()
-        reopened = SqliteStore(db)
-        try:
-            assert "gc-session" in reopened.session_ids()
-        finally:
-            reopened.close()
-
-    def test_drain_open_stores_counts_events(self, tmp_path):
-        from repro.pods.sqlite_store import drain_open_stores
-
-        store = SqliteStore(
-            str(tmp_path / "drain.sqlite"),
-            durability="batched",
-            flush_every=10_000,
-        )
-        try:
-            store.record_created("a")
-            assert drain_open_stores() >= 1
-            assert drain_open_stores() == 0  # idempotent once flushed
-        finally:
-            store.close()
 
 
 class TestOneCommitPerBatch:
@@ -970,12 +758,7 @@ class TestOneCommitPerBatch:
             service.submit(request)
         assert store.stats().commits - before == 32
 
-    def test_batched_mode_and_other_stores_are_unchanged(self, tmp_path):
-        store = SqliteStore(tmp_path / "pods.sqlite", durability="batched")
-        service = PodService(build_short(), default_database(), store=store)
-        service.create_session("alice")
-        service.submit_batch(self.batch(["alice"]))
-        assert store.stats().commits == 1  # the read in stats() flushed
+    def test_other_stores_count_no_commits(self, tmp_path):
         assert InMemoryStore().stats().commits == 0
         assert JsonlDirectoryStore(tmp_path / "j").stats().commits == 0
 
