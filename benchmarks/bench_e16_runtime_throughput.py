@@ -38,10 +38,10 @@ NAIVE_SESSIONS = 60
 def drive_customers(service, catalog, sessions: int, steps: int) -> None:
     """Open ``customer-000000`` .. and drive one seeded script of
     ``steps`` steps per customer round-robin through ``service`` (a
-    :class:`PodService` or :class:`~repro.pods.ShardedPodService`).
+    :class:`PodService`).
 
-    E17 and E25 drive the same traffic; E25's committed log digest
-    depends on these ids, seeds and ``supports_pending_bills=True``.
+    E25 drives the same traffic; its committed log digest depends on
+    these ids, seeds and ``supports_pending_bills=True``.
     """
     workload = {
         service.create_session(f"customer-{n:06d}"): SessionGenerator(

@@ -14,7 +14,8 @@ Two numbers are new in kind:
   on most steps, so the auditor's violation plans *match* constantly
   and every hit appends a finding with a replayable trace.  The ratio
   against the same traffic unaudited prices the worst-case audit, not
-  the usual all-clean fast path.
+  the usual all-clean fast path; it is the median of ``ATTACK_PAIRS``
+  back-to-back audited/unaudited pairs of alternating order.
 * ``http_parity``: each scenario's open-loop traffic is also replayed
   through a process-level pod server via ``PodClient``, and the
   canonical log digests must match the in-process run byte for byte.
@@ -30,6 +31,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import tempfile
 from functools import partial
 from pathlib import Path
@@ -47,6 +49,9 @@ SEED = 23
 SESSIONS = 150
 MEAN_STEPS = 6
 STORES = ("memory", "sqlite")
+#: Audit-under-attack pairs, and the least timed-loop seconds per side.
+ATTACK_PAIRS = 5
+ATTACK_SECONDS = 2.0
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -104,6 +109,39 @@ def measure_cell(
     }
 
 
+def measure_attack_ratio(
+    sessions: int,
+    steps: int,
+    scratch: Path,
+    pairs: int = ATTACK_PAIRS,
+    min_seconds: float = ATTACK_SECONDS,
+) -> dict:
+    """Audited over unaudited steps/s of the adversarial memory cell.
+
+    Each side of a pair reruns the cell until its timed loops add up to
+    ``min_seconds``.  Even pairs run the audited side first, odd pairs
+    last, so neither side always runs warm.
+    """
+    ratios = []
+    for index in range(pairs):
+        rate = {}
+        for audit in (index % 2 == 0, index % 2 == 1):
+            total, wall = 0, 0.0
+            while not total or wall < min_seconds:
+                cell = measure_cell(
+                    "adversarial", "memory", sessions, steps, scratch, audit
+                )
+                total += cell["total_steps"]
+                wall += cell["elapsed_seconds"]
+            rate[audit] = total / wall
+        ratios.append(rate[True] / rate[False])
+    return {
+        "min_seconds_per_side": min_seconds,
+        "ratios": [round(ratio, 3) for ratio in ratios],
+        "median_ratio": round(statistics.median(ratios), 3),
+    }
+
+
 def measure_http_parity(sessions: int, steps: int) -> dict:
     """Replay each scenario through a pod server; digests must match."""
     results = {}
@@ -141,19 +179,13 @@ def run_experiment(
             for name in names
             for store in stores
         ]
-        # Audit-under-attack: the adversarial cell again, unaudited, so
-        # the ratio isolates what the constantly-matching auditor costs.
-        attack_unaudited = measure_cell(
-            "adversarial", "memory", sessions, steps, scratch, audit=False
-        )
+        # The ratio isolates what the constantly-matching auditor costs.
+        attack_pairs = measure_attack_ratio(sessions, steps, scratch)
     by_key = {
         (cell["scenario"], cell["store"]): cell for cell in matrix
     }
     headline = by_key[("commerce", "memory")]
     attack = by_key[("adversarial", "memory")]
-    attack_ratio = (
-        attack["steps_per_second"] / attack_unaudited["steps_per_second"]
-    )
     parity = measure_http_parity(parity_sessions, min(steps, 5))
     return {
         "experiment": "e23_scenarios",
@@ -173,7 +205,8 @@ def run_experiment(
         "headline": {"scenario": "commerce", "store": "memory"},
         "audit_under_attack_steps_per_second": attack["steps_per_second"],
         "audit_under_attack_violations": attack["audit_violations"],
-        "audit_under_attack_ratio": round(attack_ratio, 3),
+        "audit_under_attack_ratio": attack_pairs["median_ratio"],
+        "audit_under_attack": attack_pairs,
         "http_parity": parity,
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
@@ -183,7 +216,8 @@ def run_experiment(
             "attached (logs off); adversarial traffic violates its spec "
             "on most steps, so its ratio prices the auditor's worst "
             "case -- findings accumulating with replayable traces -- "
-            "against the same traffic unaudited"
+            "against the same traffic unaudited (median of back-to-back "
+            "pairs of alternating order)"
         ),
     }
 
@@ -221,6 +255,8 @@ def test_e23_audit_under_attack(tmp_path):
     assert unaudited["audit_checks"] == 0
     ratio = audited["steps_per_second"] / unaudited["steps_per_second"]
     assert ratio > 0
+    pairs = measure_attack_ratio(12, 5, tmp_path, pairs=2, min_seconds=0.0)
+    assert len(pairs["ratios"]) == 2 and pairs["median_ratio"] > 0
 
 
 def test_e23_http_parity_smoke():

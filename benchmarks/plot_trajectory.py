@@ -183,9 +183,8 @@ def test_ratio_metrics_picks_speedups_and_ratios():
 def test_repo_records_are_loadable():
     records = load_records(Path(__file__).resolve().parent.parent)
     names = {name for name, _record in records}
-    for expected in ("BENCH_e16", "BENCH_e17", "BENCH_e18", "BENCH_e19",
-                     "BENCH_e21", "BENCH_e22", "BENCH_e23",
-                     "BENCH_e24", "BENCH_e25"):
+    for expected in ("BENCH_e16", "BENCH_e18", "BENCH_e19", "BENCH_e21",
+                     "BENCH_e22", "BENCH_e23", "BENCH_e24", "BENCH_e25"):
         assert any(name.startswith(expected) for name in names)
     # The table and chart must render whatever mix of schemas exists,
     # headline or not.

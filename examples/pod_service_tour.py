@@ -6,9 +6,9 @@ sessions are addressed by :class:`SessionHandle`, traffic is submitted as
 Backed by a :class:`JsonlDirectoryStore`, a session's state outlives the
 serving process -- the byoda "data pod" shape: stop the service, start a new
 one over the same directory, and the conversation continues where it left
-off.  A :class:`ShardedPodService` serves the same API across N internal
-engines with stable hash routing, and an :class:`OnlineAuditor` attaches
-verified property specs to live pods (the final section below).
+off.  :func:`shard_of` is the stable hash that routes each session to a
+worker process of a pod server (the final section), and an
+:class:`OnlineAuditor` attaches verified property specs to live pods.
 
 See also the quickstart in the top-level README.md.
 
@@ -22,8 +22,8 @@ from repro.commerce.models import build_buggy_store, build_short, default_databa
 from repro.pods import (
     JsonlDirectoryStore,
     PodService,
-    ShardedPodService,
     StepRequest,
+    shard_of,
 )
 from repro.verify.api import LogValidity, OnlineAuditor
 
@@ -93,24 +93,26 @@ def main() -> None:
             f"uninterrupted run: {log.entries == uninterrupted.logs}"
         )
 
-    # 6. Sharding: same API, N internal engines, stable hash routing.
-    sharded = ShardedPodService(transducer, database, shards=4)
-    handles = [sharded.create_session(f"customer-{n}") for n in range(6)]
-    print("\nsharded service routing:")
+    # 6. Routing: shard_of is a stable CRC-32 hash, so every process
+    #    agrees where a session id lives.  PodServer(workers=4) would
+    #    send each of these customers to the worker printed here
+    #    (section 11 runs a real server).
+    many = PodService(transducer, database)
+    handles = [many.create_session(f"customer-{n}") for n in range(6)]
+    print("\nrouting over 4 worker shards:")
     for handle in handles:
-        print(f"  {handle.session_id} -> shard {handle.shard}")
+        print(f"  {handle.session_id} -> shard {shard_of(handle.session_id, 4)}")
     for handle in handles:
-        sharded.run_session(handle, FIGURE1_FIRST_HALF)
-    merged = sharded.metrics
+        many.run_session(handle, FIGURE1_FIRST_HALF)
+    counters = many.metrics
     print(
-        f"merged metrics: {merged.sessions_created} sessions, "
-        f"{merged.steps_executed} steps across {sharded.shard_count} shards"
+        f"metrics: {counters.sessions_created} sessions, "
+        f"{counters.steps_executed} steps"
     )
 
     # 7. Batches: submit_batch steps a batch serially, in request
-    #    order, and returns request-aligned results -- on the sharded
-    #    service too, whichever shard each request routes to.  Sessions
-    #    are independent (a step reads only the shared catalog and the
+    #    order, and returns request-aligned results.  Sessions are
+    #    independent (a step reads only the shared catalog and the
     #    session's own state), so running them in parallel is a
     #    deployment choice: the worker processes of
     #    PodServer(workers=N), one shard per process (section 11).
@@ -119,10 +121,10 @@ def main() -> None:
         for inputs in FIGURE1_SECOND_HALF
         for handle in handles
     ]
-    batch_results = sharded.submit_batch(batch)
+    batch_results = many.submit_batch(batch)
     # The same traffic on a fresh identical service, one submit() at a
     # time.
-    one_by_one = ShardedPodService(transducer, database, shards=4)
+    one_by_one = PodService(transducer, database)
     for handle in handles:
         one_by_one.create_session(handle.session_id)
         one_by_one.run_session(handle, FIGURE1_FIRST_HALF)
@@ -139,8 +141,8 @@ def main() -> None:
     print("\noutput-program plan (cost-based, against the live catalog):")
     for line in transducer.explain_plan(database).splitlines():
         print(f"  {line}")
-    # Re-read: .metrics merges fresh, so this includes section 7's batch.
-    snapshot = sharded.metrics.snapshot()
+    # Section 6's service, including section 7's batch.
+    snapshot = many.metrics.snapshot()
     print(
         "plan/evaluation counters: "
         f"{snapshot['plans_compiled']} plan(s) compiled, "
@@ -256,7 +258,10 @@ def main() -> None:
         client = PodClient(server.url, transducer)
         print(f"  listening on {server.url}, healthz: {client.healthz()}")
         henry = client.create_session("henry")
-        print(f"  created {henry.session_id!r} -> shard {henry.shard}")
+        print(
+            f"  created {henry.session_id!r} -> shard {henry.shard} "
+            f"(= shard_of('henry', 2): {henry.shard == shard_of('henry', 2)})"
+        )
         for inputs in FIGURE1_FIRST_HALF:
             result = client.submit(StepRequest(henry, inputs))
             print(

@@ -3,8 +3,8 @@
 The registry (`repro.scenarios`) bundles each workload -- transducer,
 database, seeded traffic generator, and the PropertySpecs that audit
 it -- behind one name, and `run_scenario` drives any of them through
-any service surface: in-process `PodService`, `ShardedPodService`, or
-a `PodClient` talking HTTP to `python -m repro.server --scenario NAME`.
+any service surface: an in-process `PodService`, or a `PodClient`
+talking HTTP to `python -m repro.server --scenario NAME --workers N`.
 
 Run with:  python examples/scenario_tour.py
 """

@@ -9,7 +9,7 @@ log-validation experiments (E4) must reject.
 
 Store-wide traffic is the same generator seeded once per customer: the
 registry's ``commerce`` scenario (:mod:`repro.scenarios.commerce`)
-drives it through any pod service, and the E16/E17/E25 throughput
+drives it through any pod service, and the E16/E25 throughput
 benchmarks build it inline over :meth:`PodService.drive
 <repro.pods.service.PodService.drive>`.
 """

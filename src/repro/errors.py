@@ -53,9 +53,8 @@ class StoreError(SessionError):
 class ShardError(SessionError):
     """Session routing across shards failed.
 
-    Raised for invalid shard counts or indexes, and for stale
-    :class:`~repro.pods.api.SessionHandle` objects whose recorded shard
-    disagrees with where the session id actually hash-routes.
+    Raised for an invalid shard count (:func:`~repro.pods.service.shard_of`);
+    it crosses the wire as its own error code.
     """
 
 

@@ -19,21 +19,24 @@ package is that runtime's service layer:
   many live sessions stay resident (``max_resident_sessions=`` /
   ``REPRO_MAX_RESIDENT``); evicted sessions rehydrate from the store
   on their next request with identical observable behavior;
-* :mod:`repro.pods.service` -- :class:`PodService` (one engine) and
-  :class:`ShardedPodService` (N engines behind stable hash routing),
-  both funneling all traffic through ``submit()`` / ``submit_batch()``;
+* :mod:`repro.pods.service` -- :class:`PodService`, funneling all
+  traffic through ``submit()`` / ``submit_batch()``, and
+  :func:`shard_of`, the stable hash that routes a session id to a
+  worker of :class:`~repro.server.frontend.PodServer`;
 * :mod:`repro.pods.metrics` -- :class:`RuntimeMetrics` throughput,
-  latency, and audit counters, mergeable across shards.
+  latency, and audit counters, and :func:`merge_snapshots` to fold
+  per-worker snapshots into one.
 
 Every step applied through ``submit()`` can additionally be checked by
 an attached :class:`~repro.verify.api.OnlineAuditor` (``auditor=`` on
 :class:`PodService`, ``auditor_factory=`` on
-:class:`ShardedPodService`): property specs are compiled to per-session
-incremental monitors, violations become replayable audit findings, and
-the audit counters merge into :class:`RuntimeMetrics`.
+:class:`~repro.server.frontend.PodServer`): property specs are
+compiled to per-session incremental monitors, violations become
+replayable audit findings, and the audit counters merge into
+:class:`RuntimeMetrics`.
 
 Sessions are isolated by construction: the only shared objects are the
-read-only indexed database and the per-shard metrics.  Stepping
+read-only indexed database and the service's metrics.  Stepping
 different sessions in any interleaving gives the same per-session runs
 as running them back to back (the run semantics of Section 2.2 is a
 fold over the session's own inputs) -- and, with a durable store, the
@@ -55,11 +58,7 @@ from repro.pods.cache import (
     max_resident_sessions,
 )
 from repro.pods.metrics import RuntimeMetrics, merge_snapshots
-from repro.pods.service import (
-    PodService,
-    ShardedPodService,
-    shard_of,
-)
+from repro.pods.service import PodService, shard_of
 from repro.pods.session import Session, SessionLog
 from repro.pods.sqlite_store import SqliteStore
 from repro.pods.store import (
@@ -84,7 +83,6 @@ __all__ = [
     "LruSessionCache",
     "max_resident_sessions",
     "PodService",
-    "ShardedPodService",
     "shard_of",
     "Session",
     "SessionLog",

@@ -37,10 +37,12 @@ Facts = Mapping[str, frozenset[tuple]]
 class SessionHandle:
     """The address of one session (pod): a string id and its shard.
 
-    ``shard`` is 0 for a standalone :class:`~repro.pods.service.PodService`;
-    a :class:`~repro.pods.service.ShardedPodService` stamps the shard the
-    id hash-routes to.  Equality is by value, so handles obtained from
-    different service instances over the same store compare equal.
+    ``shard`` is the ``shard_index`` of the service that issued the
+    handle: 0 for a standalone :class:`~repro.pods.service.PodService`,
+    and for a :class:`~repro.server.frontend.PodServer` the worker the
+    id hash-routes to (:func:`~repro.pods.service.shard_of`).  Equality
+    is by value, so handles obtained from different service instances
+    over the same store compare equal.
     """
 
     session_id: str

@@ -2,21 +2,20 @@
 
 Pure bookkeeping: a service reports session creations, resumes,
 completed steps, and per-step wall-clock durations; the metrics object
-aggregates them into the counters the capacity benchmarks (E16/E17)
-read.  All derived rates are computed against the service's total
-elapsed time, so they are end-to-end numbers, not per-call averages.
+aggregates them into the counters the capacity benchmarks (E16) and
+podbench read.  All derived rates are computed against the service's
+total elapsed time, so they are end-to-end numbers, not per-call
+averages.
 
-:meth:`RuntimeMetrics.merged` folds the per-shard counters of a
-:class:`~repro.pods.service.ShardedPodService` into one service-wide
-view: counts add, latency extremes combine, and the elapsed clock spans
-from the earliest shard start.
+:func:`merge_snapshots` folds the per-worker snapshots of a
+:class:`~repro.server.frontend.PodServer` into one server-wide view:
+counts add, gauges take their max, and latency extremes combine.
 
 Accumulation is thread-safe: every ``record_*`` method updates its
 counters under an internal lock, so caller threads submitting directly
 never lose increments to read-modify-write races.  Reads
-(:meth:`snapshot`, the derived rates, :meth:`merged`) are lock-free --
-they read plain ints/floats, each of which is updated atomically under
-the lock.
+(:meth:`snapshot`, the derived rates) are lock-free -- they read plain
+ints/floats, each of which is updated atomically under the lock.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from repro.datalog.plan.physical import kernels_compiled
 from repro.relalg.interning import interned_constants
@@ -35,7 +34,7 @@ if TYPE_CHECKING:
 
 @dataclass
 class RuntimeMetrics:
-    """Aggregated counters of one pod service (or engine shim).
+    """Aggregated counters of one pod service.
 
     The ``plans_*`` / ``*_rule_evals`` / ``*_skipped`` / ``*_hits``
     fields aggregate the per-session
@@ -137,41 +136,6 @@ class RuntimeMetrics:
             self.audit_bsr_decisions += outcome.bsr_decisions
         self.record_eval(outcome.eval_delta)
 
-    # -- aggregation -----------------------------------------------------------
-
-    @classmethod
-    def merged(cls, parts: Iterable["RuntimeMetrics"]) -> "RuntimeMetrics":
-        """One metrics object summarizing ``parts`` (e.g. all shards)."""
-        parts = list(parts)
-        total = cls()
-        if parts:
-            total.started_at = min(p.started_at for p in parts)
-        for p in parts:
-            total.sessions_created += p.sessions_created
-            total.sessions_resumed += p.sessions_resumed
-            total.sessions_closed += p.sessions_closed
-            total.sessions_evicted += p.sessions_evicted
-            total.sessions_rehydrated += p.sessions_rehydrated
-            total.steps_executed += p.steps_executed
-            total.step_seconds_total += p.step_seconds_total
-            total.plans_compiled += p.plans_compiled
-            total.plan_cache_hits += p.plan_cache_hits
-            total.full_rule_evals += p.full_rule_evals
-            total.delta_rule_evals += p.delta_rule_evals
-            total.delta_rules_skipped += p.delta_rules_skipped
-            total.static_cache_hits += p.static_cache_hits
-            total.kernel_hits += p.kernel_hits
-            total.replans_avoided += p.replans_avoided
-            total.audited_steps += p.audited_steps
-            total.audit_checks += p.audit_checks
-            total.audit_violations += p.audit_violations
-            total.audit_bsr_decisions += p.audit_bsr_decisions
-            if p.step_seconds_min < total.step_seconds_min:
-                total.step_seconds_min = p.step_seconds_min
-            if p.step_seconds_max > total.step_seconds_max:
-                total.step_seconds_max = p.step_seconds_max
-        return total
-
     # -- derived rates ---------------------------------------------------------
 
     def elapsed(self) -> float:
@@ -267,10 +231,9 @@ _GAUGE_KEYS = ("kernels_compiled", "interned_constants")
 def merge_snapshots(snapshots) -> dict:
     """Fold per-worker :meth:`RuntimeMetrics.snapshot` dicts into one.
 
-    The process-level pod server's counterpart of
-    :meth:`RuntimeMetrics.merged`: worker processes can only ship the
-    JSON-ready snapshot dict across the wire, not the live metrics
-    object, so the front-end merges at the dict level -- counts add,
+    The runtime's one merge rule: worker processes ship the JSON-ready
+    snapshot dict across the wire, not the live metrics object, so the
+    pod server's front-end merges at the dict level -- counts add,
     gauges take their max, latency extremes combine, the elapsed clock
     is the widest worker's (workers start together, so wall-clock rates
     stay end-to-end), and the derived rates are recomputed from the

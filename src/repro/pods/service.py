@@ -25,13 +25,6 @@ session was evicted zero or N times; sessions are pinned in the cache
 for the duration of a step so a caller's thread shedding cache surplus
 never evicts another thread's session mid-step.
 
-A :class:`ShardedPodService` presents the same API over N internal
-single-shard services, hash-routing each session id with a *stable*
-hash (:func:`shard_of`, CRC-32), so the same id lands on the same shard
-in every process, every run.  Shards share the database instance -- and
-therefore the transducer's cached hash indexes -- but nothing else;
-splitting them across real processes is pure deployment.
-
 Concurrency: ``submit_batch`` steps its batch serially, in request
 order.  A step depends only on the database, the session's own state and
 its input, so sessions are independent and running them in parallel is
@@ -49,7 +42,7 @@ from __future__ import annotations
 import threading
 import time
 import zlib
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 if TYPE_CHECKING:
     from repro.verify.api.auditor import OnlineAuditor
@@ -89,25 +82,15 @@ def _check_session_id(session_id: str) -> str:
     return session_id
 
 
-def _fresh_session_id(prefix, counter, exists):
-    """Next ``<prefix>-NNNNNN`` id not claimed per ``exists``.
-
-    Returns (id, next counter) so callers keep their numbering dense
-    across calls even when ids collide with caller-supplied ones.
-    """
-    while True:
-        candidate = f"{prefix}-{counter:06d}"
-        counter += 1
-        if not exists(candidate):
-            return candidate, counter
-
-
 def shard_of(session_id: str, shards: int) -> int:
     """The shard a session id routes to: stable across processes.
 
-    CRC-32 rather than ``hash()`` because Python string hashing is
-    salted per process; routing must agree between the process that
-    created a session and the one that resumes it.
+    :class:`~repro.server.frontend.PodServer` routes every request to
+    worker ``shard_of(id, workers)``, whose :class:`PodService` stamps
+    that index on its handles (``shard_index=``).  CRC-32 rather than
+    ``hash()`` because Python string hashing is salted per process;
+    routing must agree between the process that created a session and
+    the one that resumes it.
     """
     if shards < 1:
         raise ShardError(f"shard count must be >= 1, got {shards}")
@@ -137,8 +120,7 @@ class _PodApi:
 
         If a strict auditor raises :class:`~repro.errors.AuditViolation`
         mid-batch, the exception carries ``partial_results``.  Every
-        surface (in process, sharded, shadowed, over HTTP) meets one
-        contract:
+        surface (in process, shadowed, over HTTP) meets one contract:
 
         * entries align with the batch's requests;
         * a :class:`StepResult` entry was applied and persisted;
@@ -309,14 +291,16 @@ class PodService(_PodApi):
         """Open a new session; returns its handle.
 
         A caller-supplied id makes the pod addressable across restarts
-        (and across the shards of a sharded service); omitted, the
+        (and across the worker shards of a
+        :class:`~repro.server.frontend.PodServer`); omitted, the
         service generates ``<prefix>-NNNNNN``.
         """
         with self._lock:
             if session_id is None:
-                session_id, self._next_id = _fresh_session_id(
-                    self._id_prefix, self._next_id, self.has_session
-                )
+                # The counter skips ids a caller already claimed.
+                while session_id is None or self.has_session(session_id):
+                    session_id = f"{self._id_prefix}-{self._next_id:06d}"
+                    self._next_id += 1
             else:
                 _check_session_id(session_id)
                 if (
@@ -624,162 +608,3 @@ class PodService(_PodApi):
             self.session(session_id).log()
             for session_id in self.session_ids()
         ]
-
-
-class ShardedPodService(_PodApi):
-    """The PodService API hash-routed across N internal shards.
-
-    Each shard is a full :class:`PodService`; a session id is owned by
-    shard ``shard_of(id, shards)`` forever.  ``store_factory`` maps a
-    shard index to that shard's store (e.g. one JSONL directory per
-    shard); by default every shard gets its own in-memory store.
-
-    ``metrics`` is the merged, service-wide view; per-shard counters
-    stay available through :meth:`shard`.
-
-    Shards are a partition, not parallelism: ``submit_batch`` steps the
-    batch serially whichever shard each request routes to.  To run
-    shards side by side, serve them from the worker processes of
-    :class:`~repro.server.frontend.PodServer` (``workers=N``).
-    """
-
-    def __init__(
-        self,
-        transducer: RelationalTransducer,
-        database: InputLike,
-        shards: int = 4,
-        *,
-        keep_logs: bool = True,
-        store_factory: "Callable[[int], SessionStore | str | None] | None" = None,
-        id_prefix: str = "pod",
-        auditor_factory: "Callable[[int], OnlineAuditor | None] | None" = None,
-        max_resident_sessions: "int | None" = None,
-    ) -> None:
-        if shards < 1:
-            raise ShardError(f"shard count must be >= 1, got {shards}")
-        # Coerce once so all shards share one database instance and
-        # therefore one cached FactStore in the transducer.
-        shared = transducer.coerce_database(database)
-        # The residency bound is per shard (each shard's cache is its
-        # own working set); resolve once so every shard agrees even if
-        # the environment changes mid-construction.
-        resident = _resolve_max_resident(max_resident_sessions)
-        self._shards = [
-            PodService(
-                transducer,
-                shared,
-                store=store_factory(index) if store_factory else None,
-                keep_logs=keep_logs,
-                shard_index=index,
-                id_prefix=id_prefix,
-                auditor=auditor_factory(index) if auditor_factory else None,
-                max_resident_sessions=resident if resident else 0,
-            )
-            for index in range(shards)
-        ]
-        self._id_prefix = id_prefix
-        self._next_id = 0
-        self._lock = threading.Lock()  # guards _next_id allocation
-
-    # -- routing ---------------------------------------------------------------
-
-    @property
-    def shard_count(self) -> int:
-        return len(self._shards)
-
-    def shard(self, index: int) -> PodService:
-        if not 0 <= index < len(self._shards):
-            raise ShardError(
-                f"no such shard: {index} (service has {len(self._shards)})"
-            )
-        return self._shards[index]
-
-    def shard_for(self, session: SessionHandle | str) -> int:
-        """The shard index a session routes to; checks stale handles."""
-        session_id = session_id_of(session)
-        index = shard_of(session_id, len(self._shards))
-        if isinstance(session, SessionHandle) and session.shard != index:
-            raise ShardError(
-                f"handle for {session_id!r} names shard {session.shard}, "
-                f"but the id routes to shard {index} of {len(self._shards)}"
-            )
-        return index
-
-    def _route(self, session: SessionHandle | str) -> PodService:
-        return self._shards[self.shard_for(session)]
-
-    # -- session lifecycle -----------------------------------------------------
-
-    @property
-    def database(self) -> Instance:
-        return self._shards[0].database
-
-    def create_session(self, session_id: str | None = None) -> SessionHandle:
-        if session_id is None:
-            with self._lock:
-                session_id, self._next_id = _fresh_session_id(
-                    self._id_prefix, self._next_id, self.has_session
-                )
-        return self._route(session_id).create_session(session_id)
-
-    def session(self, session: SessionHandle | str) -> Session:
-        return self._route(session).session(session_id_of(session))
-
-    def has_session(self, session: SessionHandle | str) -> bool:
-        return self._route(session).has_session(session_id_of(session))
-
-    def session_ids(self) -> list[str]:
-        ids: list[str] = []
-        for shard in self._shards:
-            ids.extend(shard.session_ids())
-        return sorted(ids)
-
-    def resident_session_ids(self) -> list[str]:
-        ids: list[str] = []
-        for shard in self._shards:
-            ids.extend(shard.resident_session_ids())
-        return sorted(ids)
-
-    def stored_session_ids(self) -> list[str]:
-        ids: list[str] = []
-        for shard in self._shards:
-            ids.extend(shard.stored_session_ids())
-        return sorted(ids)
-
-    def close_session(self, session: SessionHandle | str) -> SessionLog:
-        return self._route(session).close_session(session_id_of(session))
-
-    def close(self) -> None:
-        """Release every shard (close each shard's store)."""
-        for shard in self._shards:
-            shard.close()
-
-    # -- traffic ---------------------------------------------------------------
-
-    def submit(self, request: StepRequest) -> StepResult:
-        return self._route(request.session).submit(request)
-
-    def logs(self) -> list[SessionLog]:
-        collected: list[SessionLog] = []
-        for shard in self._shards:
-            collected.extend(shard.logs())
-        return sorted(collected, key=lambda log: str(log.session_id))
-
-    def audit_findings(self, session: "SessionHandle | str | None" = None):
-        """Audit findings across all shards, (session, step)-ordered."""
-        if session is not None:
-            return self._route(session).audit_findings(session)
-        collected = []
-        for shard in self._shards:
-            collected.extend(shard.audit_findings())
-        return sorted(collected, key=lambda f: (f.session_id, f.step))
-
-    # -- metrics ---------------------------------------------------------------
-
-    @property
-    def metrics(self) -> RuntimeMetrics:
-        """Service-wide counters, merged across shards (computed fresh)."""
-        return RuntimeMetrics.merged(shard.metrics for shard in self._shards)
-
-    def shard_metrics(self) -> list[RuntimeMetrics]:
-        return [shard.metrics for shard in self._shards]

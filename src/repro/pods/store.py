@@ -673,13 +673,16 @@ _STORE_METHODS = (
 SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
 
 
-def open_store(target: "SessionStore | str | Path | None") -> SessionStore:
+def open_store(
+    target: "SessionStore | str | Path | None", *, durability: str = "step"
+) -> SessionStore:
     """Coerce a store argument.
 
     ``None`` opens an in-memory store; a path with a SQLite suffix
-    (:data:`SQLITE_SUFFIXES`) opens a
-    :class:`~repro.pods.sqlite_store.SqliteStore`; any other path opens
-    a :class:`JsonlDirectoryStore` over that directory.  Objects
+    (:data:`SQLITE_SUFFIXES`, any case) opens a
+    :class:`~repro.pods.sqlite_store.SqliteStore` in ``durability``
+    mode; any other path opens a :class:`JsonlDirectoryStore` over that
+    directory.  ``durability`` only applies to SQLite paths.  Objects
     implementing the whole :class:`SessionStore` protocol pass through;
     anything else raises :class:`~repro.errors.StoreError`.
     """
@@ -690,7 +693,7 @@ def open_store(target: "SessionStore | str | Path | None") -> SessionStore:
         if path.suffix.lower() in SQLITE_SUFFIXES:
             from repro.pods.sqlite_store import SqliteStore
 
-            return SqliteStore(path)
+            return SqliteStore(path, durability=durability)
         return JsonlDirectoryStore(path)
     if all(callable(getattr(target, name, None)) for name in _STORE_METHODS):
         return target

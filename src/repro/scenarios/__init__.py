@@ -3,9 +3,8 @@
 A registry of diverse transducer scenarios -- each bundling a program,
 its database, a seeded traffic generator, and the property specs that
 audit it -- plus :func:`run_scenario`, one open-loop driver that works
-unchanged against :class:`~repro.pods.service.PodService`,
-:class:`~repro.pods.service.ShardedPodService`, and a
-:class:`~repro.server.client.PodClient` over HTTP.
+unchanged against :class:`~repro.pods.service.PodService` and a
+:class:`~repro.server.client.PodClient` over HTTP (one worker or N).
 
     >>> from repro.scenarios import run_scenario, scenario_names
     >>> scenario_names()  # doctest: +SKIP

@@ -2,12 +2,17 @@
 
     $ python -m repro.scenarios --list
     $ python -m repro.scenarios --run feed-delivery --sessions 64 --steps 8
-    $ python -m repro.scenarios --run auction --shards 4 --json
+    $ python -m repro.scenarios --run auction --json
     $ python -m repro.scenarios --run commerce --shadow adversarial
 
 ``--shadow CANDIDATE`` shadow-deploys the candidate scenario's
 transducer under the incumbent's traffic and exits non-zero when any
 divergence is recorded, so CI can use the run as a containment gate.
+
+Runs here use one in-process service.  To spread a scenario over N
+worker processes, serve it with ``python -m repro.server --scenario
+NAME --workers N`` and drive it with ``run_scenario(NAME,
+service=PodClient(url, scenario_transducer(NAME)))``.
 """
 
 from __future__ import annotations
@@ -40,7 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--scale", type=int, default=None, help="database size knob"
     )
-    parser.add_argument("--shards", type=int, default=1)
     parser.add_argument(
         "--store", default=None, metavar="PATH", help="session store path"
     )
@@ -84,7 +88,6 @@ def main(argv: "list[str] | None" = None) -> int:
         steps=args.steps,
         seed=args.seed,
         scale=args.scale,
-        shards=args.shards,
         store=args.store,
         audit=not args.no_audit,
         keep_logs=not args.no_logs,

@@ -6,7 +6,7 @@ seeded :class:`~repro.commerce.workloads.SessionGenerator` script per
 customer: session ids ``customer-NNNNNN``, per-customer seed
 ``seed * 1_000_003 + n``, a fixed session length, and the generator's
 mix of orders, payments and mistakes (pending-bills included).  The
-E16/E17/E25 benchmarks build the same traffic inline, and a test pins
+E16/E25 benchmarks build the same traffic inline, and a test pins
 the two to each other.
 """
 
@@ -67,7 +67,7 @@ class CommerceScenario(Scenario):
         return (paid_delivery_spec(),)
 
     def session_id(self, index: int) -> str:
-        # The ids the E16/E17/E25 benchmarks use for the same traffic.
+        # The ids the E16/E25 benchmarks use for the same traffic.
         return f"customer-{index:06d}"
 
     def session_length(self, index: int, *, seed: int, mean_steps: int) -> int:

@@ -3,8 +3,10 @@
 The driver expands a scenario into an open-loop request schedule and
 pushes it through ``create_session`` / ``submit_batch`` -- the only
 surface it touches -- so the *same* call works against an in-process
-:class:`~repro.pods.service.PodService`, a sharded service, or a
-:class:`~repro.server.client.PodClient` talking HTTP to a pod server.
+:class:`~repro.pods.service.PodService` or a
+:class:`~repro.server.client.PodClient` talking HTTP to a pod server
+(one worker or N: a sharded run is ``python -m repro.server --scenario
+NAME --workers N`` plus ``run_scenario(NAME, service=PodClient(...))``).
 When no service is injected it builds one from the scenario bundle,
 with the scenario's own :class:`~repro.verify.api.PropertySpec` list
 attached as an :class:`~repro.verify.api.OnlineAuditor`.
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
-from repro.pods.service import PodService, ShardedPodService
+from repro.pods.service import PodService
 from repro.scenarios.base import Scenario
 from repro.scenarios.registry import resolve_scenario
 from repro.scenarios.traffic import open_loop_events, paced_requests
@@ -150,9 +152,7 @@ def run_scenario(
     steps: int = 6,
     seed: int = 0,
     scale: "int | None" = None,
-    shards: int = 1,
     store=None,
-    store_factory=None,
     batch_size: int = 64,
     audit: bool = True,
     keep_logs: bool = True,
@@ -168,13 +168,12 @@ def run_scenario(
     """Drive one scenario's open-loop traffic through a pod service.
 
     With ``service=None`` the driver builds the scenario's own service:
-    a :class:`PodService` (or, with ``shards > 1``, a
-    :class:`ShardedPodService` whose every shard gets its own auditor)
-    over ``store`` / ``store_factory``, audited by the scenario's specs
-    unless ``audit=False``.  An injected ``service`` -- including a
-    :class:`~repro.server.client.PodClient` -- is used as-is, and the
-    build-time knobs (``shards``, ``store*``, ``audit``, ``keep_logs``)
-    are ignored: they describe a service this call would have built.
+    one :class:`PodService` over ``store``, audited by the scenario's
+    specs unless ``audit=False``.  An injected ``service`` -- including
+    a :class:`~repro.server.client.PodClient` over a pod server with N
+    workers -- is used as-is, and the build-time knobs (``store``,
+    ``audit``, ``keep_logs``) are ignored: they describe a service this
+    call would have built.
 
     ``shadow_candidate`` names (or is) a second scenario whose
     transducer shadows the run: the (built or injected) service becomes
@@ -210,34 +209,17 @@ def run_scenario(
     if service is None:
         transducer = scenario.build_transducer()
         database = scenario.database(seed=seed, scale=scale)
-        if shards == 1:
-            resolved_store = store_factory(0) if store_factory else store
-            service = PodService(
-                transducer,
-                database,
-                store=resolved_store,
-                keep_logs=keep_logs,
-                auditor=(
-                    make_auditor(scenario, check_every=check_every)
-                    if audit
-                    else None
-                ),
-            )
-        else:
-            service = ShardedPodService(
-                transducer,
-                database,
-                shards=shards,
-                keep_logs=keep_logs,
-                store_factory=store_factory,
-                auditor_factory=(
-                    (lambda index: make_auditor(
-                        scenario, check_every=check_every
-                    ))
-                    if audit
-                    else None
-                ),
-            )
+        service = PodService(
+            transducer,
+            database,
+            store=store,
+            keep_logs=keep_logs,
+            auditor=(
+                make_auditor(scenario, check_every=check_every)
+                if audit
+                else None
+            ),
+        )
     shadow = None
     if shadow_candidate is not None:
         from repro.shadow import ShadowService

@@ -1,8 +1,7 @@
 """`PodClient`: the in-process service surface, spoken over HTTP.
 
 The client shares the traffic API of
-:class:`~repro.pods.service.PodService` /
-:class:`~repro.pods.service.ShardedPodService` (it subclasses their
+:class:`~repro.pods.service.PodService` (it subclasses its
 :class:`~repro.pods.service._PodApi` mixin) -- ``create_session`` /
 ``submit`` / ``submit_batch`` / ``run_session`` / ``drive`` /
 ``session`` / ``close_session`` / ``metrics`` -- so workload drivers

@@ -19,11 +19,10 @@ violations ledger).  Requests and responses are wire messages (see
 riding the matching HTTP status -- queue overflow is a ``429`` carrying
 a ``backpressure`` envelope, never a hang.
 
-Sessions route to workers by the same CRC-32
-:func:`~repro.pods.service.shard_of` hash the in-process
-:class:`~repro.pods.service.ShardedPodService` uses, so moving a
-deployment between the two topologies preserves every session's home
-shard and on-disk store directory.  A batch fans out per shard -- each
+Sessions route to workers by the stable CRC-32
+:func:`~repro.pods.service.shard_of` hash, so a session's home shard
+and on-disk store are the same in every process and across restarts
+with the same worker count.  A batch fans out per shard -- each
 shard's subsequence stays in order inside one worker ``submit_batch``
 call (one admission slot per shard) -- and reassembles in request
 order, preserving the serial-equivalence guarantee end to end.  The

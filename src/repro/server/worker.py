@@ -4,10 +4,9 @@ The process-level server runs each shard as its own
 :mod:`multiprocessing` worker: a child process that owns one
 :class:`~repro.pods.service.PodService` over its own store directory
 and serves wire-format requests from a queue.  Session ids route to
-workers with the same CRC-32 :func:`~repro.pods.service.shard_of` hash
-a :class:`~repro.pods.service.ShardedPodService` uses, so a session's
-home shard -- and its on-disk store layout -- is identical whether the
-shards are threads in one process or separate processes behind HTTP.
+workers with the stable CRC-32 :func:`~repro.pods.service.shard_of`
+hash, so a session's home shard -- and its on-disk store -- is the
+same in every process, every run.
 
 Workers always start via the ``spawn`` context: the front-end is
 threaded (HTTP handler threads, per-worker dispatcher threads), and
@@ -43,13 +42,12 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.errors import Backpressure, ReproError, ServerError, WireError
 from repro.pods.api import facts_of
 from repro.pods.service import PodService
-from repro.pods.store import SQLITE_SUFFIXES
+from repro.pods.store import open_store
 from repro.server import wire
 
 if TYPE_CHECKING:
@@ -85,17 +83,6 @@ class WorkerConfig:
     max_resident_sessions: "int | None" = None
 
 
-def _open_worker_store(config: WorkerConfig):
-    target = config.store_target
-    if target is None:
-        return None
-    if Path(target).suffix.lower() in SQLITE_SUFFIXES:
-        from repro.pods.sqlite_store import SqliteStore
-
-        return SqliteStore(target, durability=config.durability)
-    return target
-
-
 def _build_service(shard_index: int, config: WorkerConfig) -> PodService:
     transducer = config.transducer_factory()
     auditor = None
@@ -104,7 +91,7 @@ def _build_service(shard_index: int, config: WorkerConfig) -> PodService:
     return PodService(
         transducer,
         dict(config.database_facts),
-        store=_open_worker_store(config),
+        store=open_store(config.store_target, durability=config.durability),
         keep_logs=config.keep_logs,
         shard_index=shard_index,
         id_prefix=config.id_prefix,

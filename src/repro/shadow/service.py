@@ -18,10 +18,9 @@ it can be dropped anywhere a :class:`~repro.pods.service.PodService`
 goes -- including ``run_scenario``.  The incumbent stays authoritative:
 its results are what callers receive, its errors propagate untouched,
 and a fail-open policy never lets candidate trouble (divergence *or*
-crash) disturb serving.  Either side may be a local :class:`PodService`,
-a :class:`ShardedPodService`, or a
-:class:`~repro.server.client.PodClient` speaking HTTP to a remote pod
-server.
+crash) disturb serving.  Either side may be a local :class:`PodService`
+or a :class:`~repro.server.client.PodClient` speaking HTTP to a remote
+pod server.
 """
 
 from __future__ import annotations

@@ -108,8 +108,8 @@ class OnlineAuditor:
     Construct with the specs, pass as ``PodService(...,
     auditor=auditor)``; the service binds it to its transducer and
     database and drives it.  One auditor belongs to one service (a
-    :class:`~repro.pods.service.ShardedPodService` takes an
-    ``auditor_factory`` and gives every shard its own).
+    :class:`~repro.server.frontend.PodServer` takes an
+    ``auditor_factory`` and gives every worker its own).
     """
 
     def __init__(

@@ -54,7 +54,7 @@ def _drive_customers(
     by session id.
 
     The same ids, per-customer seeds and generator mix as the registry's
-    ``commerce`` scenario and the E16/E17/E25 benchmarks.  Pass
+    ``commerce`` scenario and the E16/E25 benchmarks.  Pass
     ``pending_bills=False`` for transducers without that input (short).
     """
     scripts = {

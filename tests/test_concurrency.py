@@ -8,9 +8,10 @@ must make that *observationally transparent*: a few plain threads, each
 stepping its own sessions, produce exactly the results, logs, final
 states, and persisted snapshots of a serial ``submit_batch`` of the same
 traffic -- for random interleaved multi-session workloads (hypothesis),
-through a JSONL-store restart, and under a non-strict online audit.  A
-strict audit stopping a batch midway attaches the completed results to
-the raised :class:`~repro.errors.AuditViolation`.
+through a JSONL-store restart, under a non-strict online audit, and
+across the two worker processes of a pod server.  A strict audit
+stopping a batch midway attaches the completed results to the raised
+:class:`~repro.errors.AuditViolation`.
 """
 
 import sys
@@ -30,9 +31,10 @@ from repro.errors import AuditViolation
 from repro.pods import (
     PodService,
     SessionHandle,
-    ShardedPodService,
     StepRequest,
+    shard_of,
 )
+from repro.server import PodClient, PodServer
 from repro.verify.api import LogValidity, OnlineAuditor
 from traffic import (
     CATALOG,
@@ -166,22 +168,38 @@ class TestConcurrentEqualsSerial:
         )
 
     def test_sharded_service_fans_out_identically(self, run_batch):
+        """Caller threads on a two-worker pod server: each request
+        reaches its id's worker, and the results, logs and states are
+        a serial in-process run's."""
         scripts = scripts_for([3, 3, 3, 3, 3, 3, 3, 3], seed=9, pending_bills=True)
         order = [i for step in range(3) for i in range(8)]
         batch = batch_of(scripts, order)
-        serial = ShardedPodService(
-            build_friendly(), CATALOG.as_database(), shards=4
-        )
-        concurrent = ShardedPodService(
-            build_friendly(), CATALOG.as_database(), shards=4
-        )
+        serial = PodService(build_friendly(), CATALOG.as_database())
         serial_results = run_batch(serial, scripts, batch)
-        results = run_batch(concurrent, scripts, batch, 4)
-        assert_equivalent(serial, concurrent, scripts, serial_results, results)
-        assert concurrent.metrics.steps_executed == len(order)
-        assert sum(
-            m.steps_executed for m in concurrent.shard_metrics()
-        ) == len(order)
+        with PodServer(
+            build_friendly, CATALOG.as_database(), workers=2
+        ) as server:
+            concurrent = PodClient(server.url, build_friendly())
+            results = run_batch(concurrent, scripts, batch, 4)
+            assert [r.step for r in results] == [
+                r.step for r in serial_results
+            ]
+            assert [r.output for r in results] == [
+                r.output for r in serial_results
+            ]
+            assert [
+                (r.session.session_id, r.session.shard) for r in results
+            ] == [(r.session, shard_of(r.session, 2)) for r in batch]
+            for session_id in scripts:
+                view = concurrent.session(session_id)
+                ref = serial.session(session_id)
+                assert list(view.log().entries) == list(ref.log().entries)
+                assert view.state == ref.state
+            per_worker = concurrent.metrics_payload()["per_worker"]
+        assert [row["steps_executed"] for row in per_worker] == [
+            sum(1 for r in batch if shard_of(r.session, 2) == index)
+            for index in range(2)
+        ]
 
 
 class TestStrictAuditPartialResults:

@@ -1,4 +1,9 @@
-"""Tests for the pod service layer: typed API, stores, sharding."""
+"""Tests for the pod service layer: typed API, stores, sharding.
+
+Sharding is one topology: :class:`~repro.server.frontend.PodServer`
+worker processes, routed by :func:`~repro.pods.service.shard_of`.  The
+routing tests drive a two-worker server through :class:`PodClient`.
+"""
 
 import pytest
 
@@ -17,17 +22,25 @@ from repro.pods import (
     PodService,
     RuntimeMetrics,
     SessionHandle,
-    ShardedPodService,
     StepRequest,
     merge_snapshots,
     open_store,
     shard_of,
 )
+from repro.server import PodClient, PodServer
 
 
 @pytest.fixture
 def service():
     return PodService(build_short(), default_database())
+
+
+@pytest.fixture(scope="module")
+def two_workers():
+    """A two-worker pod server over SHORT and a client for it, shared by
+    the routing tests (each test uses its own session ids)."""
+    with PodServer(build_short, default_database(), workers=2) as server:
+        yield server, PodClient(server.url, build_short())
 
 
 def make_scripts(count, length, catalog):
@@ -95,59 +108,45 @@ class TestShardRouting:
         assert first == second
         assert set(first) == {0, 1, 2, 3}
 
-    def test_service_routing_matches_shard_of(self):
-        service = ShardedPodService(
-            build_short(), default_database(), shards=4
-        )
+    def test_service_routing_matches_shard_of(self, two_workers):
+        server, client = two_workers
         for n in range(20):
-            handle = service.create_session(f"customer-{n}")
-            assert handle.shard == shard_of(handle.session_id, 4)
-            assert service.shard_for(handle) == handle.shard
+            handle = client.create_session(f"route-{n}")
+            assert handle.shard == shard_of(handle.session_id, 2)
+            assert server.route(handle.session_id) == handle.shard
+        # A worker's PodService stamps its handles with its shard_index.
+        service = PodService(build_short(), default_database(), shard_index=3)
+        assert service.create_session("alice") == SessionHandle("alice", 3)
 
-    def test_sessions_live_only_on_their_shard(self):
-        service = ShardedPodService(
-            build_short(), default_database(), shards=4
-        )
-        handle = service.create_session("alice")
-        for index in range(service.shard_count):
-            shard_ids = service.shard(index).session_ids()
+    def test_sessions_live_only_on_their_shard(self, two_workers):
+        server, client = two_workers
+        handle = client.create_session("alice")
+        for index in range(server.worker_count):
+            shard_ids = server.worker(index).call("ids", {})["session_ids"]
             assert ("alice" in shard_ids) == (index == handle.shard)
-
-    def test_stale_handle_raises_shard_error(self):
-        service = ShardedPodService(
-            build_short(), default_database(), shards=4
-        )
-        handle = service.create_session("alice")
-        stale = SessionHandle("alice", (handle.shard + 1) % 4)
-        with pytest.raises(ShardError, match="routes to shard"):
-            service.submit(StepRequest(stale, FIGURE1_INPUTS[0]))
 
     def test_invalid_shard_configuration(self):
         with pytest.raises(ShardError):
-            ShardedPodService(build_short(), default_database(), shards=0)
-        with pytest.raises(ShardError):
             shard_of("alice", 0)
-        service = ShardedPodService(
-            build_short(), default_database(), shards=2
-        )
-        with pytest.raises(ShardError, match="no such shard"):
-            service.shard(5)
 
-    def test_sharded_metrics_are_merged(self):
-        service = ShardedPodService(
-            build_short(), default_database(), shards=3
-        )
+    def test_sharded_metrics_are_merged(self, two_workers):
+        server, client = two_workers
+        before = client.metrics_payload()["per_worker"]
         for n in range(6):
-            service.run_session(
-                service.create_session(f"customer-{n}"), FIGURE1_INPUTS[:2]
+            client.run_session(
+                client.create_session(f"merged-{n}"), FIGURE1_INPUTS[:2]
             )
-        merged = service.metrics
-        assert merged.sessions_created == 6
-        assert merged.steps_executed == 12
-        assert merged.steps_executed == sum(
-            m.steps_executed for m in service.shard_metrics()
+        payload = client.metrics_payload()
+        added = [
+            {key: row[key] - old[key] for key in ("sessions_created", "steps_executed")}
+            for row, old in zip(payload["per_worker"], before)
+        ]
+        assert sum(row["sessions_created"] for row in added) == 6
+        assert sum(row["steps_executed"] for row in added) == 12
+        assert all(row["steps_executed"] for row in added)  # both shards
+        assert payload["pods"]["steps_executed"] == sum(
+            row["steps_executed"] for row in payload["per_worker"]
         )
-        assert merged.snapshot()["steps_executed"] == 12
 
 
 class TestStores:
@@ -340,83 +339,78 @@ class TestStores:
         catalog = CatalogGenerator(seed=3).generate(25)
         scripts = make_scripts(8, 4, catalog)
 
-        def factory(index):
-            return tmp_path / f"shard-{index:02d}"
-
-        first = ShardedPodService(
-            transducer, catalog.as_database(), shards=4, store_factory=factory
-        )
-        for session_id in scripts:
-            first.create_session(session_id)
-        first.drive({sid: script[:2] for sid, script in scripts.items()})
-        del first
-
-        revived = ShardedPodService(
-            transducer, catalog.as_database(), shards=4, store_factory=factory
-        )
-        assert revived.stored_session_ids() == sorted(scripts)
-        revived.drive({sid: script[2:] for sid, script in scripts.items()})
-        for session_id, script in scripts.items():
-            run = transducer.run(catalog.as_database(), script)
-            assert (
-                list(revived.session(session_id).log().entries)
-                == list(run.logs)
+        def serve():
+            return PodServer(
+                build_friendly,
+                catalog.as_database(),
+                workers=2,
+                store_root=str(tmp_path),
             )
+
+        with serve() as first:
+            client = PodClient(first.url, transducer)
+            for session_id in scripts:
+                client.create_session(session_id)
+            client.drive({sid: script[:2] for sid, script in scripts.items()})
+        # Each worker kept its sessions in its own store directory.
+        for index in range(2):
+            assert JsonlDirectoryStore(
+                tmp_path / f"shard-{index:02d}"
+            ).session_ids() == sorted(
+                sid for sid in scripts if shard_of(sid, 2) == index
+            )
+
+        with serve() as revived:
+            client = PodClient(revived.url, transducer)
+            client.drive({sid: script[2:] for sid, script in scripts.items()})
+            assert client.session_ids() == sorted(scripts)
+            for session_id, script in scripts.items():
+                run = transducer.run(catalog.as_database(), script)
+                assert (
+                    list(client.session(session_id).log().entries)
+                    == list(run.logs)
+                )
 
 
 class TestWorkloadDriverOnPods:
-    def test_sharded_workload_matches_single_engine(self, drive_customers):
-        catalog = CatalogGenerator(seed=2).generate(30)
-        single = PodService(build_friendly(), catalog.as_database())
-        sharded = ShardedPodService(
-            build_friendly(), catalog.as_database(), shards=4
-        )
-        for service in (single, sharded):
-            scripts = drive_customers(service, catalog, 12, 4, seed=5)
-        assert sharded.shard_count == 4
-        assert len({sharded.shard_for(sid) for sid in scripts}) > 1
-        assert (
-            sharded.metrics.steps_executed
-            == single.metrics.steps_executed
-            == 48
-        )
-        assert sharded.logs() == single.logs()
-
     def test_workload_with_persistent_store(self, tmp_path, drive_customers):
         catalog = CatalogGenerator(seed=2).generate(10)
-        service = ShardedPodService(
-            build_short(),
-            catalog.as_database(),
-            shards=1,
-            store_factory=lambda index: tmp_path / f"shard-{index}",
+        service = PodService(
+            build_short(), catalog.as_database(), store=tmp_path / "pods"
         )
         drive_customers(service, catalog, 4, 3, pending_bills=False)
         assert service.metrics.steps_executed == 12
-        store = JsonlDirectoryStore(tmp_path / "shard-0")
+        store = JsonlDirectoryStore(tmp_path / "pods")
         assert store.session_ids() == [f"customer-{n:06d}" for n in range(4)]
 
 
 class TestMergedMetrics:
     def test_merged_sums_counts_and_combines_extremes(self):
-        first, second = RuntimeMetrics(), RuntimeMetrics()
+        first, second, idle = RuntimeMetrics(), RuntimeMetrics(), RuntimeMetrics()
         first.record_session()
         first.record_step(0.5)
         second.record_session()
         second.record_resume()
         second.record_step(0.1)
         second.record_step(0.9)
-        merged = RuntimeMetrics.merged([first, second])
-        assert merged.sessions_created == 2
-        assert merged.sessions_resumed == 1
-        assert merged.steps_executed == 3
-        assert merged.step_seconds_min == 0.1
-        assert merged.step_seconds_max == 0.9
-        assert merged.started_at == min(first.started_at, second.started_at)
+        snapshots = [m.snapshot() for m in (first, second, idle)]
+        merged = merge_snapshots(snapshots)
+        assert merged["sessions_created"] == 2
+        assert merged["sessions_resumed"] == 1
+        assert merged["steps_executed"] == 3
+        # A worker with no steps reports min 0.0; it must not win.
+        assert merged["min_step_latency_seconds"] == 0.1
+        assert merged["max_step_latency_seconds"] == 0.9
+        assert merged["mean_step_latency_seconds"] == 0.5
+        assert merged["elapsed_seconds"] == max(
+            s["elapsed_seconds"] for s in snapshots
+        )
 
     def test_merged_of_nothing_is_empty(self):
-        merged = RuntimeMetrics.merged([])
-        assert merged.steps_executed == 0
-        assert merged.snapshot()["min_step_latency_seconds"] == 0.0
+        merged = merge_snapshots([])
+        assert merged["steps_executed"] == 0
+        assert merged["min_step_latency_seconds"] == 0.0
+        assert merged["steps_per_second"] == 0.0
 
     def test_merge_snapshots_sums_counts_but_maxes_gauges(self):
         first, second = RuntimeMetrics(), RuntimeMetrics()

@@ -10,10 +10,10 @@ Covers the PR 8 contract:
   and clean under its own ``OnlineAuditor`` specs -- except the
   adversarial scenario, whose violations are the point;
 * ``run_scenario`` drives the identical traffic through ``PodService``,
-  ``ShardedPodService``, session stores, a ``PodClient`` over HTTP,
-  and ``python -m repro.server --scenario`` -- same digest everywhere;
+  session stores, a ``PodClient`` over HTTP to one worker or two, and
+  ``python -m repro.server --scenario`` -- same digest everywhere;
 * the registry's ``commerce`` scenario generates exactly the
-  per-customer traffic the E16/E17/E25 benchmarks build inline.
+  per-customer traffic the E16/E25 benchmarks build inline.
 """
 
 from __future__ import annotations
@@ -59,6 +59,12 @@ def _size(name: str) -> dict:
     if name == "fraud-detection":
         return {"sessions": 3, "steps": 3}
     return {"sessions": 6, "steps": 5}
+
+
+def feed_delivery_auditor(shard_index):
+    """Module-level (picklable) factory: feed-delivery's own auditor in
+    every pod-server worker."""
+    return make_auditor("feed-delivery")
 
 
 def _subprocess_env() -> dict:
@@ -260,11 +266,22 @@ class TestServiceSurfaces:
         assert baseline.log_digest == sqlite.log_digest == jsonl.log_digest
 
     def test_sharded_service_agrees(self):
+        """Two audited workers give the flat run's digest."""
         flat = run_scenario("feed-delivery", sessions=8, steps=5, seed=4)
-        sharded = run_scenario(
-            "feed-delivery", sessions=8, steps=5, seed=4, shards=3
-        )
+        with PodServer(
+            partial(scenario_transducer, "feed-delivery"),
+            scenario_database("feed-delivery", seed=4),
+            workers=2,
+            auditor_factory=feed_delivery_auditor,
+        ) as server:
+            client = PodClient(server.url, scenario_transducer("feed-delivery"))
+            sharded = run_scenario(
+                "feed-delivery", service=client, sessions=8, steps=5, seed=4
+            )
+            per_worker = client.metrics_payload()["per_worker"]
         assert flat.log_digest == sharded.log_digest
+        assert all(row["steps_executed"] for row in per_worker)
+        assert sharded.audit_checks == flat.audit_checks > 0
         assert flat.audit_violations == sharded.audit_violations == 0
 
     @pytest.mark.parametrize("name", ALL_SCENARIOS)

@@ -3,9 +3,11 @@
 The acceptance bar of the server subsystem:
 
 * *parity*: results, logs, states, and snapshots obtained through a
-  live HTTP server are byte-identical to an in-process
-  :class:`~repro.pods.service.ShardedPodService` over the same traffic
-  (fixed scripts and hypothesis-random interleavings);
+  live two-worker HTTP server are byte-identical to one in-process
+  :class:`~repro.pods.service.PodService` over the same traffic
+  (fixed scripts and hypothesis-random interleavings), and every
+  handle names the worker :func:`~repro.pods.service.shard_of` routes
+  its id to;
 * *backpressure*: overflowing a worker's admission window is a typed
   :class:`~repro.errors.Backpressure` (HTTP 429) -- never a hang;
 * *supervision*: a hard-killed worker is detected, restarted, and
@@ -50,7 +52,7 @@ from repro.errors import (
     ServerError,
     SessionError,
 )
-from repro.pods import ShardedPodService, SqliteStore, StepRequest
+from repro.pods import SqliteStore, StepRequest
 from repro.pods.api import facts_of
 from repro.pods.service import PodService, shard_of
 from repro.server import PodClient, PodServer, wire
@@ -89,14 +91,18 @@ def client(parity_server):
 # -- serial-vs-server parity ---------------------------------------------------
 
 
+def assert_routed(handle, session_id):
+    """A server handle names its id and the worker the id routes to."""
+    assert handle.session_id == session_id
+    assert handle.shard == shard_of(session_id, 2)
+
+
 class TestParity:
     def run_both(self, client, scripts, order):
-        reference = ShardedPodService(
-            build_friendly(), CATALOG.as_database(), shards=2
-        )
+        reference = PodService(build_friendly(), CATALOG.as_database())
         for session_id in sorted(scripts):
-            handle = client.create_session(session_id)
-            assert reference.create_session(session_id) == handle
+            assert_routed(client.create_session(session_id), session_id)
+            reference.create_session(session_id)
         batch = batch_of(scripts, order)
         expected = reference.submit_batch(batch)
         results = client.submit_batch(batch)
@@ -105,7 +111,8 @@ class TestParity:
     def assert_equivalent(self, client, reference, scripts, expected, results):
         assert [r.step for r in results] == [r.step for r in expected]
         assert [r.output for r in results] == [r.output for r in expected]
-        assert [r.session for r in results] == [r.session for r in expected]
+        for result, want in zip(results, expected):
+            assert_routed(result.session, want.session.session_id)
         for session_id in scripts:
             view = client.session(session_id)
             ref = reference.session(session_id)
@@ -141,32 +148,38 @@ class TestParity:
     def test_submit_one_at_a_time(self, client):
         prefix = fresh_prefix()
         handle = client.create_session(f"{prefix}-solo")
-        reference = ShardedPodService(
-            build_friendly(), CATALOG.as_database(), shards=2
-        )
+        assert_routed(handle, f"{prefix}-solo")
+        reference = PodService(build_friendly(), CATALOG.as_database())
         ref_handle = reference.create_session(f"{prefix}-solo")
         script = SessionGenerator(CATALOG, seed=5).session(4)
         for inputs in script:
             got = client.submit(StepRequest(handle, inputs))
             want = reference.submit(StepRequest(ref_handle, inputs))
             assert (got.step, got.output) == (want.step, want.output)
+            assert got.session == handle
 
     def test_workload_driver_runs_unchanged(self, drive_customers):
-        """``PodClient.drive`` over seeded customer traffic reproduces
-        the in-process logs and step counts."""
+        """``PodClient.drive`` over seeded customer traffic (the E16
+        workload's ids and seeds) reproduces the in-process logs and
+        step counts, with the sessions spread over both workers."""
         reference = PodService(build_friendly(), CATALOG.as_database())
         with PodServer(
             build_friendly, CATALOG.as_database(), workers=2
         ) as server:
             remote = PodClient(server.url, build_friendly())
             for service in (reference, remote):
-                scripts = drive_customers(service, CATALOG, 6, 4, seed=3)
+                scripts = drive_customers(service, CATALOG, 12, 4, seed=3)
+            assert {shard_of(sid, 2) for sid in scripts} == {0, 1}
             for session_id in scripts:
                 assert remote.session(session_id).log() == (
                     reference.session(session_id).log()
                 )
-            assert remote.metrics.snapshot()["steps_executed"] == 24
-        assert reference.metrics.steps_executed == 24
+            payload = remote.metrics_payload()
+            assert payload["pods"]["steps_executed"] == 48
+            assert all(
+                row["steps_executed"] for row in payload["per_worker"]
+            )
+        assert reference.metrics.steps_executed == 48
 
 
 # -- observability -------------------------------------------------------------
@@ -294,8 +307,9 @@ class TestTypedErrors:
         """A strict audit stopping a batch raises request-aligned
         partial results in process and over HTTP, and each surface's
         own SQLite store agrees with them (the contract stated on
-        ``_PodApi.submit_batch``).  Only the contract is shared: over
-        HTTP the other shard runs to completion."""
+        ``_PodApi.submit_batch``).  Only the contract is shared: in
+        process the batch stops at the violation, over HTTP the other
+        shard runs to completion."""
         # alice (shard 1 of 2) goes invalid on her empty step 2, so her
         # step 3 never runs; bob lives on shard 0.
         batch = [
@@ -310,21 +324,23 @@ class TestTypedErrors:
             reference.create_session(session_id)
         expected = [reference.submit(r) for r in batch]
 
-        in_process = ShardedPodService(
+        local = tmp_path / "local.sqlite"
+        in_process = PodService(
             build_buggy_store(),
             default_database(),
-            shards=2,
-            store_factory=lambda i: str(tmp_path / f"local-{i:02d}.sqlite"),
-            auditor_factory=strict_short_auditor,
+            store=local,
+            auditor=strict_short_auditor(0),
         )
         for session_id in ("alice", "bob"):
             in_process.create_session(session_id)
         with pytest.raises(AuditViolation) as caught:
             in_process.submit_batch(batch)
         in_process.close()
+        assert [r is not None for r in caught.value.partial_results] == [
+            True, True, False, False, False,
+        ]
         assert_partial_results_contract(
-            batch, caught.value, expected,
-            lambda i: tmp_path / f"local-{i:02d}.sqlite",
+            batch, caught.value, expected, lambda i: local
         )
 
         root = tmp_path / "served"
@@ -352,7 +368,8 @@ class TestTypedErrors:
 
 def assert_partial_results_contract(batch, violation, expected, shard_file):
     """Check ``violation.partial_results`` of ``batch`` against the
-    surface's own store (``shard_file(i)`` is shard i's SQLite file).
+    surface's own store (``shard_file(i)`` is the SQLite file holding
+    shard i's sessions; one file for an in-process service).
 
     ``expected`` holds the results of the same requests run one at a
     time with no audit; every session starts the batch at step 0.

@@ -37,17 +37,19 @@ from repro.pods import (
     JsonlDirectoryStore,
     LruSessionCache,
     PodService,
-    ShardedPodService,
     SqliteStore,
     StepRequest,
     StoreStats,
     max_resident_sessions,
     migrate_sessions,
     open_store,
+    shard_of,
 )
 from repro.pods.session import Session
 from repro.pods.store import _STORE_METHODS, SessionStore, _encode_facts
 from repro.relalg.schema import DatabaseSchema, RelationSchema
+from repro.server import PodClient, PodServer
+from repro.server.worker import WorkerConfig, _build_service, database_facts_of
 from repro.verify.api import LogValidity, OnlineAuditor
 from traffic import batch_of, scripts_for, workloads
 
@@ -109,6 +111,33 @@ class TestSqliteStore:
             store=str(tmp_path / "svc.sqlite"),
         )
         assert isinstance(service.store, SqliteStore)
+
+    def test_durability_reaches_sqlite_through_open_store(self, tmp_path):
+        # A worker opens its store through open_store: the suffix match
+        # ignores case, and durability applies to SQLite targets only.
+        store = open_store(str(tmp_path / "PODS.DB"), durability="full")
+        assert isinstance(store, SqliteStore)
+        assert store.durability == "full"
+        store.close()
+        assert isinstance(open_store(None, durability="full"), InMemoryStore)
+        assert isinstance(
+            open_store(str(tmp_path / "plain"), durability="full"),
+            JsonlDirectoryStore,
+        )
+        config = WorkerConfig(
+            transducer_factory=build_short,
+            database_facts=database_facts_of(default_database()),
+            store_target=str(tmp_path / "WORKER.DB"),
+            durability="full",
+        )
+        service = _build_service(1, config)
+        assert isinstance(service.store, SqliteStore)
+        assert service.store.durability == "full"
+        (level,) = service.store._conn.execute(
+            "PRAGMA synchronous"
+        ).fetchone()
+        assert level == 2  # FULL
+        service.close()
 
     def test_wal_mode_is_on(self, tmp_path):
         store = SqliteStore(tmp_path / "pods.sqlite")
@@ -307,15 +336,23 @@ class TestResidencyKnob:
 
     def test_sharded_bound_is_per_shard(self, monkeypatch):
         monkeypatch.delenv(MAX_RESIDENT_ENV, raising=False)
-        service = ShardedPodService(
-            build_short(), default_database(), shards=2,
+        with PodServer(
+            build_short, default_database(), workers=2,
             max_resident_sessions=1,
-        )
-        for index in range(6):
-            service.create_session(f"s{index}")
-        assert len(service.resident_session_ids()) <= 2  # one per shard
-        assert sorted(service.session_ids()) == [
-            f"s{index}" for index in range(6)
+        ) as server:
+            client = PodClient(server.url, build_short())
+            for index in range(6):
+                client.create_session(f"s{index}")
+            per_worker = client.metrics_payload()["per_worker"]
+            assert client.session_ids() == [f"s{index}" for index in range(6)]
+        # Each worker keeps one session resident and evicted the rest.
+        created = [
+            sum(1 for index in range(6) if shard_of(f"s{index}", 2) == shard)
+            for shard in range(2)
+        ]
+        assert [row["sessions_created"] for row in per_worker] == created
+        assert [row["sessions_evicted"] for row in per_worker] == [
+            count - 1 for count in created
         ]
 
 

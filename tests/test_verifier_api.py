@@ -25,7 +25,8 @@ from repro.commerce.models import (
 from repro.datalog.ast import Variable
 from repro.errors import AuditViolation, SpecError, UndecidableError
 from repro.logic.fol import And, Forall, Implies, Not, Rel
-from repro.pods import PodService, ShardedPodService, StepRequest
+from repro.pods import PodService, StepRequest
+from repro.server import PodClient, PodServer
 from repro.verify import Goal
 from repro.verify.api import (
     AllOf,
@@ -41,6 +42,12 @@ from repro.verify.api import (
     compile_temporal_violation,
 )
 from repro.verify.tsdi import TsdiConjunct, TsdiSentence
+
+
+def short_log_auditor(shard_index):
+    """Module-level (picklable) auditor factory for pod-server workers."""
+    return OnlineAuditor([LogValidity()], reference=build_short())
+
 
 X, Y = Variable("X"), Variable("Y")
 
@@ -283,23 +290,30 @@ class TestCheckRunAndAuditorAgree:
         assert [f.step for f in findings] == [1]  # latched, not repeated
 
     def test_sharded_service_audits_per_shard_and_merges_metrics(
-        self, short, buggy, catalog_db
+        self, buggy, catalog_db
     ):
-        service = ShardedPodService(
-            buggy,
+        with PodServer(
+            build_buggy_store,
             catalog_db,
-            shards=2,
-            auditor_factory=lambda index: OnlineAuditor(
-                [LogValidity()], reference=short
-            ),
-        )
-        handles = [service.create_session(f"c{n}") for n in range(4)]
-        for handle in handles:
-            service.run_session(handle, [{"order": {("time",)}}, {}])
-        findings = service.audit_findings()
-        assert {f.session_id for f in findings} == {f"c{n}" for n in range(4)}
-        assert service.metrics.audit_violations == len(findings) == 4
-        assert service.metrics.audited_steps == 8
+            workers=2,
+            auditor_factory=short_log_auditor,
+        ) as server:
+            service = PodClient(server.url, buggy)
+            handles = [service.create_session(f"c{n}") for n in range(6)]
+            for handle in handles:
+                service.run_session(handle, [{"order": {("time",)}}, {}])
+            findings = service.audit_findings()
+            payload = service.metrics_payload()
+        assert {f.session_id for f in findings} == {f"c{n}" for n in range(6)}
+        merged = payload["pods"]
+        assert merged["audit_violations"] == len(findings) == 6
+        assert merged["audited_steps"] == 12
+        # Each worker audited its own sessions with its own auditor.
+        assert {handle.shard for handle in handles} == {0, 1}
+        assert [row["audited_steps"] for row in payload["per_worker"]] == [
+            2 * sum(1 for handle in handles if handle.shard == index)
+            for index in range(2)
+        ]
 
     def test_resumed_sessions_keep_log_shaped_audits(
         self, short, buggy, catalog_db, tmp_path
