@@ -142,16 +142,18 @@ def main(argv: "list[str] | None" = None) -> int:
         host=args.host,
         port=args.port,
     )
-    server.start()
-    print(f"pod server listening on {server.url}", flush=True)
-
     stop = threading.Event()
 
     def request_stop(signum, frame):
         stop.set()
 
+    # Install the handlers before the server answers anything: a client
+    # that sees /healthz and sends SIGTERM must get a clean shutdown,
+    # not the default action (which orphans the worker processes).
     signal.signal(signal.SIGINT, request_stop)
     signal.signal(signal.SIGTERM, request_stop)
+    server.start()
+    print(f"pod server listening on {server.url}", flush=True)
     # Poll so a signal delivered to a non-main thread is still acted
     # on promptly (the handler only runs when the main thread wakes).
     while not stop.wait(0.5):

@@ -373,6 +373,31 @@ class TestStores:
 
 
 class TestWorkloadDriverOnPods:
+    def test_sharded_workload_matches_single_engine(self, drive_customers):
+        catalog = CatalogGenerator(seed=2).generate(30)
+        single = PodService(build_friendly(), catalog.as_database())
+        with PodServer(
+            build_friendly, catalog.as_database(), workers=4
+        ) as server:
+            sharded = PodClient(server.url, build_friendly())
+            for service in (single, sharded):
+                scripts = drive_customers(service, catalog, 12, 4, seed=5)
+            assert len({shard_of(sid, 4) for sid in scripts}) > 1
+            payload = sharded.metrics_payload()
+            assert len(payload["per_worker"]) == 4
+            assert sum(
+                1 for row in payload["per_worker"] if row["steps_executed"]
+            ) > 1
+            assert (
+                payload["pods"]["steps_executed"]
+                == single.metrics.steps_executed
+                == 48
+            )
+            assert sharded.session_ids() == single.session_ids()
+            assert [
+                sharded.session(sid).log() for sid in sharded.session_ids()
+            ] == single.logs()
+
     def test_workload_with_persistent_store(self, tmp_path, drive_customers):
         catalog = CatalogGenerator(seed=2).generate(10)
         service = PodService(
