@@ -264,7 +264,7 @@ class SpocusTransducer(RelationalTransducer):
             seen = state[past(rel.name)]
             new = inputs[rel.name]
             # Keep an unchanged relation by identity: the SQLite store
-            # re-encodes only relations whose frozenset changed.
+            # diffs only relations whose frozenset changed.
             data[past(rel.name)] = seen if new <= seen else seen | new
         return Instance(self.schema.state, data)
 

@@ -3,23 +3,51 @@
 The JSONL store burns one file (and one directory entry) per session,
 which dies at a few hundred thousand pods; :class:`SqliteStore` keeps
 every session of a service in one database file -- the byoda
-``datacache/kv_sqlite.py`` shape -- with two tables:
+``datacache/kv_sqlite.py`` shape.  The file is log-structured, like
+the run it records: a relational transducer folds (state, input) into
+(output, next state), and each served step appends one row.  Two
+tables:
 
-* ``snapshots`` -- one row per open session: its step count and the
-  cumulative state (the load-bearing record, restated every step just
-  as the JSONL store's ``step`` records restate it, but as an in-place
-  UPDATE instead of an append);
-* ``events`` -- one row per *logged* step: the step's log entry, keyed
-  ``(session_id, step)``.  Services running ``keep_logs=False`` write
-  no event rows at all, matching the JSONL semantics of persisting
-  only state and step count.
+* ``sessions`` -- one row per open session, written only by create,
+  close and import;
+* ``events`` -- one row per step, keyed ``(session_id, step)``: the
+  step's log entry (``log``, NULL when the service runs
+  ``keep_logs=False``) and its state, either whole (``state``) or as
+  the change since the previous step (``change``, ``{"+": {rel:
+  rows}, "-": {rel: rows}}``, the ``"-"`` key only when a relation
+  lost rows).  A step sets exactly one of the two.  Imported and
+  converted sessions also carry log-only rows before their full row.
+
+So :meth:`SqliteStore.record_step` runs one ``INSERT``: no snapshot
+``UPDATE``, and no ``SAVEPOINT``, because a single statement is
+atomic.  A step writes a full ``state`` row when the store holds no
+previous state for the session (the first step after create, after
+:meth:`~SqliteStore.evict`, after a reopen or an import), or when the
+rows written since the last full row reach 1 + the number of rows in
+the state.  :meth:`~SqliteStore.load` therefore folds at most
+|state| + 1 rows, and full rows cost O(1) per step amortized.  To
+diff, the store keeps each resident session's last recorded relations
+(the immutable frozensets, by reference) and that row count; a Spocus
+step changes only the ``past-*`` relations its input touched, so the
+change costs what the step added.  The memo is updated only once the
+row is written, and dropped when the session is closed, re-created or
+evicted from the service.
+
+Facts are written in the JSONL store's sorted-row JSON
+(:func:`~repro.pods.store.encode_facts`): a ``log`` or ``state`` cell
+equals ``json.dumps(encode_facts(facts), sort_keys=True)`` byte for
+byte, so logs are byte-identical across the two backends and
+:func:`~repro.pods.store.migrate_sessions` moves sessions either way.
+A loaded state equals the recorded one under the values' equality (a
+frozenset already holds one row for ``1``, ``1.0`` and ``True``).
+
+A file in the earlier layout -- a ``snapshots`` table restating each
+session's whole state, and log-only ``events`` rows -- is converted
+once, at open, in one transaction: each session's state becomes a
+full row at its last step, and ``snapshots`` is dropped.
 
 The file is opened in WAL mode so readers never block the writer, and
-a ``load`` during heavy stepping sees a consistent snapshot.  The
-wire format of facts is exactly the JSONL store's
-(:func:`~repro.pods.store._encode_facts` sorted-row JSON), so
-snapshots are byte-identical across the two backends and
-:func:`~repro.pods.store.migrate_sessions` moves sessions either way.
+a ``load`` during heavy stepping sees a consistent snapshot.
 
 **Durability.**  Every store is write-through: a recorded event
 commits before the call that recorded it returns.  ``durability=``
@@ -33,19 +61,12 @@ picks only SQLite's ``synchronous`` level:
 
 A plain ``submit`` commits once per event; a ``submit_batch`` commits
 once per call, before it returns.  The service brackets the batch in
-:meth:`SqliteStore.scope`: inside it, each event runs in its own
-``SAVEPOINT`` of one open transaction, so a failing event rolls back
-alone, and the transaction commits when the scope exits -- also when
-the batch raised.  A process killed mid-batch loses only that
-unacknowledged batch.  Scopes are per thread: a thread outside one (a
-plain ``submit`` from another caller thread) still commits per event.
-
-The state column is re-encoded per relation, not per state: a Spocus
-step changes only the ``past-*`` relations its input touched, and the
-store keeps each resident session's per-relation JSON text, keyed by
-the identity of the relation's (immutable) frozenset.  The text is
-byte-identical to encoding the whole state; the memo is dropped when
-the session is closed, re-created, or evicted from the service.
+:meth:`SqliteStore.scope`: inside it, events join one open
+transaction, a failing event leaves the events before it in place, and
+the transaction commits when the scope exits -- also when the batch
+raised.  A process killed mid-batch loses only that unacknowledged
+batch.  Scopes are per thread: a thread outside one (a plain
+``submit`` from another caller thread) still commits per event.
 
 All operations are serialized by one internal lock (SQLite connections
 are not thread-safe, and the per-event work is tiny next to a datalog
@@ -68,6 +89,7 @@ from repro.pods.store import (
     StoreStats,
     _decode_facts,
     _encode_facts,
+    decode_rows,
     encode_rows,
 )
 from repro.relalg.instance import Instance
@@ -75,18 +97,50 @@ from repro.relalg.instance import Instance
 DURABILITY_MODES = ("full", "step")
 
 _SCHEMA = """
-CREATE TABLE IF NOT EXISTS snapshots (
-    session_id TEXT PRIMARY KEY,
-    steps      INTEGER NOT NULL DEFAULT 0,
-    state      TEXT
-);
+CREATE TABLE IF NOT EXISTS sessions (
+    session_id TEXT PRIMARY KEY
+) WITHOUT ROWID;
 CREATE TABLE IF NOT EXISTS events (
     session_id TEXT    NOT NULL,
     step       INTEGER NOT NULL,
-    log        TEXT    NOT NULL,
+    log        TEXT,
+    state      TEXT,
+    change     TEXT,
     PRIMARY KEY (session_id, step)
 ) WITHOUT ROWID;
 """
+
+#: Converts the earlier layout (``snapshots`` plus log-only ``events``)
+#: in place; run inside one transaction.
+_CONVERT = (
+    "ALTER TABLE events RENAME TO events_before",
+    *[statement for statement in _SCHEMA.split(";") if statement.strip()],
+    "INSERT INTO sessions (session_id) SELECT session_id FROM snapshots",
+    "INSERT INTO events (session_id, step, log) "
+    "SELECT session_id, step, log FROM events_before "
+    "WHERE session_id IN (SELECT session_id FROM snapshots)",
+    "INSERT INTO events (session_id, step, state) "
+    "SELECT session_id, steps, state FROM snapshots "
+    "WHERE state IS NOT NULL "
+    "ON CONFLICT (session_id, step) DO UPDATE SET state = excluded.state",
+    "DROP TABLE events_before",
+    "DROP TABLE snapshots",
+)
+
+_INSERT_STEP = (
+    "INSERT INTO events (session_id, step, log, state, change) "
+    "VALUES (?, ?, ?, ?, ?)"
+)
+
+
+def _facts_json(keys, relations) -> str:
+    """``json.dumps(encode_facts(facts), sort_keys=True)``, from
+    ``keys`` (each relation's JSON key and ``": "``, sorted by name)
+    and the relations' rows in the same order."""
+    return "{" + ", ".join([
+        key + (json.dumps(encode_rows(rows)) if rows else "[]")
+        for key, rows in zip(keys, relations)
+    ]) + "}"
 
 
 class SqliteStore(StoreLifecycle):
@@ -121,9 +175,12 @@ class SqliteStore(StoreLifecycle):
         self._commits = 0
         # Per-thread scope depth (see scope()).
         self._local = threading.local()
-        # session id -> {relation -> (rows, JSON text)} of the state it
-        # last recorded (see _state_json).
-        self._state_memo: dict[str, dict[str, tuple[frozenset, str]]] = {}
+        # session id -> (relation names, their rows as last recorded,
+        # rows written since the last full row); see record_step.
+        self._state_memo: dict[str, tuple[tuple, list, int]] = {}
+        # id(schema) -> (schema, sorted names, their JSON keys); the
+        # entry keeps the schema alive, so its id is never reused.
+        self._layouts: dict[int, tuple] = {}
         try:
             self._conn = sqlite3.connect(
                 str(self._path), check_same_thread=False
@@ -133,9 +190,15 @@ class SqliteStore(StoreLifecycle):
                 "PRAGMA synchronous="
                 + ("FULL" if durability == "full" else "NORMAL")
             )
-            self._conn.executescript(_SCHEMA)
+            if self._conn.execute(
+                "SELECT 1 FROM sqlite_master "
+                "WHERE type = 'table' AND name = 'snapshots'"
+            ).fetchone():
+                self._execute([(sql, ()) for sql in _CONVERT])
+            else:
+                self._conn.executescript(_SCHEMA)
             self._conn.commit()
-        except sqlite3.Error as error:
+        except (sqlite3.Error, StoreError) as error:
             raise StoreError(
                 f"cannot open SQLite store at {self._path}: {error}"
             ) from error
@@ -152,7 +215,7 @@ class SqliteStore(StoreLifecycle):
             raise StoreError(f"SQLite store at {self._path} is closed")
 
     def _execute(self, statements: list[tuple[str, tuple]]) -> None:
-        """Apply one event's statements.
+        """Apply one multi-statement event (create, close, import).
 
         Called with the lock held.  The event runs in its own savepoint
         of the open transaction, so a failing event rolls back alone.
@@ -174,10 +237,13 @@ class SqliteStore(StoreLifecycle):
                 raise
             finally:
                 conn.execute("RELEASE event")
-                if not getattr(self._local, "depth", 0):
-                    self._commit_locked()
+                self._commit_unscoped()
         except sqlite3.Error as error:
             raise StoreError(f"SQLite write failed: {error}") from error
+
+    def _commit_unscoped(self) -> None:
+        if not getattr(self._local, "depth", 0):
+            self._commit_locked()
 
     def _commit_locked(self) -> None:
         if self._conn.in_transaction:
@@ -208,29 +274,26 @@ class SqliteStore(StoreLifecycle):
                                 f"SQLite commit failed: {error}"
                             ) from error
 
-    def _state_json(self, session_id: str, state) -> str:
-        """The state column: ``json.dumps(_encode_facts(facts), sort_keys=True)``.
-
-        Built from per-relation fragments, re-encoding only relations
-        whose frozenset is not the one this session last recorded.
-        Plain facts mappings (no live instance) are encoded whole.
-        """
-        if not isinstance(state, Instance):
-            return json.dumps(_encode_facts(facts_of(state)), sort_keys=True)
-        memo = self._state_memo.get(session_id)
-        if memo is None:
-            memo = self._state_memo[session_id] = {}
-        fragments = []
-        for name in sorted(state.schema.names):
-            rows = state[name]
-            cached = memo.get(name)
-            if cached is None or cached[0] is not rows:
-                cached = memo[name] = (
-                    rows,
-                    json.dumps(name) + ": " + json.dumps(encode_rows(rows)),
+    def _relations(self, value) -> tuple[tuple, tuple, list]:
+        """(sorted names, their JSON keys, their rows) of an instance
+        or plain facts mapping; an instance's names and keys are
+        cached per schema."""
+        if isinstance(value, Instance):
+            schema = value.schema
+            layout = self._layouts.get(id(schema))
+            if layout is None:
+                names = tuple(sorted(schema.names))
+                layout = self._layouts[id(schema)] = (
+                    schema,
+                    names,
+                    tuple(json.dumps(name) + ": " for name in names),
                 )
-            fragments.append(cached[1])
-        return "{" + ", ".join(fragments) + "}"
+            _schema, names, keys = layout
+            return names, keys, [value[name] for name in names]
+        facts = facts_of(value)
+        names = tuple(sorted(facts))
+        keys = tuple(json.dumps(name) + ": " for name in names)
+        return names, keys, [facts[name] for name in names]
 
     # -- the SessionStore recording seam ---------------------------------------
 
@@ -243,35 +306,66 @@ class SqliteStore(StoreLifecycle):
             self._execute([
                 ("DELETE FROM events WHERE session_id = ?", (session_id,)),
                 (
-                    "INSERT OR REPLACE INTO snapshots "
-                    "(session_id, steps, state) VALUES (?, 0, NULL)",
+                    "INSERT OR IGNORE INTO sessions (session_id) VALUES (?)",
                     (session_id,),
                 ),
             ])
 
     def record_step(self, session_id, steps, state, log_entry) -> None:
+        """Append the step's one row: its log entry and its state,
+        whole or as the change since the session's last recorded
+        state (see the module docstring)."""
         self._check_open()
-        # Encode outside the lock: instances are immutable, and the
-        # JSON encoding dominates the per-event cost.
-        state_json = self._state_json(session_id, state)
-        statements = [
-            (
-                "UPDATE snapshots SET steps = ?, state = ? "
-                "WHERE session_id = ?",
-                (steps, state_json, session_id),
-            ),
-        ]
+        names, keys, relations = self._relations(state)
+        log_json = None
         if log_entry is not None:
-            log_json = json.dumps(
-                _encode_facts(facts_of(log_entry)), sort_keys=True
-            )
-            statements.append((
-                "INSERT OR REPLACE INTO events (session_id, step, log) "
-                "VALUES (?, ?, ?)",
-                (session_id, steps, log_json),
-            ))
+            log_json = _facts_json(*self._relations(log_entry)[1:])
         with self._lock:
-            self._execute(statements)
+            # Diff and write under one lock hold, so the memo always
+            # describes the last row written for the session.
+            memo = self._state_memo.get(session_id)
+            if (
+                memo is None
+                or memo[0] != names
+                or memo[2] > sum(map(len, relations))
+            ):
+                state_json, change_json = _facts_json(keys, relations), None
+                written = 1
+            else:
+                state_json, change_json = None, self._change_json(
+                    keys, relations, memo[1]
+                )
+                written = memo[2] + 1
+            try:
+                self._conn.execute(
+                    _INSERT_STEP,
+                    (session_id, steps, log_json, state_json, change_json),
+                )
+                self._state_memo[session_id] = (names, relations, written)
+                self._commit_unscoped()
+            except sqlite3.Error as error:
+                raise StoreError(f"SQLite write failed: {error}") from error
+
+    @staticmethod
+    def _change_json(keys, relations, before) -> str:
+        """``{"+": {rel: rows}, "-": {rel: rows}}`` from ``before`` to
+        ``relations`` (JSON text, sorted keys; ``"-"`` only when rows
+        were removed)."""
+        added: list[str] = []
+        removed: list[str] = []
+        for key, rows, old in zip(keys, relations, before):
+            if rows is old:
+                continue
+            grown = rows - old
+            if grown:
+                added.append(key + json.dumps(encode_rows(grown)))
+            lost = old - rows
+            if lost:
+                removed.append(key + json.dumps(encode_rows(lost)))
+        text = '{"+": {' + ", ".join(added) + "}"
+        if removed:
+            text += ', "-": {' + ", ".join(removed) + "}"
+        return text + "}"
 
     def record_closed(self, session_id: str) -> None:
         self._check_open()
@@ -282,75 +376,105 @@ class SqliteStore(StoreLifecycle):
             # rows, unlike the JSONL store's files, are free to delete.
             self._execute([
                 ("DELETE FROM events WHERE session_id = ?", (session_id,)),
-                ("DELETE FROM snapshots WHERE session_id = ?", (session_id,)),
+                ("DELETE FROM sessions WHERE session_id = ?", (session_id,)),
             ])
 
     def import_snapshot(self, snapshot: SessionSnapshot) -> None:
-        """Adopt a session from another store (plain-facts form)."""
+        """Adopt a session from another store (plain-facts form).
+
+        Its log entries become log-only rows at steps 1, 2, ...; its
+        state becomes a full row at its last step.
+        """
         self._check_open()
-        state_json = json.dumps(
+        session_id = snapshot.session_id
+        rows: dict[int, list] = {
+            step: [json.dumps(_encode_facts(entry), sort_keys=True), None]
+            for step, entry in enumerate(snapshot.log_facts, start=1)
+        }
+        rows.setdefault(snapshot.steps, [None, None])[1] = json.dumps(
             _encode_facts(snapshot.state_facts), sort_keys=True
         )
         statements = [(
-            "INSERT INTO snapshots (session_id, steps, state) "
-            "VALUES (?, ?, ?)",
-            (snapshot.session_id, snapshot.steps, state_json),
+            "INSERT INTO sessions (session_id) VALUES (?)", (session_id,)
         )]
-        for step, entry in enumerate(snapshot.log_facts, start=1):
-            statements.append((
-                "INSERT INTO events (session_id, step, log) VALUES (?, ?, ?)",
-                (
-                    snapshot.session_id,
-                    step,
-                    json.dumps(_encode_facts(entry), sort_keys=True),
-                ),
-            ))
+        statements.extend(
+            (
+                "INSERT INTO events (session_id, step, log, state) "
+                "VALUES (?, ?, ?, ?)",
+                (session_id, step, log, state),
+            )
+            for step, (log, state) in sorted(rows.items())
+        )
         with self._lock:
             # Check and insert under one lock hold, so two racing
             # imports of one id cannot both pass the check.
             exists = self._conn.execute(
-                "SELECT 1 FROM snapshots WHERE session_id = ?",
-                (snapshot.session_id,),
+                "SELECT 1 FROM sessions WHERE session_id = ?",
+                (session_id,),
             ).fetchone()
             if exists is not None:
-                raise SessionError(
-                    f"session already exists: {snapshot.session_id!r}"
-                )
+                raise SessionError(f"session already exists: {session_id!r}")
             self._execute(statements)
 
     # -- reads (always read-your-writes) ---------------------------------------
 
     def load(self, session_id: str) -> SessionSnapshot | None:
+        """The session's snapshot: every log entry, and the state of
+        its last full row with the changes after it folded in."""
         self._check_open()
         with self._lock:
-            row = self._conn.execute(
-                "SELECT steps, state FROM snapshots WHERE session_id = ?",
+            if self._conn.execute(
+                "SELECT 1 FROM sessions WHERE session_id = ?",
                 (session_id,),
-            ).fetchone()
-            if row is None:
+            ).fetchone() is None:
                 return None
-            steps, state_json = row
-            log_rows = self._conn.execute(
-                "SELECT log FROM events WHERE session_id = ? ORDER BY step",
+            rows = self._conn.execute(
+                "SELECT step, log, state, change FROM events "
+                "WHERE session_id = ? ORDER BY step",
                 (session_id,),
             ).fetchall()
-        state_facts = (
-            _decode_facts(json.loads(state_json))
-            if state_json is not None
-            else {}
-        )
+        full = len(rows) - 1
+        while full >= 0 and rows[full][2] is None:
+            full -= 1
+        if full < 0:
+            state_facts = {}
+        elif full == len(rows) - 1:
+            state_facts = _decode_facts(json.loads(rows[full][2]))
+        else:
+            state_facts = self._fold(rows[full][2], rows[full + 1:])
         return SessionSnapshot(
             session_id,
-            steps,
+            rows[-1][0] if rows else 0,
             state_facts,
-            tuple(_decode_facts(json.loads(log)) for (log,) in log_rows),
+            tuple(
+                _decode_facts(json.loads(log))
+                for _step, log, _state, _change in rows
+                if log is not None
+            ),
         )
+
+    @staticmethod
+    def _fold(state_json: str, changes) -> dict[str, frozenset]:
+        """A full state's JSON text with the later rows' changes applied."""
+        relations = {
+            name: set(rows)
+            for name, rows in _decode_facts(json.loads(state_json)).items()
+        }
+        for _step, _log, _state, change_json in changes:
+            if change_json is None:
+                continue
+            change = json.loads(change_json)
+            for name, rows in change["+"].items():
+                relations.setdefault(name, set()).update(decode_rows(rows))
+            for name, rows in change.get("-", {}).items():
+                relations[name].difference_update(decode_rows(rows))
+        return {name: frozenset(rows) for name, rows in relations.items()}
 
     def session_ids(self) -> list[str]:
         self._check_open()
         with self._lock:
             rows = self._conn.execute(
-                "SELECT session_id FROM snapshots ORDER BY session_id"
+                "SELECT session_id FROM sessions ORDER BY session_id"
             ).fetchall()
         return [session_id for (session_id,) in rows]
 
@@ -368,11 +492,12 @@ class SqliteStore(StoreLifecycle):
         self._state_memo.clear()
 
     def evict(self, session_id: str) -> None:
-        """Drop the evicted session's state memo."""
+        """Drop the evicted session's state memo: its next step writes
+        a full row."""
         self._state_memo.pop(session_id, None)
 
     def stats(self) -> StoreStats:
-        """``events`` counts snapshot rows plus log rows; closed
+        """``events`` counts session rows plus step rows; closed
         sessions are deleted outright, so ``sessions`` equals
         ``open_sessions`` for this backend.  ``commits`` counts the
         transactions committed since the store was opened."""
@@ -384,9 +509,9 @@ class SqliteStore(StoreLifecycle):
             if not self._conn.in_transaction:
                 self._conn.execute("PRAGMA wal_checkpoint(PASSIVE)")
             (sessions,) = self._conn.execute(
-                "SELECT COUNT(*) FROM snapshots"
+                "SELECT COUNT(*) FROM sessions"
             ).fetchone()
-            (log_rows,) = self._conn.execute(
+            (step_rows,) = self._conn.execute(
                 "SELECT COUNT(*) FROM events"
             ).fetchone()
             commits = self._commits
@@ -399,6 +524,6 @@ class SqliteStore(StoreLifecycle):
             sessions=sessions,
             open_sessions=sessions,
             bytes_on_disk=bytes_on_disk,
-            events=sessions + log_rows,
+            events=sessions + step_rows,
             commits=commits,
         )

@@ -14,8 +14,8 @@ and can reproduce any live session as a
   where it stopped -- the byoda data-pod shape: the pod's state outlives
   the serving process;
 * :class:`~repro.pods.sqlite_store.SqliteStore` keeps every session in
-  one transactional SQLite file (events + snapshots tables, WAL mode)
-  -- the tier that scales past "one file per session".
+  one transactional SQLite file (one row per step, WAL mode) -- the
+  tier that scales past "one file per session".
 
 The JSON wire format stores relation facts as sorted lists of rows;
 values must be JSON-representable (the repro domain uses strings and
@@ -68,7 +68,7 @@ class StoreStats:
     ``bytes_on_disk`` is the backend's current on-disk footprint (0 for
     in-memory); ``events`` is the number of persisted event records --
     each backend documents its own notion (in-memory: created + steps
-    retained; JSONL: total lines; SQLite: snapshot rows + log rows).
+    retained; JSONL: total lines; SQLite: session rows + step rows).
     ``commits`` counts the transactions the store committed since it
     was opened (SQLite only; 0 for the other backends).
     """
@@ -316,12 +316,23 @@ def _decode_row(row: list) -> tuple:
     )
 
 
+def decode_rows(rows: list[list]) -> frozenset[tuple]:
+    """Inverse of :func:`encode_rows`: rows back to (nested) tuples.
+
+    One pass over flat rows; a row holding a list (unhashable, so the
+    fast pass raises ``TypeError``) is rebuilt with nested tuples.  A
+    row that is not iterable, or a value that is unhashable even then,
+    raises ``TypeError``.
+    """
+    try:
+        return frozenset(map(tuple, rows))
+    except TypeError:
+        return frozenset(map(_decode_row, rows))
+
+
 def decode_facts(encoded: dict[str, list[list]]) -> dict[str, frozenset[tuple]]:
     """Inverse of :func:`encode_facts`: rows back to (nested) tuples."""
-    return {
-        name: frozenset(_decode_row(row) for row in rows)
-        for name, rows in encoded.items()
-    }
+    return {name: decode_rows(rows) for name, rows in encoded.items()}
 
 
 # Original (pre-server) private names, kept for in-repo callers.

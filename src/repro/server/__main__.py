@@ -24,6 +24,7 @@ from repro.commerce.models import (
     build_short,
     default_database,
 )
+from repro.errors import ServerError
 from repro.server.frontend import PodServer
 
 #: name -> module-level transducer factory (must stay picklable for
@@ -130,18 +131,22 @@ def main(argv: "list[str] | None" = None) -> int:
     else:
         factory = MODELS[args.model or "short"]
         database = default_database()
-    server = PodServer(
-        factory,
-        database,
-        workers=args.workers,
-        queue_depth=args.queue_depth,
-        store_root=args.store,
-        store_kind=args.store_kind,
-        durability=args.durability,
-        keep_logs=not args.no_logs,
-        host=args.host,
-        port=args.port,
-    )
+    try:
+        server = PodServer(
+            factory,
+            database,
+            workers=args.workers,
+            queue_depth=args.queue_depth,
+            store_root=args.store,
+            store_kind=args.store_kind,
+            durability=args.durability,
+            keep_logs=not args.no_logs,
+            host=args.host,
+            port=args.port,
+        )
+    except ServerError as error:
+        print(f"python -m repro.server: {error}", file=sys.stderr)
+        return 2
     stop = threading.Event()
 
     def request_stop(signum, frame):

@@ -184,7 +184,7 @@ class PodClient(_PodApi):
             # the caller interpret it.
             return envelope
         try:
-            return json.loads(raw.decode("utf-8"))
+            return json.loads(raw)
         except (ValueError, UnicodeDecodeError) as error:
             raise WireError(
                 f"non-JSON response from {method} {path}: {error}"

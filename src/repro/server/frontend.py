@@ -19,6 +19,10 @@ violations ledger).  Requests and responses are wire messages (see
 riding the matching HTTP status -- queue overflow is a ``429`` carrying
 a ``backpressure`` envelope, never a hang.
 
+A worker returns each step result as JSON text, encoded once; the
+front end places the texts by request position and joins them into
+the HTTP body, so a result is never decoded and re-encoded on the way.
+
 Sessions route to workers by the stable CRC-32
 :func:`~repro.pods.service.shard_of` hash, so a session's home shard
 and on-disk store are the same in every process and across restarts
@@ -72,6 +76,13 @@ from repro.server.worker import (
 #: ``REPRO_MAX_RESIDENT``).
 WORKERS_ENV = "REPRO_SERVER_WORKERS"
 QUEUE_DEPTH_ENV = "REPRO_SERVER_QUEUE_DEPTH"
+
+
+def _result_json(result) -> str:
+    """A worker's step result: JSON text, checked to be a string."""
+    if not isinstance(result, str):
+        raise WireError(f"malformed worker step result: {result!r}")
+    return result
 
 
 def _session_id_of_wire(session) -> str:
@@ -129,6 +140,8 @@ class PodServer:
                 minimum=1,
                 error=ServerError,
             )
+        if workers < 1:
+            raise ServerError(f"workers must be >= 1, got {workers}")
         if queue_depth is None:
             queue_depth = env_int(
                 QUEUE_DEPTH_ENV, default=64, minimum=1, error=ServerError
@@ -299,13 +312,16 @@ class PodServer:
                 raise
             return wire.message("handle", reply)
 
-    def submit(self, body: Mapping) -> dict:
+    def submit(self, body: Mapping) -> str:
+        """The ``result`` message as JSON text (the worker's, spliced)."""
         session_id = _session_id_of_wire(body.get("session"))
         shard = self.route(session_id)
         reply = self._workers[shard].call("submit", dict(body))
-        return wire.message("result", reply)
+        return wire.message_json("result", _result_json(reply.get("result")))
 
-    def submit_batch(self, body: Mapping) -> dict:
+    def submit_batch(self, body: Mapping) -> str:
+        """The ``results`` message as JSON text: each worker's result
+        texts, placed by request position and joined."""
         encoded = body.get("requests")
         if not isinstance(encoded, (list, tuple)):
             raise WireError(f"malformed batch request list: {encoded!r}")
@@ -354,10 +370,19 @@ class PodServer:
             error = errors[first]
             if isinstance(error, AuditViolation):
                 # Request-aligned across every shard: the violating
-                # shards' prefixes plus the other shards' full slices.
-                error.partial_results = tuple(results)
+                # shards' prefixes plus the other shards' full slices,
+                # all in the error envelope's decoded form.
+                error.partial_results = tuple(
+                    json.loads(result) if isinstance(result, str) else result
+                    for result in results
+                )
             raise error
-        return wire.message("results", {"results": results})
+        return wire.message_json(
+            "results",
+            '{"results": ['
+            + ", ".join([_result_json(result) for result in results])
+            + "]}",
+        )
 
     def snapshot(self, body: Mapping) -> dict:
         session_id = body.get("session_id")
@@ -484,11 +509,19 @@ class _PodRequestHandler(BaseHTTPRequestHandler):
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # the server is library code; no per-request stderr spam
 
-    def _respond(self, payload: Mapping, status: "int | None" = None) -> None:
-        data = json.dumps(payload).encode("utf-8")
-        self.send_response(
-            status if status is not None else wire.http_status_of(payload)
-        )
+    def _respond(
+        self, payload: "Mapping | str", status: "int | None" = None
+    ) -> None:
+        """Send a message; a ``str`` payload is one already encoded
+        (never an error envelope)."""
+        if isinstance(payload, str):
+            data = payload.encode("utf-8")
+            status = 200 if status is None else status
+        else:
+            data = json.dumps(payload).encode("utf-8")
+            if status is None:
+                status = wire.http_status_of(payload)
+        self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()

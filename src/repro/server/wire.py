@@ -15,7 +15,10 @@ otherwise.
 Facts travel in the exact sorted-row JSON the session stores persist
 (:func:`repro.pods.store.encode_facts`), so a step's output bytes are
 identical in a JSONL event file, a SQLite row, and an HTTP response --
-the byte-identity the serial-vs-server parity suite asserts.
+the byte-identity the serial-vs-server parity suite asserts.  A step
+result is encoded to JSON text once, in the worker that ran it; the
+text crosses the worker queue as a string and is spliced into the
+HTTP body (:func:`message_json`).
 
 Errors map to wire codes (and suggested HTTP statuses) by exception
 type; :func:`decode_error` reconstructs the *same* typed exception on
@@ -31,6 +34,7 @@ decodes them with its own output schema.)
 
 from __future__ import annotations
 
+import json
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -67,6 +71,15 @@ WIRE_VERSION = 1
 def message(kind: str, body: dict) -> dict:
     """Wrap a body in the versioned envelope."""
     return {"v": WIRE_VERSION, "kind": kind, "body": body}
+
+
+def message_json(kind: str, body_json: str) -> str:
+    """The envelope around a body that already is JSON text; equal to
+    ``json.dumps(message(kind, json.loads(body_json)))``."""
+    return (
+        f'{{"v": {WIRE_VERSION}, "kind": {json.dumps(kind)}, '
+        f'"body": {body_json}}}'
+    )
 
 
 def parse_message(payload, expect: "str | None" = None) -> dict:
@@ -125,16 +138,13 @@ def encode_inputs(inputs) -> dict:
 
 
 def _facts_body(encoded, label: str) -> dict[str, frozenset[tuple]]:
-    """Decode wire facts, rejecting structural garbage with WireError."""
+    """Decode wire facts into frozensets of tuples, one pass per
+    relation (nested lists become nested tuples); structural garbage
+    raises WireError."""
     if not isinstance(encoded, Mapping):
         raise WireError(f"{label} must be a facts object, got {encoded!r}")
     try:
-        return decode_facts(
-            {
-                name: [list(row) for row in rows]
-                for name, rows in encoded.items()
-            }
-        )
+        return decode_facts(encoded)
     except (TypeError, AttributeError) as error:
         raise WireError(f"malformed {label}: {error}") from None
 

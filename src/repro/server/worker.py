@@ -35,6 +35,7 @@ run, because nothing observable ever lived only in worker memory.
 from __future__ import annotations
 
 import itertools
+import json
 import multiprocessing
 import os
 import signal
@@ -113,9 +114,13 @@ def _handle_op(service: PodService, shard_index: int, op: str, body) -> dict:
         # handles and results already name the server-wide shard.
         handle = service.create_session(session_id)
         return wire.message("handle", wire.encode_handle(handle))
+    # Step results travel as JSON text, encoded once here; the front
+    # end splices the text into its HTTP body.
     if op == "submit":
         result = service.submit(wire.decode_step_request(body))
-        return wire.message("result", wire.encode_step_result(result))
+        return wire.message(
+            "result", {"result": json.dumps(wire.encode_step_result(result))}
+        )
     if op == "batch":
         encoded = body.get("requests")
         if not isinstance(encoded, (list, tuple)):
@@ -126,7 +131,11 @@ def _handle_op(service: PodService, shard_index: int, op: str, body) -> dict:
         results = service.submit_batch(requests)
         return wire.message(
             "results",
-            {"results": [wire.encode_step_result(r) for r in results]},
+            {
+                "results": [
+                    json.dumps(wire.encode_step_result(r)) for r in results
+                ]
+            },
         )
     if op == "snapshot":
         session_id = body.get("session_id")
@@ -147,7 +156,11 @@ def _handle_op(service: PodService, shard_index: int, op: str, body) -> dict:
             },
         )
     if op == "ids":
-        return wire.message("ids", {"session_ids": service.session_ids()})
+        # Every store is write-through, so the stored ids are the open
+        # sessions, those of earlier processes over the store included.
+        return wire.message(
+            "ids", {"session_ids": service.stored_session_ids()}
+        )
     if op == "metrics":
         return wire.message(
             "metrics", {"metrics": service.metrics.snapshot()}

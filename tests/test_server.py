@@ -544,6 +544,24 @@ class TestSupervision:
             reference.session("durable").log().entries
         )
 
+    def test_session_ids_survive_a_restart(self, tmp_path):
+        root = str(tmp_path / "pods")
+        ids = [f"s{index}" for index in range(6)]
+        with PodServer(
+            build_short, default_database(), workers=2, store_root=root
+        ) as server:
+            client = PodClient(server.url, build_short())
+            for session_id in ids:
+                client.create_session(session_id)
+            assert client.session_ids() == ids
+        with PodServer(
+            build_short, default_database(), workers=2, store_root=root
+        ) as server:
+            client = PodClient(server.url, build_short())
+            assert client.session_ids() == ids
+            assert {shard_of(session_id, 2) for session_id in ids} == {0, 1}
+
+
 class TestKeepAlive:
     """One HTTP/1.1 connection per client thread, never a re-sent POST."""
 
@@ -682,6 +700,11 @@ class TestServerKnobs:
         assert server.worker_count == 2
         assert server.queue_depth == 7
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_worker_count_below_one_rejected(self, workers):
+        with pytest.raises(ServerError, match="workers must be >= 1"):
+            PodServer(build_short, default_database(), workers=workers)
+
     def test_bad_store_kind(self):
         with pytest.raises(ServerError, match="store_kind"):
             PodServer(build_short, default_database(), store_kind="parquet")
@@ -691,12 +714,29 @@ class TestServerKnobs:
 
 
 class TestModuleEntryPoint:
-    def test_start_healthz_sigterm_clean_exit(self):
+    @staticmethod
+    def environment():
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parent.parent / "src")
         env["PYTHONPATH"] = os.pathsep.join(
             [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
         )
+        return env
+
+    def test_zero_workers_exits_with_the_message(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.server", "--workers", "0"],
+            capture_output=True,
+            text=True,
+            env=self.environment(),
+            timeout=60,
+        )
+        assert proc.returncode != 0
+        assert "workers must be >= 1, got 0" in proc.stderr
+        assert "listening on" not in proc.stdout
+
+    def test_start_healthz_sigterm_clean_exit(self):
+        env = self.environment()
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.server", "--workers", "1"],
             stdout=subprocess.PIPE,

@@ -11,6 +11,7 @@ crashes a worker and never surfaces as an untyped exception.
 """
 
 import json
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from repro.errors import (
 )
 from repro.pods.api import SessionHandle, SessionSnapshot, StepRequest
 from repro.pods.service import PodService
+from repro.pods.store import encode_facts
 from repro.server import wire
 
 # -- strategies ----------------------------------------------------------------
@@ -113,6 +115,15 @@ class TestRoundTrip:
             assert decoded.step == result.step
             assert decoded.output == result.output
             assert decoded.session.session_id == "wire-rt"
+        # A worker's result texts, spliced, are the bytes of encoding
+        # the whole message.
+        bodies = [wire.encode_step_result(result) for result in results]
+        assert wire.message_json(
+            "results",
+            '{"results": ['
+            + ", ".join(json.dumps(body) for body in bodies)
+            + "]}",
+        ) == json.dumps(wire.message("results", {"results": bodies}))
 
     @settings(max_examples=25, deadline=None)
     @given(session_id=session_ids, shard=st.integers(0, 1024))
@@ -196,6 +207,68 @@ json_values = st.recursive(
     ),
     max_leaves=8,
 )
+
+
+def earlier_facts_body(encoded, label):
+    """The two-pass decoder ``wire._facts_body`` replaced: rebuild each
+    row as a list, then convert lists to tuples recursively."""
+
+    def decode_row(row):
+        return tuple(
+            decode_row(value) if isinstance(value, list) else value
+            for value in row
+        )
+
+    if not isinstance(encoded, Mapping):
+        raise WireError(f"{label} must be a facts object, got {encoded!r}")
+    try:
+        return {
+            name: frozenset(decode_row(row) for row in rows)
+            for name, rows in {
+                name: [list(row) for row in rows]
+                for name, rows in encoded.items()
+            }.items()
+        }
+    except (TypeError, AttributeError) as error:
+        raise WireError(f"malformed {label}: {error}") from None
+
+
+def typed(decoded):
+    """Decoded facts with every value's type visible (``1 != True``)."""
+    return {name: sorted(map(repr, rows)) for name, rows in decoded.items()}
+
+
+class TestFactsBody:
+    """``_facts_body`` decodes in one pass what the earlier decoder
+    decoded in two, and rejects the same inputs."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(facts=facts)
+    def test_equals_the_earlier_decode_on_wire_facts(self, facts):
+        encoded = json_round_trip(encode_facts(facts))
+        decoded = wire._facts_body(encoded, "facts")
+        assert decoded == facts
+        assert typed(decoded) == typed(earlier_facts_body(encoded, "facts"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        encoded=st.one_of(
+            json_values,
+            st.dictionaries(
+                st.text(max_size=4),
+                st.one_of(json_values, st.lists(json_values, max_size=3)),
+                max_size=3,
+            ),
+        )
+    )
+    def test_same_results_and_rejections_on_arbitrary_input(self, encoded):
+        try:
+            expected = earlier_facts_body(encoded, "facts")
+        except WireError:
+            with pytest.raises(WireError):
+                wire._facts_body(encoded, "facts")
+            return
+        assert typed(wire._facts_body(encoded, "facts")) == typed(expected)
 
 
 class TestMalformed:

@@ -47,6 +47,8 @@ from repro.pods import (
 )
 from repro.pods.session import Session
 from repro.pods.store import _STORE_METHODS, SessionStore, _encode_facts
+from repro.pods.api import facts_of
+from repro.relalg.instance import Instance
 from repro.relalg.schema import DatabaseSchema, RelationSchema
 from repro.server import PodClient, PodServer
 from repro.server.worker import WorkerConfig, _build_service, database_facts_of
@@ -242,6 +244,108 @@ class TestSqliteStore:
         store._conn.close()  # simulate a dead backend
         with pytest.raises((StoreError, sqlite3.Error)):
             store.record_created("alice")
+
+
+class TestEarlierLayoutConversion:
+    """A file in the earlier layout (a ``snapshots`` table restating
+    each state, log-only ``events``) converts in place at open."""
+
+    EARLIER_SCHEMA = """
+    CREATE TABLE snapshots (
+        session_id TEXT PRIMARY KEY,
+        steps      INTEGER NOT NULL DEFAULT 0,
+        state      TEXT
+    );
+    CREATE TABLE events (
+        session_id TEXT    NOT NULL,
+        step       INTEGER NOT NULL,
+        log        TEXT    NOT NULL,
+        PRIMARY KEY (session_id, step)
+    ) WITHOUT ROWID;
+    """
+
+    def write_earlier_file(self, path, snapshots):
+        """The earlier store's two tables, written with raw SQL."""
+        conn = sqlite3.connect(str(path))
+        conn.executescript(self.EARLIER_SCHEMA)
+        for snapshot in snapshots:
+            conn.execute(
+                "INSERT INTO snapshots (session_id, steps, state) "
+                "VALUES (?, ?, ?)",
+                (
+                    snapshot.session_id,
+                    snapshot.steps,
+                    whole_json(snapshot.state_facts)
+                    if snapshot.steps
+                    else None,
+                ),
+            )
+            for step, entry in enumerate(snapshot.log_facts, start=1):
+                conn.execute(
+                    "INSERT INTO events (session_id, step, log) "
+                    "VALUES (?, ?, ?)",
+                    (snapshot.session_id, step, whole_json(entry)),
+                )
+        conn.commit()
+        conn.close()
+
+    def test_converts_at_open_and_keeps_stepping(self, tmp_path):
+        scripts = scripts_for([6, 6, 6], 4, catalog=CATALOG)
+        logged = PodService(build_short(), CATALOG.as_database())
+        unlogged = PodService(
+            build_short(), CATALOG.as_database(), keep_logs=False
+        )
+        for session_id, script in scripts.items():
+            logged.create_session(session_id)
+            logged.run_session(session_id, script[:3])
+        unlogged.create_session("quiet")
+        unlogged.run_session("quiet", scripts["customer-00"][:2])
+        logged.create_session("fresh")
+        earlier = [
+            logged.store.load(session_id) for session_id in sorted(scripts)
+        ] + [logged.store.load("fresh"), unlogged.store.load("quiet")]
+        path = tmp_path / "pods.sqlite"
+        self.write_earlier_file(path, earlier)
+
+        store = SqliteStore(path)
+        tables = {
+            name
+            for (name,) in store._conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'"
+            )
+        }
+        assert tables == {"sessions", "events"}
+        for snapshot in earlier:
+            assert canonical(store.load(snapshot.session_id)) == canonical(
+                snapshot
+            )
+        assert store.session_ids() == sorted(
+            snapshot.session_id for snapshot in earlier
+        )
+        store.close()
+
+        # Reopening converts nothing twice; the sessions keep stepping.
+        service = PodService(
+            build_short(), CATALOG.as_database(), store=SqliteStore(path)
+        )
+        for session_id, script in scripts.items():
+            service.run_session(session_id, script[3:])
+            logged.run_session(session_id, script[3:])
+            assert list(service.session(session_id).log().entries) == list(
+                logged.session(session_id).log().entries
+            )
+        service.run_session("fresh", scripts["customer-01"][:2])
+        logged.run_session("fresh", scripts["customer-01"][:2])
+        assert canonical(service.store.load("fresh")) == canonical(
+            logged.store.load("fresh")
+        )
+        service.close()
+        reopened = SqliteStore(path)
+        for session_id in scripts:
+            assert canonical(reopened.load(session_id)) == canonical(
+                logged.store.load(session_id)
+            )
+        reopened.close()
 
 
 class TestLruSessionCache:
@@ -754,7 +858,7 @@ class TestStoreLifecycleDefaults:
 class TestOneCommitPerBatch:
     """``durability="step"``/``"full"`` commit once per ``submit_batch``.
 
-    Inside the batch each event runs in its own savepoint; the batch
+    Inside the batch the events join one transaction; the batch
     commits once, before ``submit_batch`` returns -- also when it
     raises.  Every check reopens the file with a fresh store, so it
     reads what is on disk, not what one connection has buffered.
@@ -885,7 +989,7 @@ service.submit_batch(
         for session_id in ("alice", "bob"):
             service.create_session(session_id)
         # Fail the 5th event of the batch (alice's step 3) in SQLite
-        # itself, after its snapshot UPDATE already ran.
+        # itself: its one INSERT aborts.
         store._conn.execute(
             "CREATE TRIGGER fail_fifth BEFORE INSERT ON events "
             "WHEN NEW.session_id = 'alice' AND NEW.step = 3 "
@@ -1030,53 +1134,129 @@ _VALUES = st.one_of(
 _CELLS = st.one_of(_VALUES, st.tuples(_VALUES, _VALUES))
 
 
+def whole_json(facts):
+    """A state or log entry in the bytes of one whole encoding."""
+    return json.dumps(_encode_facts(facts_of(facts)), sort_keys=True)
+
+
+def event_rows(store, session_id):
+    """``(step, log, state, change)`` rows of a session, in step order."""
+    return store._conn.execute(
+        "SELECT step, log, state, change FROM events "
+        "WHERE session_id = ? ORDER BY step",
+        (session_id,),
+    ).fetchall()
+
+
+def folded_rows(store, session_id):
+    """The rows ``load`` folds: the last full row and the rows after it."""
+    rows = event_rows(store, session_id)
+    full = max(i for i, row in enumerate(rows) if row[2] is not None)
+    return rows[full:]
+
+
 class TestStateMemo:
-    """The SQLite state column is assembled from per-relation JSON
-    fragments; it must equal encoding the whole state, byte for byte."""
+    """The SQLite store appends one row per step: its log entry, and its
+    state whole or as the change since the last recorded state.  Every
+    ``load`` must return the last recorded state; every ``log`` and
+    full ``state`` cell must equal encoding the whole entry or state."""
 
     SCHEMA = DatabaseSchema([
         RelationSchema("past-order", 1),
         RelationSchema("past-pay", 2),
         RelationSchema("zébu", 2),
         RelationSchema("a b", 1),
+        RelationSchema("日本", 1),
+    ])
+    LOG_SCHEMA = DatabaseSchema([
+        RelationSchema("order", 1),
+        RelationSchema("sendbill", 2),
     ])
 
     @staticmethod
-    def stored_state(store, session_id):
-        (text,) = store._conn.execute(
-            "SELECT state FROM snapshots WHERE session_id = ?", (session_id,)
-        ).fetchone()
-        return text
+    def draw_state(data, schema, relations):
+        """The next state: each relation kept (same frozenset), grown
+        (the Spocus shape), shrunk, or replaced."""
+        for rel in schema:
+            rows = st.frozensets(st.tuples(*[_CELLS] * rel.arity), max_size=4)
+            change = data.draw(
+                st.sampled_from(["keep", "grow", "shrink", "replace"])
+            )
+            current = relations[rel.name]
+            if change == "grow":
+                relations[rel.name] = current | data.draw(rows)
+            elif change == "shrink" and current:
+                relations[rel.name] = current - {
+                    data.draw(st.sampled_from(sorted(current, key=repr)))
+                }
+            elif change == "replace":
+                relations[rel.name] = data.draw(rows)
+        return Instance(schema, relations)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_load_returns_the_last_recorded_state(self, data):
+        keep_logs = data.draw(st.booleans())
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "pods.sqlite"
+            store = SqliteStore(path)
+            store.record_created("s")
+            relations = {rel.name: frozenset() for rel in self.SCHEMA}
+            log_relations = {rel.name: frozenset() for rel in self.LOG_SCHEMA}
+            logs = []
+            step = 0
+            for action in data.draw(st.lists(
+                st.sampled_from(["step", "step", "step", "evict", "reopen"]),
+                min_size=1,
+                max_size=14,
+            )):
+                if action == "evict":
+                    store.evict("s")
+                    continue
+                if action == "reopen":
+                    store.close()
+                    store = SqliteStore(path)
+                    continue
+                step += 1
+                state = self.draw_state(data, self.SCHEMA, relations)
+                entry = None
+                if keep_logs:
+                    entry = self.draw_state(
+                        data, self.LOG_SCHEMA, log_relations
+                    )
+                    logs.append(entry)
+                store.record_step("s", step, state, entry)
+                snapshot = store.load("s")
+                assert snapshot.steps == step
+                assert snapshot.state_facts == facts_of(state)
+                assert snapshot.log_facts == tuple(
+                    facts_of(entry) for entry in logs
+                )
+            rows = event_rows(store, "s")
+            assert [row[0] for row in rows] == list(range(1, step + 1))
+            assert [row[1] for row in rows if row[1] is not None] == [
+                whole_json(entry) for entry in logs
+            ]
+            for _step, log, state_json, change in rows:
+                assert (state_json is None) != (change is None)
+                assert (log is None) == (not keep_logs)
+            store.close()
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_state_text_equals_whole_encoding(self, data):
-        from repro.pods.api import facts_of
-        from repro.relalg.instance import Instance
-
         with tempfile.TemporaryDirectory() as directory:
             store = SqliteStore(Path(directory) / "pods.sqlite")
             store.record_created("s")
             relations = {rel.name: frozenset() for rel in self.SCHEMA}
             for step in range(1, data.draw(st.integers(1, 6)) + 1):
-                for rel in self.SCHEMA:
-                    rows = st.frozensets(
-                        st.tuples(*[_CELLS] * rel.arity), max_size=4
-                    )
-                    change = data.draw(
-                        st.sampled_from(["keep", "grow", "replace"])
-                    )
-                    if change == "grow":  # the Spocus shape: cumulative
-                        relations[rel.name] = relations[rel.name] | data.draw(
-                            rows
-                        )
-                    elif change == "replace":  # may shrink (non-Spocus)
-                        relations[rel.name] = data.draw(rows)
-                state = Instance(self.SCHEMA, relations)
+                state = self.draw_state(data, self.SCHEMA, relations)
+                if data.draw(st.booleans()):
+                    store.evict("s")  # the next row is a full one
                 store.record_step("s", step, state, None)
-                assert self.stored_state(store, "s") == json.dumps(
-                    _encode_facts(facts_of(state)), sort_keys=True
-                )
+                (_step, _log, state_json, _change) = event_rows(store, "s")[-1]
+                if state_json is not None:
+                    assert state_json == whole_json(state)
             store.close()
 
     def test_spocus_state_keeps_unchanged_relations(self):
@@ -1087,6 +1267,62 @@ class TestStateMemo:
         after = session.state
         assert after["past-order"] is before["past-order"]
         assert after["past-pay"] is not before["past-pay"]
+
+    def test_never_evicted_session_folds_at_most_state_plus_one_rows(
+        self, tmp_path
+    ):
+        store = SqliteStore(tmp_path / "pods.sqlite")
+        service = PodService(build_short(), CATALOG.as_database(), store=store)
+        service.create_session("alice")
+        names = sorted(CATALOG.products)
+        for step in range(200):
+            name = names[step % len(names)]
+            inputs = {"order": {(name,)}}
+            if step % 3 == 0:
+                inputs["pay"] = {(name, step % 7)}
+            service.submit(StepRequest("alice", inputs))
+            state = service.session("alice").state
+            size = sum(len(state[name]) for name in state.schema.names)
+            assert len(folded_rows(store, "alice")) <= size + 1
+        rows = event_rows(store, "alice")
+        assert len(rows) == 200
+        assert sum(row[2] is not None for row in rows) > 2
+        snapshot = store.load("alice")
+        assert snapshot.state_facts == facts_of(
+            service.session("alice").state
+        )
+        assert snapshot.log_facts == tuple(
+            facts_of(entry) for entry in service.session("alice").log().entries
+        )
+        store.close()
+
+    def test_failed_insert_leaves_the_memo_at_the_last_written_row(
+        self, tmp_path
+    ):
+        store = SqliteStore(tmp_path / "pods.sqlite")
+        session = fresh_session("alice")
+        store.record_created("alice")
+        states = []
+        for inputs in (
+            {"order": {("time",)}},
+            {"order": {("newsweek",)}},
+            {"pay": {("time", 55)}},
+        ):
+            session.step(inputs)
+            states.append(session.state)
+        store.record_step("alice", 1, states[0], None)
+        store._conn.execute(
+            "CREATE TEMP TRIGGER fail_second BEFORE INSERT ON events "
+            "WHEN NEW.step = 2 BEGIN SELECT RAISE(ABORT, 'injected'); END"
+        )
+        with pytest.raises(StoreError, match="injected"):
+            store.record_step("alice", 2, states[1], None)
+        store._conn.execute("DROP TRIGGER fail_second")
+        store.record_step("alice", 3, states[2], None)
+        assert [row[0] for row in event_rows(store, "alice")] == [1, 3]
+        assert event_rows(store, "alice")[-1][3] is not None  # a change
+        assert store.load("alice").state_facts == facts_of(states[2])
+        store.close()
 
     def test_no_memo_survives_eviction_or_close(self, tmp_path):
         store = SqliteStore(tmp_path / "pods.sqlite")
@@ -1106,6 +1342,10 @@ class TestStateMemo:
         assert store._state_memo == {}
         service.submit(StepRequest("alice", {"pay": {("time", 55)}}))
         assert set(store._state_memo) == {"alice"}
+        # The first step after the eviction wrote a full row.
+        assert [row[2] is not None for row in event_rows(store, "alice")] == [
+            True, True,
+        ]
         store.close()
         assert store._state_memo == {}
 
