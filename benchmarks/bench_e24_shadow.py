@@ -15,9 +15,6 @@ prices that mirror and measures its detection power:
   buggy pair, reporting how many steps and how many wall-seconds pass
   before the first :class:`DivergenceReport` lands (and that its trace
   replays).
-* ``check_every``: the slow-profile ``fraud-detection`` scenario with
-  the auditor amortized to every 4th step;
-  ``check_every_amortization_speedup`` is the measured win.
 
 Run as a script to emit the ``BENCH_e24.json`` perf record::
 
@@ -46,13 +43,12 @@ from repro.shadow import ShadowService
 SEED = 24
 SESSIONS = 100
 MEAN_STEPS = 6
-CHECK_EVERY = 4
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def matrix_scenarios() -> list[str]:
-    """Every standard-profile scenario (slow ones priced separately)."""
+    """Every standard-profile scenario (the slow fraud-detection is left out)."""
     return [s.name for s in list_scenarios() if s.bench_profile == "standard"]
 
 
@@ -136,7 +132,6 @@ def measure_divergence_detection(sessions: int, steps: int) -> dict:
         "probe": {
             "kind": probe.kind,
             "detected_at_step": probe.step,
-            "first_divergent_step": probe.first_divergent_step,
             "divergent_submit_seconds": round(detection_seconds, 6),
             "trace_replays_on_incumbent": probe.trace.reproduces(
                 build_short()
@@ -148,41 +143,9 @@ def measure_divergence_detection(sessions: int, steps: int) -> dict:
     }
 
 
-def measure_check_every(sessions: int, steps: int) -> dict:
-    """Amortizing the fraud-detection auditor to every k-th step."""
-    eager = run_scenario(
-        "fraud-detection",
-        sessions=sessions,
-        steps=steps,
-        seed=SEED,
-        keep_logs=False,
-        check_every=1,
-    )
-    lazy = run_scenario(
-        "fraud-detection",
-        sessions=sessions,
-        steps=steps,
-        seed=SEED,
-        keep_logs=False,
-        check_every=CHECK_EVERY,
-    )
-    return {
-        "scenario": "fraud-detection",
-        "check_every": CHECK_EVERY,
-        "eager_steps_per_second": round(eager.steps_per_second, 3),
-        "amortized_steps_per_second": round(lazy.steps_per_second, 3),
-        "eager_audit_checks": eager.audit_checks,
-        "amortized_audit_checks": lazy.audit_checks,
-        "speedup": round(lazy.steps_per_second / eager.steps_per_second, 3),
-        "eager_violations": eager.audit_violations,
-        "amortized_violations": lazy.audit_violations,
-    }
-
-
 def run_experiment(
     sessions: int = SESSIONS,
     steps: int = MEAN_STEPS,
-    fraud_sessions: int = 12,
     control_sessions: int = 12,
 ) -> dict:
     names = matrix_scenarios()
@@ -193,7 +156,6 @@ def run_experiment(
     detection = measure_divergence_detection(
         control_sessions, min(steps, 5)
     )
-    amortization = measure_check_every(fraud_sessions, min(steps, 5))
     headline = next(c for c in matrix if c["scenario"] == "commerce")
     return {
         "experiment": "e24_shadow",
@@ -213,8 +175,6 @@ def run_experiment(
         ),
         "digest_control": control,
         "divergence_detection": detection,
-        "check_every": amortization,
-        "check_every_amortization_speedup": amortization["speedup"],
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "note": (
@@ -224,8 +184,7 @@ def run_experiment(
             "zero divergences everywhere is the no-false-positive "
             "control; divergence_detection shadows the same traffic with "
             "the adversarial buggy store and reports steps/seconds to "
-            "the first replayable DivergenceReport; check_every amortizes "
-            "fraud-detection's per-step BSR audit to every 4th step"
+            "the first replayable DivergenceReport"
         ),
     }
 
@@ -254,20 +213,8 @@ def test_e24_detection_catches_the_buggy_store():
     assert detection["first_divergence_step"] is not None
     probe = detection["probe"]
     assert probe["detected_at_step"] == 2
-    assert probe["first_divergent_step"] == 2
     assert probe["trace_replays_on_incumbent"] is True
     assert probe["trace_fails_on_candidate"] is True
-
-
-def test_e24_check_every_amortizes_the_audit():
-    amortization = measure_check_every(6, 4)
-    assert amortization["amortized_audit_checks"] \
-        < amortization["eager_audit_checks"]
-    assert amortization["speedup"] > 0
-    # Amortization must not lose violations entirely (fraud-detection's
-    # spec holds on this traffic, so both stay clean).
-    assert amortization["eager_violations"] == \
-        amortization["amortized_violations"]
 
 
 def test_e24_smoke_benchmark(benchmark):
@@ -306,7 +253,7 @@ def main() -> None:
         parser.error("--sessions must be >= 1")
     if args.smoke:
         record = run_experiment(
-            sessions=sessions, steps=4, fraud_sessions=6, control_sessions=6
+            sessions=sessions, steps=4, control_sessions=6
         )
     else:
         record = run_experiment(sessions=sessions)

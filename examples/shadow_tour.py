@@ -40,7 +40,7 @@ def main() -> None:
     shadow.submit(StepRequest(customer, {"order": {("newsweek",)}}))
 
     report = shadow.first_divergence()
-    assert report is not None and report.first_divergent_step == 2
+    assert report is not None and report.step == 2
     print(
         f"caught a {report.kind} at step {report.step}: "
         f"candidate delivered {sorted(report.candidate['deliver'])} unpaid"

@@ -34,7 +34,6 @@ from repro.datalog.evaluate import (
     evaluate_rule,
     evaluate_rule_naive,
 )
-from repro.datalog.engine import DatalogEngine
 from repro.datalog.plan import (
     IncrementalExecutor,
     LogicalPlan,
@@ -66,7 +65,6 @@ __all__ = [
     "evaluate_program",
     "evaluate_rule_naive",
     "evaluate_program_naive",
-    "DatalogEngine",
     "LogicalPlan",
     "Planner",
     "PhysicalPlan",

@@ -221,9 +221,8 @@ class ShadowDivergence(VerificationError):
     Raised by a fail-closed :class:`~repro.shadow.ShadowService` the
     moment a mirrored step's comparison fails (or the candidate errors);
     ``report`` carries the :class:`~repro.shadow.DivergenceReport`,
-    including the replayable trace and the first-divergent-step
-    localization.  Fail-open policies record the report and keep
-    serving instead of raising.
+    including the divergent step and the replayable trace.  Fail-open
+    policies record the report and keep serving instead of raising.
     """
 
     def __init__(self, message: str, report=None) -> None:

@@ -97,6 +97,11 @@ def shard_of(session_id: str, shards: int) -> int:
     return zlib.crc32(session_id.encode("utf-8")) % shards
 
 
+def generated_session_id(counter: int) -> str:
+    """The id a service or server picks when the caller names none."""
+    return f"pod-{counter:06d}"
+
+
 class _PodApi:
     """The traffic methods every pod service offers over ``submit()``."""
 
@@ -163,29 +168,28 @@ class _PodApi:
 
         ``round_robin=True`` alternates between sessions step by step
         (the concurrent-traffic shape); ``False`` drains each session
-        in turn.  Sessions are visited in session-id order.
+        in turn.  Sessions are visited in session-id order, and the
+        whole workload goes through one :meth:`submit_batch` call.
         """
         items = sorted(
             workload.items(), key=lambda item: session_id_of(item[0])
         )
-        if not round_robin:
-            for session, sequence in items:
-                self.run_session(session, sequence)
-            return
-        pending = [
-            [session, sequence, 0]
-            for session, sequence in items
-            if len(sequence) > 0
-        ]
-        while pending:
-            still_pending = []
-            for entry in pending:
-                session, sequence, position = entry
-                self.submit(StepRequest(session, sequence[position]))
-                if position + 1 < len(sequence):
-                    entry[2] = position + 1
-                    still_pending.append(entry)
-            pending = still_pending
+        if round_robin:
+            longest = max((len(sequence) for _s, sequence in items), default=0)
+            requests = [
+                StepRequest(session, sequence[position])
+                for position in range(longest)
+                for session, sequence in items
+                if position < len(sequence)
+            ]
+        else:
+            requests = [
+                StepRequest(session, inputs)
+                for session, sequence in items
+                for inputs in sequence
+            ]
+        if requests:
+            self.submit_batch(requests)
 
 
 class PodService(_PodApi):
@@ -218,7 +222,6 @@ class PodService(_PodApi):
         store: "SessionStore | str | None" = None,
         keep_logs: bool = True,
         shard_index: int = 0,
-        id_prefix: str = "pod",
         auditor: "OnlineAuditor | None" = None,
         max_resident_sessions: "int | None" = None,
     ) -> None:
@@ -230,7 +233,6 @@ class PodService(_PodApi):
         self._store = open_store(store)
         self._keep_logs = keep_logs
         self._shard_index = shard_index
-        self._id_prefix = id_prefix
         self._sessions = LruSessionCache(
             _resolve_max_resident(max_resident_sessions)
         )
@@ -293,13 +295,13 @@ class PodService(_PodApi):
         A caller-supplied id makes the pod addressable across restarts
         (and across the worker shards of a
         :class:`~repro.server.frontend.PodServer`); omitted, the
-        service generates ``<prefix>-NNNNNN``.
+        service generates ``pod-NNNNNN``.
         """
         with self._lock:
             if session_id is None:
                 # The counter skips ids a caller already claimed.
                 while session_id is None or self.has_session(session_id):
-                    session_id = f"{self._id_prefix}-{self._next_id:06d}"
+                    session_id = generated_session_id(self._next_id)
                     self._next_id += 1
             else:
                 _check_session_id(session_id)

@@ -37,7 +37,6 @@ from repro.scenarios.traffic import (
     lognormal_length,
     open_loop_events,
     open_loop_schedule,
-    paced_requests,
 )
 
 __all__ = [
@@ -59,5 +58,4 @@ __all__ = [
     "lognormal_length",
     "open_loop_events",
     "open_loop_schedule",
-    "paced_requests",
 ]

@@ -125,18 +125,13 @@ class Scenario:
         mean_steps: int,
         seed: int = 0,
         scale: int | None = None,
-        prefix: str = "",
     ) -> Workload:
-        """Expand the hooks into a concrete :class:`Workload`.
-
-        ``prefix`` namespaces session ids so several runs can share one
-        long-lived service (e.g. a pod server reused across tests).
-        """
+        """Expand the hooks into a concrete :class:`Workload`."""
         resolved = self.scale_of(scale)
         ids: list[str] = []
         scripts: dict[str, list[dict]] = {}
         for index in range(sessions):
-            session = prefix + self.session_id(index)
+            session = self.session_id(index)
             length = self.session_length(index, seed=seed, mean_steps=mean_steps)
             ids.append(session)
             scripts[session] = self.session_script(

@@ -15,9 +15,7 @@ attached as an :class:`~repro.verify.api.OnlineAuditor`.
 service is wrapped in a :class:`~repro.shadow.ShadowService` mirroring
 every request to a second service running the candidate scenario's
 transducer over the *incumbent's* database, and the report grows the
-divergence columns.  ``pace=True`` replays the open-loop schedule
-against the real clock (sleeping to each arrival) instead of merely
-preserving its order -- logs and digests are identical either way.
+divergence columns.
 
 The returned :class:`ScenarioReport` carries throughput, the metrics
 snapshot, audit counters, and (when logs are retained) a canonical
@@ -36,12 +34,11 @@ from typing import TYPE_CHECKING, Iterable, Sequence, Union
 from repro.pods.service import PodService
 from repro.scenarios.base import Scenario
 from repro.scenarios.registry import resolve_scenario
-from repro.scenarios.traffic import open_loop_events, paced_requests
+from repro.scenarios.traffic import open_loop_schedule
 from repro.verify.api import OnlineAuditor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pods.api import StepRequest
-    from repro.shadow import ComparisonPolicy
 
 __all__ = ["ScenarioReport", "run_scenario", "make_auditor", "log_digest"]
 
@@ -56,7 +53,7 @@ class ScenarioReport:
     unless logs were retained.  The shadow columns are populated only
     for ``shadow_candidate`` runs: ``divergences`` counts the recorded
     :class:`~repro.shadow.DivergenceReport` objects,
-    ``first_divergence_step`` localizes the earliest one, and
+    ``first_divergence_step`` is the earliest one's step, and
     ``shadow_log_digest`` is the candidate side's digest (equal to
     ``log_digest`` exactly when the candidate behaved identically).
     """
@@ -96,24 +93,13 @@ class ScenarioReport:
         }
 
 
-def make_auditor(
-    scenario: "Scenario | str", *, check_every: int = 1
-) -> "OnlineAuditor | None":
-    """A fresh auditor over the scenario's specs (None if it has none).
-
-    ``check_every=k`` runs the latching monitors (log validity, goal
-    reachability) on every k-th step of each session only; per-step
-    monitors are unaffected.  Log validity replays the observed inputs
-    and decides a BSR sentence only when the replay diverges, so on
-    clean traffic ``k`` saves replay work, not BSR decisions.
-    """
+def make_auditor(scenario: "Scenario | str") -> "OnlineAuditor | None":
+    """A fresh auditor over the scenario's specs (None if it has none)."""
     scenario = resolve_scenario(scenario)
     specs = scenario.specs()
     if not specs:
         return None
-    return OnlineAuditor(
-        specs, reference=scenario.reference(), check_every=check_every
-    )
+    return OnlineAuditor(specs, reference=scenario.reference())
 
 
 def log_digest(service, session_ids: Iterable[str]) -> str:
@@ -156,14 +142,9 @@ def run_scenario(
     batch_size: int = 64,
     audit: bool = True,
     keep_logs: bool = True,
-    session_prefix: str = "",
     arrival_rate: float = 4.0,
     think_time: float = 1.0,
-    check_every: int = 1,
     shadow_candidate: "Union[Scenario, str, None]" = None,
-    shadow_policy: "ComparisonPolicy | None" = None,
-    pace: bool = False,
-    time_scale: float = 1.0,
 ) -> ScenarioReport:
     """Drive one scenario's open-loop traffic through a pod service.
 
@@ -179,31 +160,21 @@ def run_scenario(
     transducer shadows the run: the (built or injected) service becomes
     the incumbent of a :class:`~repro.shadow.ShadowService`, the
     candidate runs over the incumbent scenario's database, and every
-    request is mirrored and diffed under ``shadow_policy`` (default
-    strict, fail-open).  Shadowing a scenario against *itself* is the
-    canonical no-divergence control.
+    request is mirrored and diffed under the default strict, fail-open
+    policy.  Shadowing a scenario against *itself* is the canonical
+    no-divergence control.
 
-    ``pace=True`` replays the schedule against the real clock
-    (``time_scale`` seconds of wall time per virtual second) through
-    per-request ``submit`` calls; the default pushes the same order
-    through ``submit_batch`` as fast as the service allows.
-
-    ``steps`` is the *mean* session length; scenarios with heavy-tailed
-    lengths draw around it.  ``session_prefix`` namespaces session ids
-    so several runs can share one long-lived service.
+    The open-loop schedule's order is pushed through ``submit_batch``
+    as fast as the service allows.  ``steps`` is the *mean* session
+    length; scenarios with heavy-tailed lengths draw around it.
     """
     scenario = resolve_scenario(scenario)
     workload = scenario.workload(
-        sessions=sessions,
-        mean_steps=steps,
-        seed=seed,
-        scale=scale,
-        prefix=session_prefix,
+        sessions=sessions, mean_steps=steps, seed=seed, scale=scale
     )
-    events = open_loop_events(
+    schedule = open_loop_schedule(
         workload, seed=seed, arrival_rate=arrival_rate, think_time=think_time
     )
-    schedule = [request for _at, request in events]
     database = None
     transducer = None
     if service is None:
@@ -214,11 +185,7 @@ def run_scenario(
             database,
             store=store,
             keep_logs=keep_logs,
-            auditor=(
-                make_auditor(scenario, check_every=check_every)
-                if audit
-                else None
-            ),
+            auditor=make_auditor(scenario) if audit else None,
         )
     shadow = None
     if shadow_candidate is not None:
@@ -240,19 +207,14 @@ def run_scenario(
         service = shadow = ShadowService(
             service,
             candidate_service,
-            policy=shadow_policy,
             transducer=transducer,
             database=database,
         )
     for session_id in workload.sessions:
         service.create_session(session_id)
     started = perf_counter()
-    if pace:
-        for request in paced_requests(events, time_scale=time_scale):
-            service.submit(request)
-    else:
-        for chunk in _chunked(schedule, batch_size):
-            service.submit_batch(chunk)
+    for chunk in _chunked(schedule, batch_size):
+        service.submit_batch(chunk)
     wall = perf_counter() - started
     snapshot = service.metrics.snapshot()
     findings = len(service.audit_findings())
@@ -268,7 +230,7 @@ def run_scenario(
         divergences = shadow.divergence_count()
         first = shadow.first_divergence()
         if first is not None:
-            first_divergence_step = first.first_divergent_step
+            first_divergence_step = first.step
         if digest is not None:
             # The candidate saw exactly the mirrored prefix of every
             # session (divergent sessions detach), so its digest equals

@@ -18,11 +18,8 @@ traffic without any numpy dependency:
   traffic would, while staying a pure function of the seed.
 
 :func:`open_loop_events` exposes the same schedule *with* its virtual
-timestamps, and :func:`paced_requests` replays it against a real clock
-(sleeping to each event's offset) -- the opt-in ``pace=True`` mode of
-``run_scenario``.  Order-only remains the default: pacing changes when
-requests land, never their order, so logs and digests are identical
-either way.
+timestamps.  ``run_scenario`` replays only the order, as fast as the
+service allows.
 
 Everything is seeded through string-keyed :class:`random.Random`
 instances (the repo-wide idiom), so two runs with the same seed produce
@@ -32,11 +29,10 @@ byte-identical schedules on any platform.
 from __future__ import annotations
 
 import random
-import time
 from bisect import bisect_right
 from itertools import accumulate
 from math import exp, log
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.pods.api import StepRequest
 
@@ -48,7 +44,6 @@ __all__ = [
     "lognormal_length",
     "open_loop_events",
     "open_loop_schedule",
-    "paced_requests",
 ]
 
 
@@ -157,7 +152,7 @@ def open_loop_schedule(
     """Flatten a workload into one open-loop request *order*.
 
     The timestamp-free view of :func:`open_loop_events` -- what the
-    default (order-only) scenario runner consumes.
+    scenario runner consumes.
     """
     return [
         request
@@ -169,31 +164,3 @@ def open_loop_schedule(
         )
     ]
 
-
-def paced_requests(
-    events: "Sequence[tuple[float, StepRequest]]",
-    *,
-    time_scale: float = 1.0,
-    clock: "Callable[[], float]" = time.monotonic,
-    sleep: "Callable[[float], None]" = time.sleep,
-) -> "Iterator[StepRequest]":
-    """Replay a schedule against a real clock: the open loop, embodied.
-
-    Yields each request at (or as soon after as possible) its event's
-    virtual timestamp, scaled by ``time_scale`` seconds per virtual
-    second -- sleeping when ahead of schedule, never reordering when
-    behind.  An open-loop generator does not wait for responses, so a
-    slow service accumulates *lateness* rather than thinning the
-    arrival process; order (and therefore every log and digest) is
-    identical to the un-paced schedule.
-
-    ``clock`` and ``sleep`` are injectable for deterministic tests.
-    """
-    if time_scale < 0:
-        raise ValueError(f"time_scale must be >= 0, got {time_scale}")
-    origin = clock()
-    for at, request in events:
-        delay = origin + at * time_scale - clock()
-        if delay > 0:
-            sleep(delay)
-        yield request

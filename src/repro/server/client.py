@@ -39,7 +39,7 @@ import http.client
 import json
 import threading
 import urllib.parse
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import AuditViolation, ServerError, WireError
 from repro.pods.api import (
@@ -54,7 +54,7 @@ from repro.pods.session import SessionLog
 from repro.server import wire
 
 if TYPE_CHECKING:
-    from repro.core.transducer import InputLike, RelationalTransducer
+    from repro.core.transducer import RelationalTransducer
     from repro.relalg.instance import Instance
 
 
@@ -109,9 +109,10 @@ class PodClient(_PodApi):
     runs -- typically the same module-level factory the server was
     configured with, called locally.
 
-    ``run_session`` and ``create_sessions`` come from the shared
-    :class:`~repro.pods.service._PodApi` traffic methods; ``submit``,
-    ``submit_batch`` and ``drive`` are one HTTP call each.
+    ``run_session``, ``create_sessions`` and ``drive`` come from the
+    shared :class:`~repro.pods.service._PodApi` traffic methods and
+    funnel into ``submit_batch``; ``submit`` and ``submit_batch`` are
+    one HTTP call each.
     """
 
     def __init__(
@@ -247,40 +248,6 @@ class PodClient(_PodApi):
             wire.decode_step_result(body, outputs)
             for body in reply.get("results", ())
         ]
-
-    def drive(
-        self,
-        workload: "Mapping[SessionHandle | str, Sequence[InputLike]]",
-        round_robin: bool = True,
-    ) -> None:
-        """Same semantics as the in-process ``drive``; the round-robin
-        interleaving travels as one batch (per-session order is what
-        the runtime guarantees, and it is preserved either way)."""
-        items = sorted(
-            workload.items(), key=lambda item: session_id_of(item[0])
-        )
-        requests: list[StepRequest] = []
-        if round_robin:
-            position = 0
-            remaining = True
-            while remaining:
-                remaining = False
-                for session, sequence in items:
-                    if position < len(sequence):
-                        requests.append(
-                            StepRequest(session, sequence[position])
-                        )
-                        remaining = (
-                            remaining or position + 1 < len(sequence)
-                        )
-                position += 1
-        else:
-            for session, sequence in items:
-                requests.extend(
-                    StepRequest(session, inputs) for inputs in sequence
-                )
-        if requests:
-            self.submit_batch(requests)
 
     def session(self, session: "SessionHandle | str") -> ClientSessionView:
         body = {"session_id": session_id_of(session)}

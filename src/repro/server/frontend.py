@@ -62,7 +62,7 @@ from repro.errors import (
     WireError,
 )
 from repro.pods.metrics import merge_snapshots
-from repro.pods.service import shard_of
+from repro.pods.service import generated_session_id, shard_of
 from repro.server import wire
 from repro.server.worker import (
     WorkerConfig,
@@ -130,7 +130,6 @@ class PodServer:
         max_resident_sessions: "int | None" = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        id_prefix: str = "pod",
         call_timeout: float = 60.0,
     ) -> None:
         if workers is None:
@@ -154,7 +153,6 @@ class PodServer:
         self.queue_depth = queue_depth
         self._host = host
         self._port = port
-        self._id_prefix = id_prefix
         self._call_timeout = call_timeout
         self._tempdir: "tempfile.TemporaryDirectory | None" = None
         if store_root is None:
@@ -171,7 +169,6 @@ class PodServer:
                 keep_logs=keep_logs,
                 auditor_factory=auditor_factory,
                 durability=durability,
-                id_prefix=id_prefix,
                 max_resident_sessions=max_resident_sessions,
             )
             for index in range(workers)
@@ -299,7 +296,7 @@ class PodServer:
         # advances the counter.
         while True:
             with self._id_lock:
-                candidate = f"{self._id_prefix}-{self._next_id:06d}"
+                candidate = generated_session_id(self._next_id)
                 self._next_id += 1
             shard = self.route(candidate)
             try:

@@ -80,7 +80,6 @@ class WorkerConfig:
     auditor_factory: "Callable[[int], Any] | None" = None
     #: Durability mode for SQLite store targets.
     durability: str = "step"
-    id_prefix: str = "pod"
     max_resident_sessions: "int | None" = None
 
 
@@ -95,7 +94,6 @@ def _build_service(shard_index: int, config: WorkerConfig) -> PodService:
         store=open_store(config.store_target, durability=config.durability),
         keep_logs=config.keep_logs,
         shard_index=shard_index,
-        id_prefix=config.id_prefix,
         auditor=auditor,
         max_resident_sessions=config.max_resident_sessions,
     )

@@ -144,7 +144,6 @@ def encode_record(record) -> dict:
             "type": "divergence",
             "session_id": record.session_id,
             "step": record.step,
-            "first_divergent_step": record.first_divergent_step,
             "kind": record.kind,
             "detail": record.detail,
             "policy": record.policy,
@@ -175,7 +174,6 @@ def decode_record(payload: Mapping):
         return DivergenceReport(
             session_id=str(payload.get("session_id", "")),
             step=int(payload.get("step", 0)),
-            first_divergent_step=int(payload.get("first_divergent_step", 0)),
             kind=str(payload.get("kind", "")),
             detail=str(payload.get("detail", "")),
             policy=str(payload.get("policy", "")),

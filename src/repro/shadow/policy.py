@@ -1,4 +1,4 @@
-"""Comparison policies: how strictly, how often, and how loudly.
+"""Comparison policies: how strictly, and how loudly.
 
 A :class:`ComparisonPolicy` is the knob bundle of a
 :class:`~repro.shadow.service.ShadowService`:
@@ -8,23 +8,17 @@ A :class:`ComparisonPolicy` is the knob bundle of a
   ``containment`` only demands that the candidate's log entries are
   contained in the incumbent's (log containment, Theorem 3.4) -- a
   candidate that logs *less* passes, one that invents log facts fails.
-* **sample_rate** -- compare every step (1.0) or a deterministic hash
-  sample of them; divergence localization backscans the recorded
-  prefixes, so a sampled policy still reports the true first divergent
-  step, it just detects it later.
 * **fail_open / fail_closed** -- fail-open records the divergence and
   keeps serving from the incumbent (the production posture); fail-closed
   raises :class:`~repro.errors.ShadowDivergence` on the spot (the CI
   gate posture).
 
-Sampling is hash-based (CRC-32 of ``session:step``), not RNG-based, so
-whether a given step is compared is a pure function of the policy --
-re-running a workload re-compares exactly the same steps.
+Every mirrored step is compared: a step costs one entry diff, so a
+divergence is always reported on the step where the runs fork.
 """
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 
 from repro.errors import SpecError
@@ -42,7 +36,6 @@ class ComparisonPolicy:
     """How a shadow service diffs incumbent and candidate steps."""
 
     mode: str = STRICT
-    sample_rate: float = 1.0
     fail_open: bool = True
 
     def __post_init__(self) -> None:
@@ -51,21 +44,10 @@ class ComparisonPolicy:
                 f"unknown comparison mode {self.mode!r}; "
                 f"expected one of {_MODES}"
             )
-        if not 0.0 < self.sample_rate <= 1.0:
-            raise SpecError(
-                f"sample_rate must be in (0, 1], got {self.sample_rate!r}"
-            )
 
     @property
     def fail_closed(self) -> bool:
         return not self.fail_open
-
-    def should_check(self, session_id: str, step: int) -> bool:
-        """Whether this (session, step) is compared under the policy."""
-        if self.sample_rate >= 1.0:
-            return True
-        bucket = zlib.crc32(f"{session_id}:{step}".encode()) % 1_000_000
-        return bucket < self.sample_rate * 1_000_000
 
     @classmethod
     def strict(cls, *, fail_open: bool = True) -> "ComparisonPolicy":
@@ -77,13 +59,3 @@ class ComparisonPolicy:
         """Per-step log containment (candidate ⊆ incumbent) on every step."""
         return cls(mode=CONTAINMENT, fail_open=fail_open)
 
-    @classmethod
-    def sampled(
-        cls,
-        sample_rate: float,
-        *,
-        mode: str = STRICT,
-        fail_open: bool = True,
-    ) -> "ComparisonPolicy":
-        """Compare a deterministic hash sample of steps."""
-        return cls(mode=mode, sample_rate=sample_rate, fail_open=fail_open)

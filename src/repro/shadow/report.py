@@ -2,10 +2,10 @@
 
 A :class:`DivergenceReport` is the shadow subsystem's counterpart to
 :class:`~repro.verify.api.AuditFinding`: one mirrored step on which the
-candidate's behaviour left the incumbent's.  It records *where* the
-divergence was detected (``step``), *where* the logs actually forked
-(``first_divergent_step`` -- under a sampled policy these differ), the
-offending log entries from both sides, and a replayable
+candidate's behaviour left the incumbent's.  It records the step on
+which the two runs forked (every mirrored step is compared, so that is
+also where it was detected), the offending log entries from both
+sides, and a replayable
 :class:`~repro.verify.api.trace.CounterexampleTrace` built from the
 incumbent's inputs: ``trace.reproduces(incumbent_transducer)`` holds and
 ``trace.reproduces(candidate_transducer)`` fails, which is the
@@ -46,19 +46,16 @@ KIND_CANDIDATE_ERROR = "candidate-error"
 class DivergenceReport:
     """One step on which the candidate diverged from the incumbent.
 
-    ``step`` is where the policy *detected* the divergence (1-based,
-    the incumbent's step counter); ``first_divergent_step`` is where the
-    recorded log prefixes actually fork, found by backscan -- equal to
-    ``step`` under an every-step policy, possibly earlier under a
-    sampled one.  ``incumbent``/``candidate`` hold the two sides' log
-    entries (plain facts) at the detection step.  ``trace`` is excluded
+    ``step`` is the first step on which the runs diverged (1-based,
+    the incumbent's step counter; 0 when the candidate could not even
+    open the session).  ``incumbent``/``candidate`` hold the two sides'
+    log entries (plain facts) at that step.  ``trace`` is excluded
     from equality so reports compare by what diverged, not by the
     replay vehicle attached to it.
     """
 
     session_id: str
     step: int
-    first_divergent_step: int
     kind: str
     detail: str = ""
     incumbent: "Facts" = field(default_factory=dict)
@@ -72,7 +69,6 @@ class DivergenceReport:
         return {
             "session_id": self.session_id,
             "step": self.step,
-            "first_divergent_step": self.first_divergent_step,
             "kind": self.kind,
             "detail": self.detail,
             "policy": self.policy,

@@ -60,14 +60,14 @@ __all__ = ["ShadowService"]
 
 
 class _ShadowSession:
-    """Per-session mirror state: the recorded prefixes of both runs."""
+    """Per-session mirror state: the incumbent's recorded prefix, which
+    a divergence's replay trace carries."""
 
-    __slots__ = ("inputs", "incumbent_log", "candidate_log", "detached")
+    __slots__ = ("inputs", "incumbent_log", "detached")
 
     def __init__(self) -> None:
         self.inputs: "list[Facts]" = []
         self.incumbent_log: "list[Facts]" = []
-        self.candidate_log: "list[Facts]" = []
         self.detached = False
 
 
@@ -187,7 +187,6 @@ class ShadowService(_PodApi):
                 DivergenceReport(
                     session_id=handle.session_id,
                     step=0,
-                    first_divergent_step=0,
                     kind=KIND_CANDIDATE_ERROR,
                     detail=f"create_session failed: {error}",
                     policy=self.policy.mode,
@@ -318,9 +317,8 @@ class ShadowService(_PodApi):
         The incumbent goes first and its result is returned unchanged;
         a session the shadow has not seen (created directly on the
         incumbent, or resumed from its store) passes through unmirrored.
-        The candidate's log entry is recorded on *every* mirrored step
-        -- even ones a sampled policy skips -- so localization can
-        backscan to the true first divergent step.
+        Every mirrored step is compared, so a divergence is reported on
+        the step where the two runs fork.
         """
         result = self.incumbent.submit(request)
         session_id = result.session.session_id
@@ -352,9 +350,6 @@ class ShadowService(_PodApi):
             )
             return result
         candidate_entry = _log_entry(inputs_instance, mirrored, log_schema)
-        shadow.candidate_log.append(candidate_entry)
-        if not self.policy.should_check(session_id, result.step):
-            return result
         report = self._diff(
             shadow, session_id, result, mirrored, incumbent_entry,
             candidate_entry,
@@ -423,7 +418,6 @@ class ShadowService(_PodApi):
         return DivergenceReport(
             session_id=session_id,
             step=step,
-            first_divergent_step=self._localize(shadow, step),
             kind=kind,
             detail=detail,
             incumbent=incumbent_entry,
@@ -439,19 +433,3 @@ class ShadowService(_PodApi):
                 property_name=f"shadow-{self.policy.mode}",
             ),
         )
-
-    def _localize(self, shadow: _ShadowSession, detected_step: int) -> int:
-        """First step (1-based) on which the recorded prefixes fork.
-
-        Under a sampled policy the detection step may trail the true
-        fork; both prefixes were recorded on every mirrored step, so a
-        forward scan finds it exactly.  A candidate crash (no entry on
-        its side) localizes to the detection step.
-        """
-        mode = self.policy.mode
-        for index, (ours, theirs) in enumerate(
-            zip(shadow.incumbent_log, shadow.candidate_log)
-        ):
-            if _entry_diverges(ours, theirs, mode):
-                return index + 1
-        return detected_step

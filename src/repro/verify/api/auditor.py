@@ -118,7 +118,6 @@ class OnlineAuditor:
         *,
         reference: "RelationalTransducer | None" = None,
         strict: bool = False,
-        check_every: int = 1,
         ledger=None,
     ) -> None:
         self.specs = tuple(specs)
@@ -128,22 +127,8 @@ class OnlineAuditor:
                     f"OnlineAuditor takes PropertySpecs, got "
                     f"{type(spec).__name__}"
                 )
-        if not isinstance(check_every, int) or check_every < 1:
-            raise SpecError(
-                f"check_every must be an integer >= 1, got {check_every!r}"
-            )
         self.reference = reference
         self.strict = strict
-        # Amortization: monitors that *latch* (LogValidity /
-        # GoalReachability judge a permanent property of the whole
-        # prefix, so a violation at step i is still a violation at every
-        # j > i) run only every k-th step of a session.  Detection is
-        # delayed to the next multiple of k, never lost.  GoalReachability
-        # decides a BSR sentence per check, so k divides that cost; the
-        # witness-first LogValidity monitor catches up by replaying the
-        # skipped steps and decides only when the replay diverges.
-        # Per-step monitors (temporal safety, disciplines) always run.
-        self.check_every = check_every
         self._transducer: "RelationalTransducer | None" = None
         self._database: "Instance | None" = None
         self._database_facts: dict | None = None
@@ -355,18 +340,7 @@ class OnlineAuditor:
             resume_steps=audit.resume_steps,
         )
         findings: list[AuditFinding] = []
-        checks = 0
         for monitor in audit.monitors:
-            if (
-                self.check_every > 1
-                and getattr(monitor, "amortizable", False)
-                and step % self.check_every != 0
-            ):
-                # Latching monitor on an off-cycle step: skip the
-                # re-decision (history above still accumulated, so the
-                # next on-cycle step sees the full prefix).
-                continue
-            checks += 1
             for violation in monitor.observe(stage):
                 findings.append(
                     AuditFinding(
@@ -393,7 +367,7 @@ class OnlineAuditor:
                     self._ledger.append(finding.session_id, finding)
         return AuditOutcome(
             findings=tuple(findings),
-            checks=checks,
+            checks=len(audit.monitors),
             eval_delta=delta,
             bsr_decisions=bsr_delta,
         )

@@ -103,13 +103,6 @@ class StepMonitor:
     #: monitors that do, keeping single-stage monitors O(1) per step.
     needs_history = False
 
-    #: May the auditor's ``check_every=k`` skip this monitor on
-    #: off-cycle steps?  Only sound for monitors re-deciding a
-    #: *permanent* property of the whole prefix (they latch): skipping
-    #: delays detection to the next multiple of k, never loses it.
-    #: Per-step monitors (temporal safety, disciplines) must stay False.
-    amortizable = False
-
     #: Cumulative count of BSR sentences this monitor has decided; the
     #: auditor reports the per-step delta as ``audit_bsr_decisions``.
     bsr_decisions = 0
@@ -454,7 +447,6 @@ class LogValidityMonitor(StepMonitor):
     """
 
     needs_history = True
-    amortizable = True  # re-decides a permanent prefix property; latches
 
     def __init__(self, spec, reference, database: "Instance") -> None:
         super().__init__(spec)
@@ -556,7 +548,6 @@ class GoalReachabilityMonitor(StepMonitor):
     """
 
     needs_history = True
-    amortizable = True  # BSR re-decision over the prefix; latches
 
     def __init__(self, spec, reference, database: "Instance") -> None:
         super().__init__(spec)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.datalog import (
     Constant,
-    DatalogEngine,
     Variable,
     check_rule_safety,
     evaluate_program,
@@ -328,23 +327,21 @@ class TestEvaluateEdgeCases:
 
 class TestEngine:
     def test_idb_schema_inferred(self):
-        engine = DatalogEngine("p(X, Y) :- q(X), r(Y);")
-        assert engine.idb_schema().arity("p") == 2
+        program = parse_program("p(X, Y) :- q(X), r(Y);")
+        assert program.head_arities() == {"p": 2}
 
     def test_inconsistent_head_arity_rejected(self):
+        program = parse_program("p(X) :- q(X); p(X, Y) :- q(X), q(Y);")
         with pytest.raises(RuleError):
-            DatalogEngine("p(X) :- q(X); p(X, Y) :- q(X), q(Y);")
-
-    def test_unknown_edb_predicate_rejected(self):
-        from repro.relalg import DatabaseSchema
-
-        with pytest.raises(Exception):
-            DatalogEngine("p(X) :- mystery(X);", DatabaseSchema.of(q=1))
+            program.head_arities()
 
     def test_evaluate_instance(self):
         from repro.relalg import DatabaseSchema, Instance
 
         schema = DatabaseSchema.of(q=1)
-        engine = DatalogEngine("p(X) :- q(X);", schema)
-        result = engine.evaluate(Instance(schema, {"q": {(1,)}}))
-        assert result["p"] == {(1,)}
+        edb = Instance(schema, {"q": {(1,)}})
+        facts = evaluate_program(
+            parse_program("p(X) :- q(X);"),
+            {name: edb[name] for name in schema.names},
+        )
+        assert facts["p"] == {(1,)}

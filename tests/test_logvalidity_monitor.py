@@ -6,8 +6,7 @@ transducer and decides Theorem 3.1's BSR sentence only when that replay
 diverges from the observed log.  These tests pin its verdicts to the
 from-scratch decision procedure: a finding lands on exactly the step
 where :func:`~repro.verify.logvalidity.check_log_validity` first calls
-the prefix invalid (delayed to the next multiple of ``check_every``),
-whatever the served transducer, forged log, resume point, or serving
+the prefix invalid, whatever the served transducer, forged log, resume point, or serving
 state.  They also pin the cost model: clean traffic decides no sentence.
 """
 
@@ -48,8 +47,8 @@ def first_invalid_prefix(log) -> "int | None":
     return None
 
 
-def expected_steps(log, check_every: int, first_observed: int = 1) -> list[int]:
-    """Where a latching per-prefix audit reports, given ``check_every``.
+def expected_steps(log, first_observed: int = 1) -> list[int]:
+    """Where a latching per-prefix audit reports.
 
     ``first_observed`` is the first step the audit sees (a resumed
     session's earlier steps are never observed).
@@ -57,9 +56,7 @@ def expected_steps(log, check_every: int, first_observed: int = 1) -> list[int]:
     first = first_invalid_prefix(log)
     if first is None:
         return []
-    first = max(first, first_observed)
-    due = -(-first // check_every) * check_every
-    return [due] if due <= len(log) else []
+    return [max(first, first_observed)]
 
 
 # -- random traffic -------------------------------------------------------------
@@ -91,10 +88,8 @@ served_models = {
 }
 
 
-def drive(served, script, *, check_every=1, reference=SHORT):
-    auditor = OnlineAuditor(
-        [SPEC], reference=reference, check_every=check_every
-    )
+def drive(served, script, *, reference=SHORT):
+    auditor = OnlineAuditor([SPEC], reference=reference)
     service = PodService(served, default_database(), auditor=auditor)
     handle = service.create_session("s")
     for inputs in script:
@@ -107,17 +102,12 @@ class TestDifferentialAgainstBsr:
     @given(
         served=st.sampled_from(sorted(served_models)),
         script=session,
-        check_every=st.sampled_from([1, 3]),
     )
     @settings(max_examples=40, deadline=None)
-    def test_findings_land_where_the_oracle_says_invalid(
-        self, served, script, check_every
-    ):
-        service, auditor, log = drive(
-            served_models[served](), script, check_every=check_every
-        )
+    def test_findings_land_where_the_oracle_says_invalid(self, served, script):
+        service, auditor, log = drive(served_models[served](), script)
         found = [f.step for f in auditor.findings()]
-        assert found == expected_steps(log, check_every)
+        assert found == expected_steps(log)
         decisions = service.metrics.snapshot()["audit_bsr_decisions"]
         if served != "buggy":
             # SHORT and FRIENDLY log identically: every step replays.
@@ -131,11 +121,10 @@ class TestDifferentialAgainstBsr:
         resume_steps=st.integers(0, 3),
         seed_inputs=st.integers(0, 1),
         forge=st.lists(st.tuples(st.integers(0, 4), forged_row), max_size=2),
-        check_every=st.sampled_from([1, 3]),
     )
     @settings(max_examples=60, deadline=None)
     def test_monitor_matches_oracle_on_forged_logs(
-        self, witness, observed, resume_steps, seed_inputs, forge, check_every
+        self, witness, observed, resume_steps, seed_inputs, forge
     ):
         # The log is produced by ``witness``, then some entries get a
         # forged row; the monitor only sees ``observed`` inputs (by
@@ -164,8 +153,6 @@ class TestDifferentialAgainstBsr:
         found = []
         junk_state = SHORT.initial_state()
         for step in range(resume_steps + 1, len(log) + 1):
-            if step % check_every:
-                continue
             observed_count = step - resume_steps
             stage = StageView(
                 step=step,
@@ -180,7 +167,7 @@ class TestDifferentialAgainstBsr:
             )
             if monitor.observe(stage):
                 found.append(step)
-        assert found == expected_steps(log, check_every, resume_steps + 1)
+        assert found == expected_steps(log, resume_steps + 1)
 
 
 # -- the replay trusts nothing the service says about its state -------------------

@@ -15,9 +15,8 @@ The acceptance bar of the shadow subsystem:
   (memory/jsonl/sqlite) are byte-identical after a restart +
   rehydration, ``forget_session`` prunes the ledger, and findings are
   queryable over HTTP (``GET /v1/audits``) across a server restart;
-* *amortization*: ``check_every=k`` delays a latching monitor's
-  detection to the next multiple of k -- never loses it -- and does
-  fewer checks.
+* *every step*: the auditor checks every step, so a latching monitor
+  reports on the step where its property first fails.
 """
 
 import json
@@ -39,7 +38,6 @@ from repro.pods.api import SessionHandle, StepRequest
 from repro.pods.service import PodService
 from repro.scenarios import (
     open_loop_events,
-    paced_requests,
     run_scenario,
     scenario_names,
 )
@@ -56,11 +54,6 @@ from repro.shadow import (
     encode_record,
 )
 from repro.verify.api import GoalReachability, LogValidity, OnlineAuditor
-from repro.verify.api.monitor import (
-    GoalReachabilityMonitor,
-    LogValidityMonitor,
-    StepMonitor,
-)
 
 
 def short_vs_buggy(policy=None, ledger=None):
@@ -120,7 +113,6 @@ class TestDivergenceDetection:
         report = shadow.first_divergence()
         assert report.kind == KIND_LOG_DIVERGENCE
         assert report.step == 2
-        assert report.first_divergent_step == 2
         # The candidate delivered without payment; the incumbent did not.
         assert report.candidate["deliver"] == frozenset({("time",)})
         assert report.incumbent["deliver"] == frozenset()
@@ -167,30 +159,6 @@ class TestDivergenceDetection:
         verdict = shadow.containment_verdict()
         assert verdict is not None and not verdict.contained
 
-    def test_sampled_policy_localizes_the_true_first_divergence(self):
-        policy = ComparisonPolicy.sampled(0.4)
-        # A session id whose step 2 the hash sample skips but some
-        # later step hits -- deterministic, so the scan is stable.
-        session_id = next(
-            sid
-            for sid in (f"sampled-{i}" for i in range(1000))
-            if not policy.should_check(sid, 2)
-            and any(policy.should_check(sid, k) for k in range(3, 9))
-        )
-        shadow = short_vs_buggy(policy=policy)
-        handle = shadow.create_session(session_id)
-        shadow.submit(StepRequest(handle, {"order": {("time",)}}))
-        shadow.submit(StepRequest(handle, {"order": {("newsweek",)}}))
-        for _ in range(6):
-            if shadow.divergence_count():
-                break
-            shadow.submit(StepRequest(handle, {}))
-        report = shadow.first_divergence()
-        assert report is not None
-        # Detected late (step 2 was unsampled), localized exactly.
-        assert report.step > 2
-        assert report.first_divergent_step == 2
-
     def test_fail_closed_raises_shadow_divergence(self):
         shadow = short_vs_buggy(
             policy=ComparisonPolicy.strict(fail_open=False)
@@ -226,10 +194,6 @@ class TestDivergenceDetection:
     def test_policy_validation(self):
         with pytest.raises(SpecError):
             ComparisonPolicy(mode="fuzzy")
-        with pytest.raises(SpecError):
-            ComparisonPolicy(sample_rate=0.0)
-        with pytest.raises(SpecError):
-            ComparisonPolicy(sample_rate=1.5)
 
 
 # -- run_scenario / CLI wiring ------------------------------------------------
@@ -329,6 +293,34 @@ class TestAuditLedger:
         # ...but carried: the decoded trace replays identically.
         assert decoded.trace.reproduces(build_short())
         assert json.dumps(encode_record(decoded), sort_keys=True) == blob
+
+    def test_earlier_divergence_records_still_rehydrate(self):
+        # Earlier ledgers also wrote a "first_divergent_step" key (always
+        # equal to "step"); decoding reads only the keys it names.
+        from repro.pods.store import open_store
+        from repro.shadow import LEDGER_RELATION
+
+        shadow = short_vs_buggy()
+        drive_two_orders(shadow)
+        report = shadow.first_divergence()
+        payload = encode_record(report)
+        assert "first_divergent_step" not in payload
+        payload["first_divergent_step"] = report.step
+        blob = json.dumps(payload, sort_keys=True)
+        with tempfile.TemporaryDirectory() as tmp:
+            target = os.path.join(tmp, "ledger.sqlite")
+            store = open_store(target)
+            store.record_created(report.session_id)
+            store.record_step(
+                report.session_id, 1, {},
+                {LEDGER_RELATION: frozenset({(blob,)})},
+            )
+            store.close()
+            with AuditLedger(target) as ledger:
+                (decoded,) = ledger.all_records()
+        assert decoded == report
+        assert decoded.trace.reproduces(build_short())
+        assert not decoded.trace.reproduces(build_buggy_store())
 
     def test_shadow_divergences_rehydrate_from_ledger(self):
         with tempfile.TemporaryDirectory() as tmp:
@@ -435,15 +427,14 @@ class TestLedgerRetention:
             AuditLedger(None, max_findings_per_session="many")
 
 
-# -- check_every amortization -------------------------------------------------
+# -- every step is checked ----------------------------------------------------
 
 
 class TestCheckEvery:
-    def drive(self, check_every):
+    def test_log_validity_reports_the_divergent_step(self):
         auditor = OnlineAuditor(
             [LogValidity(name="log validates against SHORT")],
             reference=build_short(),
-            check_every=check_every,
         )
         service = PodService(
             build_buggy_store(), default_database(), auditor=auditor
@@ -452,119 +443,31 @@ class TestCheckEvery:
         service.submit(StepRequest(handle, {"order": {("time",)}}))
         for _ in range(5):
             service.submit(StepRequest(handle, {"order": {("newsweek",)}}))
-        return auditor, service.metrics.snapshot()["audit_checks"]
+        assert [f.step for f in auditor.findings()] == [2]
+        assert service.metrics.snapshot()["audit_checks"] == 6
 
-    def test_detection_delayed_to_next_multiple_never_lost(self):
-        eager, eager_checks = self.drive(1)
-        lazy, lazy_checks = self.drive(3)
-        assert [f.step for f in eager.findings()] == [2]
-        assert [f.step for f in lazy.findings()] == [3]
-        assert lazy_checks < eager_checks
-
-    def test_amortizable_is_opt_in_per_monitor_class(self):
-        assert StepMonitor.amortizable is False
-        assert LogValidityMonitor.amortizable is True
-        assert GoalReachabilityMonitor.amortizable is True
-
-    def test_check_every_validation(self):
-        with pytest.raises(SpecError):
-            OnlineAuditor([], check_every=0)
-        with pytest.raises(SpecError):
-            OnlineAuditor([], check_every=2.5)
-
-    def test_goal_reachability_amortizes_too(self):
+    def test_goal_reachability_reports_the_first_step(self):
         from repro.verify.reachability import Goal
 
-        def drive(check_every):
-            # vogue has no price row, so delivering it is unreachable
-            # from the very first step -- and stays so (latching).
-            auditor = OnlineAuditor(
-                [GoalReachability(Goal.atoms(deliver=("vogue",)))],
-                reference=build_short(),
-                check_every=check_every,
-            )
-            service = PodService(
-                build_short(), default_database(), auditor=auditor
-            )
-            handle = service.create_session("s1")
-            service.submit(StepRequest(handle, {"order": {("time",)}}))
-            service.submit(StepRequest(handle, {"pay": {("time", 55)}}))
-            return [finding.step for finding in auditor.findings()]
-
-        assert drive(1) == [1]
-        assert drive(2) == [2]
+        # vogue has no price row, so delivering it is unreachable from
+        # the very first step -- and stays so (latching).
+        auditor = OnlineAuditor(
+            [GoalReachability(Goal.atoms(deliver=("vogue",)))],
+            reference=build_short(),
+        )
+        service = PodService(
+            build_short(), default_database(), auditor=auditor
+        )
+        handle = service.create_session("s1")
+        service.submit(StepRequest(handle, {"order": {("time",)}}))
+        service.submit(StepRequest(handle, {"pay": {("time", 55)}}))
+        assert [finding.step for finding in auditor.findings()] == [1]
 
 
-# -- paced (real-clock) open-loop replay --------------------------------------
+# -- open-loop event timestamps -----------------------------------------------
 
 
 class TestPacing:
-    def fake_clock(self):
-        state = {"now": 100.0}
-        sleeps = []
-
-        def clock():
-            return state["now"]
-
-        def sleep(seconds):
-            sleeps.append(round(seconds, 9))
-            state["now"] += seconds
-
-        return clock, sleep, sleeps
-
-    def test_paced_requests_sleep_to_the_schedule(self):
-        events = [
-            (0.5, StepRequest("a", {})),
-            (1.25, StepRequest("b", {})),
-            (1.25, StepRequest("a", {})),
-            (2.0, StepRequest("b", {})),
-        ]
-        clock, sleep, sleeps = self.fake_clock()
-        order = [
-            r.session
-            for r in paced_requests(events, clock=clock, sleep=sleep)
-        ]
-        assert order == ["a", "b", "a", "b"]
-        # Slept to 0.5, then to 1.25; the simultaneous event was
-        # already due; then to 2.0.
-        assert sleeps == [0.5, 0.75, 0.75]
-
-    def test_time_scale_stretches_the_schedule(self):
-        events = [(1.0, StepRequest("a", {}))]
-        clock, sleep, sleeps = self.fake_clock()
-        list(paced_requests(events, time_scale=3.0, clock=clock, sleep=sleep))
-        assert sleeps == [3.0]
-
-    def test_lateness_accumulates_instead_of_reordering(self):
-        # A clock that jumps past every deadline: nothing sleeps, order
-        # is untouched -- the open loop absorbs lateness.
-        events = [(0.1, StepRequest("a", {})), (0.2, StepRequest("b", {}))]
-        state = {"now": 0.0}
-
-        def clock():
-            state["now"] += 10.0
-            return state["now"]
-
-        recorded = []
-        order = [
-            r.session
-            for r in paced_requests(
-                events, clock=clock, sleep=recorded.append
-            )
-        ]
-        assert order == ["a", "b"]
-        assert recorded == []
-
-    def test_paced_run_matches_unpaced_digest(self):
-        # time_scale=0 replays the schedule instantly -- same order,
-        # same logs, same digest as the batched default.
-        unpaced = run_scenario("commerce", sessions=4, steps=3)
-        paced = run_scenario(
-            "commerce", sessions=4, steps=3, pace=True, time_scale=0.0
-        )
-        assert paced.log_digest == unpaced.log_digest
-        assert paced.total_steps == unpaced.total_steps
-
     def test_events_and_schedule_agree(self):
         from repro.scenarios import open_loop_schedule
         from repro.scenarios.registry import resolve_scenario
@@ -664,7 +567,6 @@ def report_view(report):
         report.session_id,
         report.kind,
         report.step,
-        report.first_divergent_step,
         report.incumbent,
         report.candidate,
     )
@@ -693,7 +595,7 @@ class TestLogEntryReuse:
         assert [report_view(r) for r in relogged.divergences()] == [
             report_view(r) for r in parent.divergences()
         ]
-        assert relogged.first_divergence().first_divergent_step == 2
+        assert relogged.first_divergence().step == 2
 
     def test_remote_incumbent_takes_the_fallback(self, monkeypatch):
         parent = short_vs_buggy()
