@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from repro.errors import ArityError
 from repro.relalg.instance import Instance
 from repro.relalg.schema import DatabaseSchema
 
@@ -78,13 +79,27 @@ def log_of_step(
     output_instance: Instance,
     log_schema: DatabaseSchema,
 ) -> Instance:
-    """Compute ``(I_i ∪ O_i)|log`` for one step (Section 2.2, item 3)."""
+    """Compute ``(I_i ∪ O_i)|log`` for one step (Section 2.2, item 3).
+
+    The entry reuses the instances' checked rows without re-walking
+    them: a relation is taken only from an instance whose schema gives
+    it the log schema's arity (otherwise its rows could not fit, and
+    :class:`~repro.errors.ArityError` is raised).
+    """
     data = {}
     for rel in log_schema:
-        ins = input_instance.get(rel.name)
-        outs = output_instance.get(rel.name)
-        data[rel.name] = ins | outs if ins and outs else ins or outs
-    return Instance(log_schema, data)
+        name = rel.name
+        ins = input_instance.get(name)
+        outs = output_instance.get(name)
+        if (ins and input_instance.schema.arity(name) != rel.arity) or (
+            outs and output_instance.schema.arity(name) != rel.arity
+        ):
+            raise ArityError(
+                f"relation {name!r} has arity {rel.arity} in the log "
+                "but not in the step's instances"
+            )
+        data[name] = ins | outs if ins and outs else ins or outs
+    return Instance._from_checked(log_schema, data)
 
 
 def _format_facts(instance: Instance) -> str:

@@ -17,6 +17,17 @@ program is automatically nonrecursive and semipositive.  All conditions
 are checked at construction time; violations raise
 :class:`~repro.errors.SpocusViolation` naming the offending rule.
 
+A served step is one pass: the step's fact store adopts the input and
+state relations over the shared catalog store, the incremental
+executor runs every rule's kernel once, and the output and the next
+state (``S(past-R) ∪ I(R)``) are built through
+:meth:`Instance._from_checked <repro.relalg.instance.Instance._from_checked>`
+without re-checking rows -- each is a row of a checked instance or a
+head tuple whose arity was proven at construction.  The stateless
+:meth:`SpocusTransducer.output_function` (the path
+:func:`~repro.datalog.evaluate.naive_evaluation` measures) builds its
+output through the checking constructor.
+
 :class:`ExtendedStateTransducer` implements the *non-Spocus* extension
 of Proposition 3.1 (state rules with projection), which the paper
 proves makes log validity undecidable.
@@ -46,6 +57,8 @@ from repro.relalg.schema import DatabaseSchema, RelationSchema
 
 PAST_PREFIX = "past-"
 
+_NONE: frozenset[tuple] = frozenset()
+
 
 def stage_store(
     transducer: RelationalTransducer,
@@ -65,9 +78,8 @@ def stage_store(
     """
     local: dict[str, frozenset[tuple]] = {}
     for instance in instances:
-        for name in instance.schema.names:
-            local[name] = instance[name]
-    return FactStore(local, base=transducer.database_store(database))
+        local.update(instance.relations)
+    return FactStore.layered(local, transducer.database_store(database))
 
 
 def _step_store(
@@ -111,7 +123,12 @@ def _output_via_context(
     state: Instance,
     database: Instance,
 ) -> Instance:
-    """Derive the output instance through a step context (or without)."""
+    """Derive the output instance through a step context (or without).
+
+    The output is built without re-checking rows: every derived row is
+    a rule head whose arity the transducer proved against the output
+    schema at construction.
+    """
     if ctx is None or _evaluate._FORCE_NAIVE:
         # No context, or the naive-reference hook is active: take the
         # stateless path so naive_evaluation() keeps measuring the whole
@@ -119,14 +136,11 @@ def _output_via_context(
         # tracking is against whatever state it last saw.
         return transducer.output_function(inputs, state, database)
     facts = _step_store(transducer, inputs, state, database)
-    monotone = {name: state[name] for name in state.schema.names}
-    derived = ctx.step(facts, monotone)
-    return Instance(
-        transducer.schema.outputs,
-        {
-            rel.name: derived.get(rel.name, frozenset())
-            for rel in transducer.schema.outputs
-        },
+    derived = ctx.step(facts, state.relations)
+    outputs = transducer.schema.outputs
+    return Instance._from_checked(
+        outputs,
+        {name: derived.get(name, _NONE) for name in outputs.names},
     )
 
 
@@ -154,6 +168,9 @@ class SpocusTransducer(RelationalTransducer):
         schema = TransducerSchema(inputs, state, outputs, database, tuple(log))
         super().__init__(schema)
         self._program = output_program
+        self._past_names = tuple(
+            (rel.name, past(rel.name)) for rel in inputs
+        )
         self._validate_program()
 
     # -- construction helpers ----------------------------------------------------
@@ -259,14 +276,18 @@ class SpocusTransducer(RelationalTransducer):
     def state_function(
         self, inputs: Instance, state: Instance, database: Instance
     ) -> Instance:
+        # S(past-R) ∪ I(R) per input R: unions of checked rows of equal
+        # arity, so the state is built without re-checking them.
+        seen_rows = state.relations
+        new_rows = inputs.relations
         data = {}
-        for rel in self.schema.inputs:
-            seen = state[past(rel.name)]
-            new = inputs[rel.name]
+        for name, past_name in self._past_names:
+            seen = seen_rows[past_name]
+            new = new_rows[name]
             # Keep an unchanged relation by identity: the SQLite store
             # diffs only relations whose frozenset changed.
-            data[past(rel.name)] = seen if new <= seen else seen | new
-        return Instance(self.schema.state, data)
+            data[past_name] = seen if new <= seen else seen | new
+        return Instance._from_checked(self.schema.state, data)
 
     def output_function(
         self, inputs: Instance, state: Instance, database: Instance
@@ -364,6 +385,11 @@ class ExtendedStateTransducer(RelationalTransducer):
             if rule.head.predicate not in outputs:
                 raise SchemaError(
                     f"output rule {rule}: head is not an output relation"
+                )
+            if rule.head.arity != outputs.arity(rule.head.predicate):
+                raise SchemaError(
+                    f"output rule {rule}: head arity {rule.head.arity} != "
+                    f"declared arity {outputs.arity(rule.head.predicate)}"
                 )
             check_rule_safety(rule)
 

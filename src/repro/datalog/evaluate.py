@@ -35,7 +35,7 @@ from repro.datalog.ast import (
 from repro.datalog.plan.logical import RuleNode
 from repro.datalog.plan.physical import (
     CompiledRule,
-    Orderer,
+    Dispatch,
     coerce_store,
     derive_rule,
 )
@@ -81,8 +81,8 @@ def evaluate_rule(
     """
     crule = _compiled_rule(rule)
     store = coerce_store(facts)
-    orderer = Orderer(ORDERING_COST, store)
-    return frozenset(derive_rule(crule, store, orderer, delta=delta))
+    dispatch = Dispatch(ORDERING_COST, store)
+    return frozenset(derive_rule(crule, store, dispatch, delta=delta))
 
 
 def evaluate_program(

@@ -3,29 +3,41 @@
 A rule body's per-row work -- walking the atom's terms, branching on
 term kind (constant? variable? bound?) -- is the same for every row: it
 depends only on the rule and the join order.  A *kernel* resolves it
-once at compile time and runs the join as a chain of closures over a
-flat environment:
+once, at compile time, by generating one straight-line Python function
+per (rule, join order), in the manner of Neumann's compiled query plans
+("Efficiently Compiling Efficient Query Plans for Modern Hardware",
+VLDB 2011):
 
-* variables become integer *slots* in a per-call environment list
-  (assigned in binding order along the join), so binding is a list
-  store and an equality recheck is a list read;
-* each join level precomputes its access mode (id-bucket index lookup /
-  membership test / scan), its lookup-key recipe, which positions bind
-  fresh slots, and which positions recheck already-bound ones;
-* negated atoms, inequalities, and the head tuple compile to closures
-  reading the same slots.
+* variables become locals (``v0``, ``v1``, ... in binding order), so
+  binding is a tuple unpack and an equality recheck is a local compare;
+* each join level is a loop (id-bucket index lookup or scan) or, when
+  every position is bound, one membership test; each relation's rows
+  and index are fetched once per call, an index on its first probe;
+* negated atoms, inequalities, and the head tuple are inlined where
+  their variables are bound;
+* every row still passes an arity guard, so mixed-arity relations
+  match exactly as the reference does.
+
+Predicate names, constants and index positions reach the generated
+code through its namespace (``p0``, ``c0``, ``k1``, ...), never as text
+spliced into the source, so any value is matched as data.  The source
+is kept on the :class:`Kernel` (``Kernel.source``), where a golden test
+pins its shape.
 
 Kernels enumerate candidates through the columnar side of
-:class:`~repro.relalg.indexes.FactStore`: :meth:`lookup_ids` id buckets
+:class:`~repro.relalg.indexes.FactStore`: :meth:`id_buckets` maps
 dereferenced against the shared :meth:`row_list`.
 
-One kernel is compiled per (rule, join order) and cached on the rule
-(see :class:`~repro.datalog.plan.physical.CompiledRule`), with two entry
+One kernel is generated per (rule, join order) on its first use and
+cached on the rule (see
+:class:`~repro.datalog.plan.physical.CompiledRule`), with two entry
 points: the full join, and the semi-naive variant whose first level
-enumerates supplied delta rows (filtering constants and bound positions
-explicitly, since those rows bypass the index).  The reference oracle
-is the scan-based :func:`~repro.datalog.evaluate.evaluate_program_naive`;
-the hypothesis suite in ``tests/test_kernels.py`` pins kernels to it.
+enumerates supplied delta rows (filtering constants and repeated
+variables explicitly, since those rows bypass the index).  Each entry
+is compiled to bytecode when first called.  The
+reference oracle is the scan-based
+:func:`~repro.datalog.evaluate.evaluate_program_naive`; the hypothesis
+suite in ``tests/test_kernels.py`` pins both entries to it.
 """
 
 from __future__ import annotations
@@ -37,248 +49,311 @@ from repro.datalog.ast import Constant, Inequality, NegatedAtom
 from repro.datalog.plan.logical import AtomNode, RuleNode
 from repro.relalg.indexes import FactStore
 
-__all__ = ["Kernel", "compile_check", "compile_kernel"]
-
-# (is_slot, slot_or_value) recipe entries; a compiled term reference.
-_Part = tuple[bool, object]
-# check(store, env) -> bool closures compiled from negations/inequalities.
-_Check = Callable[[FactStore, list], bool]
-
-_MODE_CONTAINS = 0
-_MODE_INDEX = 1
-_MODE_SCAN = 2
+__all__ = ["Kernel", "compile_ground_check", "compile_kernel"]
 
 
-def _part(term, slot_of: dict) -> _Part:
-    if isinstance(term, Constant):
-        return (False, term.value)
-    return (True, slot_of[term])
+def compile_ground_check(check) -> Callable[[FactStore], bool]:
+    """A variable-free negated atom or inequality as ``store -> bool``.
 
-
-def _parts(terms, slot_of: dict) -> tuple[_Part, ...]:
-    return tuple(_part(term, slot_of) for term in terms)
-
-
-def compile_check(check, slot_of: dict) -> _Check:
-    """One negated atom or inequality as a ``(store, env) -> bool`` closure."""
+    Ground checks gate a whole rule before any join work (see
+    :attr:`~repro.datalog.plan.logical.RuleNode.pre_checks`).
+    """
     if isinstance(check, NegatedAtom):
         pred = check.atom.predicate
-        parts = _parts(check.atom.terms, slot_of)
-
-        def run_negated(store: FactStore, env: list) -> bool:
-            return not store.contains(
-                pred, tuple(env[x] if f else x for f, x in parts)
-            )
-
-        return run_negated
+        row = check.atom.ground_tuple({})
+        return lambda store: row not in store.rows(pred)
     if isinstance(check, Inequality):
-        left_is_slot, left = _part(check.left, slot_of)
-        right_is_slot, right = _part(check.right, slot_of)
-
-        def run_inequality(store: FactStore, env: list) -> bool:
-            return (env[left] if left_is_slot else left) != (
-                env[right] if right_is_slot else right
-            )
-
-        return run_inequality
+        differ = check.left.value != check.right.value
+        return lambda store: differ
     raise EvaluationError(f"not a checkable literal: {check}")
 
 
-class _LevelSpec:
-    """The precomputed join plan of one level (one positive atom)."""
+class _Source:
+    """The namespace generated code reads.
 
-    __slots__ = (
-        "pred", "arity", "mode", "positions", "key_parts",
-        "binds", "rechecks", "const_checks",
+    Every predicate name, constant and position tuple becomes a
+    namespace entry; the text only ever names the entry.  Constants
+    are never shared between occurrences: ``1``, ``1.0``, ``True`` and
+    ``-0.0``/``0.0`` compare equal but must each stay what they are.
+    """
+
+    def __init__(self) -> None:
+        self.namespace: dict[str, object] = {}
+        self._shared: dict[tuple[str, object], str] = {}
+        self._counts: dict[str, int] = {}
+
+    def _fresh(self, prefix: str, value) -> str:
+        count = self._counts.get(prefix, 0)
+        self._counts[prefix] = count + 1
+        name = f"{prefix}{count}"
+        self.namespace[name] = value
+        return name
+
+    def constant(self, value) -> str:
+        return self._fresh("c", value)
+
+    def shared(self, prefix: str, value: "str | tuple[int, ...]") -> str:
+        """A predicate name (``p``) or position tuple (``k``), named once."""
+        name = self._shared.get((prefix, value))
+        if name is None:
+            name = self._shared[(prefix, value)] = self._fresh(prefix, value)
+        return name
+
+
+class _Level:
+    """One join level: its atom's terms classified against the binding.
+
+    ``targets`` are the names a row unpacks into when the row came from
+    this level's own lookup (key positions already match: ``_``);
+    ``delta_targets`` when it came from the caller's delta rows (level 0
+    only, where nothing is bound yet and constants must be checked).
+    """
+
+    def __init__(self, number: int, atom, bound: dict, src: _Source) -> None:
+        self.number = number
+        self.arity = atom.arity
+        self.pred = src.shared("p", atom.predicate)
+        self.keys: list[tuple[int, str]] = []
+        self.targets: list[str] = []
+        self.delta_targets: list[str] = []
+        #: (unpacked temp, expression it must equal) per row.
+        self.rechecks: list[tuple[str, str]] = []
+        self.const_checks: list[tuple[str, str]] = []
+        fresh: dict = {}
+        for position, term in enumerate(atom.terms):
+            temp = f"t{number}_{position}"
+            if isinstance(term, Constant):
+                constant = src.constant(term.value)
+                self.keys.append((position, constant))
+                self.const_checks.append((temp, constant))
+                self.targets.append("_")
+                self.delta_targets.append(temp)
+            elif term in fresh:
+                self.rechecks.append((temp, fresh[term]))
+                self.targets.append(temp)
+                self.delta_targets.append(temp)
+            elif term in bound:
+                self.keys.append((position, bound[term]))
+                self.targets.append("_")
+                self.delta_targets.append("_")
+            else:
+                fresh[term] = bound[term] = f"v{len(bound)}"
+                self.targets.append(fresh[term])
+                self.delta_targets.append(fresh[term])
+        if len(self.keys) == self.arity:
+            self.mode = "contains"
+        elif self.keys:
+            self.mode = "index"
+            self.positions = src.shared(
+                "k", tuple(position for position, _ in self.keys)
+            )
+        else:
+            self.mode = "scan"
+
+    def key_tuple(self) -> str:
+        return _tuple_text(expr for _position, expr in self.keys)
+
+
+def _tuple_text(parts) -> str:
+    parts = list(parts)
+    if len(parts) == 1:
+        return f"({parts[0]},)"
+    return "(" + ", ".join(parts) + ")"
+
+
+def _term_text(term, bound: dict, src: _Source) -> str:
+    if isinstance(term, Constant):
+        return src.constant(term.value)
+    return bound[term]
+
+
+class _Writer:
+    """Indented lines, tracking whether a skip is ``continue`` or ``return``."""
+
+    def __init__(self) -> None:
+        self.lines: list[str] = []
+        self.depth = 1
+        self.loops = 0
+
+    def line(self, text: str) -> None:
+        self.lines.append("    " * self.depth + text)
+
+    def skip_if(self, condition: str) -> None:
+        """Drop the current candidate (outside every loop: the call)."""
+        self.line(f"if {condition}:")
+        self.lines.append(
+            "    " * (self.depth + 1)
+            + ("continue" if self.loops else "return")
+        )
+
+    def loop(self, header: str) -> None:
+        self.line(header)
+        self.depth += 1
+        self.loops += 1
+
+
+def _emit_row(w: _Writer, level: _Level, row: str, delta: bool) -> None:
+    """Arity guard, unpack, and the per-row equality checks of a level."""
+    w.skip_if(f"len({row}) != {level.arity}")
+    targets = level.delta_targets if delta else level.targets
+    if any(target != "_" for target in targets):
+        comma = "," if level.arity == 1 else ""
+        w.line(f"{', '.join(targets)}{comma} = {row}")
+    for temp, expected in level.rechecks + (level.const_checks if delta else []):
+        w.skip_if(f"{temp} != {expected}")
+
+
+def _check_conditions(checks, bound: dict, src: _Source, negated: dict):
+    """The skip condition of each negated atom and inequality."""
+    conditions = []
+    for check in checks:
+        if isinstance(check, NegatedAtom):
+            row = _tuple_text(
+                _term_text(term, bound, src) for term in check.atom.terms
+            )
+            conditions.append(f"{row} in {negated[id(check)]}")
+        elif isinstance(check, Inequality):
+            left = _term_text(check.left, bound, src)
+            right = _term_text(check.right, bound, src)
+            conditions.append(f"not ({left} != {right})")
+        else:
+            raise EvaluationError(f"not a checkable literal: {check}")
+    return conditions
+
+
+#: Loops one generated function nests at most; CPython refuses more
+#: than 20 nested blocks, so deeper joins continue in another function.
+_MAX_LOOPS = 16
+
+
+def _generate(
+    node: RuleNode, order: Sequence[AtomNode], checks_at
+) -> tuple[str, str, dict]:
+    """The source of each entry, and the namespace both read."""
+    src = _Source()
+    bound: dict = {}
+    negated = {
+        id(check): f"n{number}"
+        for number, check in enumerate(
+            check
+            for checks in checks_at
+            for check in checks
+            if isinstance(check, NegatedAtom)
+        )
+    }
+    levels: list[_Level] = []
+    conditions: list[list[str]] = []
+    #: The variable locals bound before each level.
+    bound_before: list[list[str]] = []
+    for number, info in enumerate(order):
+        bound_before.append(list(bound.values()))
+        levels.append(_Level(number, info.atom, bound, src))
+        conditions.append(
+            _check_conditions(checks_at[number], bound, src, negated)
+        )
+    negated_preds = {
+        negated[id(check)]: src.shared("p", check.atom.predicate)
+        for checks in checks_at
+        for check in checks
+        if isinstance(check, NegatedAtom)
+    }
+    head = _tuple_text(
+        _term_text(term, bound, src) for term in node.rule.head.terms
     )
 
-    def __init__(self, atom, bound_slots: dict, slot_of: dict) -> None:
-        positions: list[int] = []
-        key_parts: list[_Part] = []
-        binds: list[tuple[int, int]] = []
-        rechecks: list[tuple[int, int]] = []
-        const_checks: list[tuple[int, object]] = []
-        seen_here: set = set()
-        for p, term in enumerate(atom.terms):
-            if isinstance(term, Constant):
-                positions.append(p)
-                key_parts.append((False, term.value))
-                const_checks.append((p, term.value))
-            elif term in bound_slots:
-                positions.append(p)
-                key_parts.append((True, bound_slots[term]))
-            elif term in seen_here:
-                rechecks.append((p, slot_of[term]))
+    def function(header: str, first: int, delta: bool) -> list[str]:
+        """One function running ``levels[first:]``; a join nested deeper
+        than Python allows continues in a further function."""
+        w = _Writer()
+        fetch = levels[first + 1 if delta else first:]
+        if fetch and fetch[0].number == 0 and fetch[0].mode != "index":
+            # An empty first relation ends the call before any other fetch.
+            w.line(f"s0 = store.rows({fetch[0].pred})")
+            w.skip_if("not s0")
+            fetch = fetch[1:]
+        if first == 0:
+            w.line("add = out.add")
+        for name, pred in negated_preds.items():
+            w.line(f"{name} = store.rows({pred})")
+        for level in fetch:
+            if level.mode == "index":
+                w.line(f"b{level.number} = l{level.number} = None")
             else:
-                slot = slot_of.setdefault(term, len(slot_of))
-                binds.append((p, slot))
-                seen_here.add(term)
-        self.pred = atom.predicate
-        self.arity = atom.arity
-        self.positions = tuple(positions)
-        self.key_parts = tuple(key_parts)
-        self.binds = tuple(binds)
-        self.rechecks = tuple(rechecks)
-        self.const_checks = tuple(const_checks)
-        if len(positions) == self.arity:
-            self.mode = _MODE_CONTAINS
-        elif positions:
-            self.mode = _MODE_INDEX
+                w.line(f"s{level.number} = store.rows({level.pred})")
+        tail: list[str] = []
+        for level in levels[first:]:
+            n = level.number
+            if w.loops == _MAX_LOOPS and level.mode != "contains":
+                args = ", ".join(["store", "add", *bound_before[n]])
+                w.line(f"level{n}({args})")
+                tail = function(f"def level{n}({args}):", n, False)
+                break
+            if delta and n == 0:
+                w.loop("for r0 in rows:")
+                _emit_row(w, level, "r0", delta=True)
+            elif level.mode == "contains":
+                w.skip_if(f"{level.key_tuple()} not in s{n}")
+            elif level.mode == "index":
+                w.line(f"if b{n} is None:")
+                w.line(f"    b{n} = store.id_buckets({level.pred}, {level.positions})")
+                w.line(f"    l{n} = store.row_list({level.pred})")
+                w.loop(f"for i{n} in b{n}.get({level.key_tuple()}, ()):")
+                w.line(f"r{n} = l{n}[i{n}]")
+                _emit_row(w, level, f"r{n}", delta=False)
+            else:
+                w.loop(f"for r{n} in s{n}:")
+                _emit_row(w, level, f"r{n}", delta=False)
+            for condition in conditions[n]:
+                w.skip_if(condition)
         else:
-            self.mode = _MODE_SCAN
+            w.line(f"add({head})")
+        return [header, *w.lines, "", *tail]
 
-
-def _make_emit(head_parts: tuple[_Part, ...]):
-    def emit(store: FactStore, env: list, derived: set) -> None:
-        derived.add(tuple(env[x] if f else x for f, x in head_parts))
-
-    return emit
-
-
-def _make_level(spec: _LevelSpec, checks: tuple[_Check, ...], nxt):
-    """The closure running one join level, chaining into ``nxt``.
-
-    Three specializations, chosen at compile time: fully-bound levels
-    become a membership test, partially-bound ones an id-bucket lookup
-    over the columnar index, unbound ones a row-list scan.
-    """
-    pred = spec.pred
-    arity = spec.arity
-    key_parts = spec.key_parts
-    positions = spec.positions
-    binds = spec.binds
-    rechecks = spec.rechecks
-
-    if spec.mode == _MODE_CONTAINS:
-
-        def run_contains(store: FactStore, env: list, derived: set) -> None:
-            row = tuple(env[x] if f else x for f, x in key_parts)
-            if not store.contains(pred, row):
-                return
-            for check in checks:
-                if not check(store, env):
-                    return
-            nxt(store, env, derived)
-
-        return run_contains
-
-    # The per-row body is inlined into both loops (instead of a shared
-    # closure) to keep one Python call per candidate off the hot path.
-    # Index lookups already filtered the key positions, so only fresh
-    # binds and repeated variables remain per row.
-    if spec.mode == _MODE_INDEX:
-
-        def run_index(store: FactStore, env: list, derived: set) -> None:
-            ids = store.lookup_ids(
-                pred, positions, tuple(env[x] if f else x for f, x in key_parts)
-            )
-            if not ids:
-                return
-            rows = store.row_list(pred)
-            for rid in ids:
-                row = rows[rid]
-                if len(row) != arity:
-                    continue
-                for p, s in binds:
-                    env[s] = row[p]
-                ok = True
-                for p, s in rechecks:
-                    if row[p] != env[s]:
-                        ok = False
-                        break
-                if ok:
-                    for check in checks:
-                        if not check(store, env):
-                            ok = False
-                            break
-                if ok:
-                    nxt(store, env, derived)
-
-        return run_index
-
-    def run_scan(store: FactStore, env: list, derived: set) -> None:
-        for row in store.row_list(pred):
-            if len(row) != arity:
-                continue
-            for p, s in binds:
-                env[s] = row[p]
-            ok = True
-            for p, s in rechecks:
-                if row[p] != env[s]:
-                    ok = False
-                    break
-            if ok:
-                for check in checks:
-                    if not check(store, env):
-                        ok = False
-                        break
-            if ok:
-                nxt(store, env, derived)
-
-    return run_scan
-
-
-def _make_delta_entry(spec: _LevelSpec, checks: tuple[_Check, ...], nxt):
-    """The first level of the semi-naive variant: enumerate given rows.
-
-    Delta rows arrive from the caller instead of an index lookup, so the
-    constants (and any repeated variables) the index would have filtered
-    are checked explicitly here.  Nothing is bound before level 0, so
-    there are no prior-slot positions to recheck.
-    """
-    arity = spec.arity
-    const_checks = spec.const_checks
-    binds = spec.binds
-    rechecks = spec.rechecks
-
-    def run_delta(
-        store: FactStore, env: list, derived: set, rows
-    ) -> None:
-        for row in rows:
-            if len(row) != arity:
-                continue
-            ok = True
-            for p, v in const_checks:
-                if row[p] != v:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            for p, s in binds:
-                env[s] = row[p]
-            for p, s in rechecks:
-                if row[p] != env[s]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            for check in checks:
-                if not check(store, env):
-                    ok = False
-                    break
-            if ok:
-                nxt(store, env, derived)
-
-    return run_delta
+    full = "\n".join(function("def full(store, out):", 0, False))
+    delta = "\n".join(function("def delta(store, out, rows):", 0, True))
+    return full, delta, src.namespace
 
 
 class Kernel:
-    """A compiled (rule, join order) pair: full and delta entry points."""
+    """A compiled (rule, join order) pair: full and delta entry points.
 
-    __slots__ = ("nslots", "_full", "_delta")
+    ``source`` is the generated text of both entries (``full`` and
+    ``delta``); the values it names live in the entries' namespace.
+    Each entry is compiled to bytecode on its first call, so a rule
+    only ever joined in full never pays for its delta entry.
+    """
 
-    def __init__(self, nslots: int, full, delta) -> None:
-        self.nslots = nslots
-        self._full = full
-        self._delta = delta
+    __slots__ = ("source", "_sources", "_namespace", "_filename",
+                 "run_full", "run_delta")
 
-    def run_full(self, store: FactStore, derived: set) -> None:
-        """Run the full join, adding head tuples to ``derived``."""
-        self._full(store, [None] * self.nslots, derived)
+    def __init__(
+        self, full: str, delta: str, namespace: dict, filename: str
+    ) -> None:
+        self.source = full + "\n" + delta
+        self._sources = {"full": full, "delta": delta}
+        self._namespace = namespace
+        self._filename = filename
+        #: ``run_full(store, derived)``: the full join, adding head
+        #: tuples to the set ``derived``.
+        self.run_full = self._first_full
+        #: ``run_delta(store, derived, rows)``: the join with its first
+        #: level restricted to ``rows`` (the delta).
+        self.run_delta = self._first_delta
 
-    def run_delta(self, store: FactStore, derived: set, rows) -> None:
-        """Run the join with level 0 restricted to ``rows`` (the delta)."""
-        self._delta(store, [None] * self.nslots, derived, rows)
+    def _entry(self, name: str):
+        # A racing first call compiles the same text twice; either
+        # function is the entry.
+        namespace = dict(self._namespace)
+        exec(compile(self._sources[name], self._filename, "exec"), namespace)
+        return namespace[name]
+
+    def _first_full(self, store: FactStore, derived: set) -> None:
+        self.run_full = self._entry("full")
+        self.run_full(store, derived)
+
+    def _first_delta(self, store: FactStore, derived: set, rows) -> None:
+        self.run_delta = self._entry("delta")
+        self.run_delta(store, derived, rows)
 
 
 def compile_kernel(
@@ -295,24 +370,5 @@ def compile_kernel(
     """
     if not order:
         raise PlanError("cannot compile a kernel for an empty join order")
-    slot_of: dict = {}
-    bound_slots: dict = {}
-    specs: list[_LevelSpec] = []
-    for info in order:
-        spec = _LevelSpec(info.atom, bound_slots, slot_of)
-        specs.append(spec)
-        for variable in info.variables:
-            bound_slots[variable] = slot_of[variable]
-    compiled_checks = [
-        tuple(compile_check(check, slot_of) for check in checks)
-        for checks in checks_at
-    ]
-    head_parts = _parts(node.rule.head.terms, slot_of)
-    # Build the chain innermost-first; levels 1.. are shared between the
-    # full and delta entry points (only level 0 differs).
-    chain = _make_emit(head_parts)
-    for i in range(len(order) - 1, 0, -1):
-        chain = _make_level(specs[i], compiled_checks[i], chain)
-    full = _make_level(specs[0], compiled_checks[0], chain)
-    delta = _make_delta_entry(specs[0], compiled_checks[0], chain)
-    return Kernel(len(slot_of), full, delta)
+    full, delta, namespace = _generate(node, order, checks_at)
+    return Kernel(full, delta, namespace, f"<kernel {node.rule}>")

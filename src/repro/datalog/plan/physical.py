@@ -5,7 +5,9 @@ A :class:`PhysicalPlan` binds a
 and executes every rule body with its compiled kernel (see
 :mod:`repro.datalog.plan.kernels`): one per-rule memo yields the join
 order and the kernel for it together, and checks run as soon as their
-variables are bound:
+variables are bound.  A :class:`Dispatch` reads the memo keys' relation
+sizes once per step (or per execution) and builds the orderer and its
+cost model only when some memo misses:
 
 * :meth:`PhysicalPlan.execute` runs the full stratified fixpoint --
   the engine behind :func:`repro.datalog.evaluate.evaluate_program`;
@@ -19,7 +21,9 @@ variables are bound:
   :class:`IncrementalExecutor` that steps a *flat* program (no derived
   predicate in any body -- every Spocus output program) against
   monotonically growing facts, caching per-rule results between steps
-  and re-deriving only from the delta.
+  and re-deriving only from the delta.  Its one step loop dispatches
+  the plan once per step (:meth:`PhysicalPlan.full_keys`) and tracks
+  the delta only for programs that have a delta rule.
 """
 
 from __future__ import annotations
@@ -32,7 +36,11 @@ from dataclasses import dataclass
 from repro.errors import EvaluationError, PlanError
 from repro.datalog.ast import Variable
 from repro.datalog.plan.cost import CostModel
-from repro.datalog.plan.kernels import Kernel, compile_check, compile_kernel
+from repro.datalog.plan.kernels import (
+    Kernel,
+    compile_ground_check,
+    compile_kernel,
+)
 from repro.datalog.plan.logical import AtomNode, LogicalPlan, RuleNode
 from repro.datalog.plan.planner import (
     ORDERING_COST,
@@ -57,23 +65,16 @@ class Orderer:
 
     Callable as ``orderer(atoms, first)``; cost ordering needs live
     statistics, so without a store it degrades to the static greedy
-    order (the documented stats-absent fallback).  The instance also
-    carries the ingredients of the plan-memo key (see
-    :meth:`CompiledRule.plan_for`): the policy and the store whose
-    relation sizes sign the memo.
+    order (the documented stats-absent fallback).  Built by a
+    :class:`Dispatch` only when some rule's plan memo misses.
     """
 
-    __slots__ = ("policy", "store", "model", "_sig_cache")
+    __slots__ = ("policy", "store", "model")
 
     def __init__(self, ordering: str, store: FactStore | None) -> None:
         self.store = store
-        self._sig_cache: dict[tuple[str, ...], tuple] = {}
-        if ordering == ORDERING_COST and store is not None:
-            self.policy = ORDERING_COST
-            self.model = CostModel(store)
-        else:
-            self.policy = ORDERING_GREEDY
-            self.model = None
+        self.policy = _policy(ordering, store)
+        self.model = CostModel(store) if self.policy == ORDERING_COST else None
 
     def __call__(
         self,
@@ -84,17 +85,43 @@ class Orderer:
             return cost_order(positive, self.store, self.model, first)
         return greedy_order(positive, self.store, first)
 
-    def signature(self, predicates: Sequence[str]) -> tuple:
-        """The memo key under which this orderer's choices stay valid.
+
+def _policy(ordering: str, store: FactStore | None) -> str:
+    if ordering == ORDERING_COST and store is not None:
+        return ORDERING_COST
+    return ORDERING_GREEDY
+
+
+class Dispatch:
+    """Plan dispatch against one store: what every rule's memo reads.
+
+    One dispatch serves one step, one ``execute`` or one ``explain``.
+    It signs each rule's plan memo with the store's relation sizes (see
+    :meth:`CompiledRule.plan_for`) and builds the :class:`Orderer` --
+    with its cost model -- only when a memo misses.  Signatures are
+    cached per predicate set for the dispatch's lifetime, which is
+    also the window in which the orderer would see the same
+    statistics.  A step signs its full joins all at once instead
+    (:meth:`PhysicalPlan.full_keys`).
+    """
+
+    __slots__ = ("ordering", "store", "policy", "_signatures", "_orderer")
+
+    def __init__(self, ordering: str, store: FactStore | None) -> None:
+        self.ordering = ordering
+        self.store = store
+        self.policy = _policy(ordering, store)
+        self._signatures: dict[tuple[str, ...], tuple] = {}
+        self._orderer: Orderer | None = None
+
+    def signature(self, predicates: tuple[str, ...]) -> tuple:
+        """The memo key under which the orderer's choices stay valid.
 
         Relation sizes enter by bit length, so a memoized order is
         reused until some body relation roughly doubles (or empties) --
         the cardinality drift at which re-planning can pay for itself.
-        Signatures are cached per predicate set for this orderer's
-        lifetime (one step or one execute), which is also the window in
-        which its cost model would see the same statistics.
         """
-        cached = self._sig_cache.get(predicates)
+        cached = self._signatures.get(predicates)
         if cached is not None:
             return cached
         store = self.store
@@ -104,9 +131,14 @@ class Orderer:
             sizes = tuple(
                 store.count(pred).bit_length() for pred in predicates
             )
-        signature = (self.policy, sizes)
-        self._sig_cache[predicates] = signature
+        signature = self._signatures[predicates] = (self.policy, sizes)
         return signature
+
+    def orderer(self) -> Orderer:
+        """The join-order strategy, built on the first memo miss."""
+        if self._orderer is None:
+            self._orderer = Orderer(self.ordering, self.store)
+        return self._orderer
 
 
 _PLAN_MEMO_LIMIT = 64
@@ -141,15 +173,18 @@ class CompiledRule:
     so a lost publish only costs a recomputation.
     """
 
-    __slots__ = ("node", "pre_checks", "_order_preds", "_plans", "_kernels",
-                 "_kernel_lock")
+    __slots__ = ("node", "head", "pre_checks", "_multi", "_order_preds",
+                 "_plans", "_kernels", "_kernel_lock")
 
     def __init__(self, node: RuleNode) -> None:
         self.node = node
-        # Ground checks, compiled once: nothing is bound, so no slots.
+        self.head = node.rule.head.predicate
+        # Ground checks, compiled once: they gate the rule before any
+        # dispatch or join work.
         self.pre_checks = tuple(
-            compile_check(check, {}) for check in node.pre_checks
+            compile_ground_check(check) for check in node.pre_checks
         )
+        self._multi = len(node.positive) > 1
         self._order_preds = tuple(sorted(node.positive_preds))
         self._plans: dict[tuple, tuple[Sequence[AtomNode], Kernel]] = {}
         self._kernels: dict[tuple[int, ...], Kernel] = {}
@@ -157,23 +192,26 @@ class CompiledRule:
 
     def plan_for(
         self,
-        orderer: "Orderer",
+        dispatch: Dispatch,
         first: AtomNode | None = None,
         counters: "EvalCounters | None" = None,
+        key: "tuple | None" = None,
     ) -> tuple[Sequence[AtomNode], Kernel]:
-        """The join order under ``orderer`` and its kernel, memoized.
+        """The join order under ``dispatch`` and its kernel, memoized.
 
         Keyed by the delta occurrence and, for multi-atom rules, the
-        orderer's signature, so a rule is re-planned only once its body
-        relations' cardinalities drift by ~2x.  A hit counts
-        ``kernel_hits`` (and ``replans_avoided`` for multi-atom rules).
+        dispatch's signature, so a rule is re-planned only once its body
+        relations' cardinalities drift by ~2x.  ``key`` is that key when
+        the caller already has it (see :meth:`PhysicalPlan.full_keys`).
+        A hit counts ``kernel_hits`` (and ``replans_avoided`` for
+        multi-atom rules).
         """
-        positive = self.node.positive
-        multi = len(positive) > 1
-        key = (
-            -1 if first is None else first.index,
-            orderer.signature(self._order_preds) if multi else None,
-        )
+        multi = self._multi
+        if key is None:
+            key = (
+                -1 if first is None else first.index,
+                dispatch.signature(self._order_preds) if multi else None,
+            )
         cached = self._plans.get(key)
         if cached is not None:
             if counters is not None:
@@ -181,7 +219,8 @@ class CompiledRule:
                 if multi:
                     counters.replans_avoided += 1
             return cached
-        order = orderer(positive, first) if multi else positive
+        positive = self.node.positive
+        order = dispatch.orderer()(positive, first) if multi else positive
         planned = (order, self._kernel_for(order, counters))
         if len(self._plans) >= _PLAN_MEMO_LIMIT:
             self._plans.clear()
@@ -231,67 +270,73 @@ class CompiledRule:
                 )
         return checks_at
 
+    def _pre_checks_pass(self, store: FactStore) -> bool:
+        return all(check(store) for check in self.pre_checks)
 
-def _pre_checks_pass(crule: CompiledRule, store: FactStore) -> bool:
-    return all(check(store, ()) for check in crule.pre_checks)
+    def derive_full(
+        self,
+        store: FactStore,
+        dispatch: Dispatch,
+        out: set[tuple],
+        counters: "EvalCounters | None" = None,
+        key: "tuple | None" = None,
+    ) -> None:
+        """Add every head tuple the rule derives over ``store`` to ``out``.
 
+        ``key`` is the rule's full-join memo key, when known.
+        """
+        if self.pre_checks and not self._pre_checks_pass(store):
+            return
+        if not self.node.positive:
+            # Body is empty or has only checks over constants.
+            out.add(self.node.rule.head.ground_tuple({}))
+            return
+        self.plan_for(dispatch, None, counters, key)[1].run_full(store, out)
 
-def _join(
-    crule: CompiledRule,
-    store: FactStore,
-    orderer: Orderer,
-    derived: set[tuple],
-    first: AtomNode | None = None,
-    first_rows=None,
-    counters: "EvalCounters | None" = None,
-) -> None:
-    """Run one rule's kernel, adding head tuples to ``derived``.
+    def full_key(self, policy: str, bits: Mapping[str, int]) -> tuple:
+        """This rule's full-join memo key, given its relations' sizes
+        by bit length: what :meth:`plan_for` computes without a key."""
+        if not self._multi:
+            return (-1, None)
+        return (-1, (policy, tuple(bits[pred] for pred in self._order_preds)))
 
-    With ``first``/``first_rows`` given, that occurrence is evaluated
-    first and enumerates only ``first_rows`` (the semi-naive delta
-    restriction); the other atoms read the full store.
-    """
-    if not _pre_checks_pass(crule, store):
-        return
-    _order, kernel = crule.plan_for(orderer, first, counters)
-    if first_rows is not None:
-        kernel.run_delta(store, derived, first_rows)
-    else:
-        kernel.run_full(store, derived)
+    def derive_delta(
+        self,
+        store: FactStore,
+        dispatch: Dispatch,
+        out: set[tuple],
+        delta: Facts,
+        counters: "EvalCounters | None" = None,
+    ) -> None:
+        """Add the head tuples that use at least one ``delta`` row.
+
+        One join per positive occurrence whose predicate has delta
+        rows, that occurrence first and enumerating only those rows;
+        the other atoms read the full store.  A rule with no positive
+        atom derives nothing from a delta.
+        """
+        if self.pre_checks and not self._pre_checks_pass(store):
+            return
+        for info in self.node.positive:
+            rows = delta.get(info.atom.predicate)
+            if rows:
+                _order, kernel = self.plan_for(dispatch, info, counters)
+                kernel.run_delta(store, out, rows)
 
 
 def derive_rule(
     crule: CompiledRule,
     store: FactStore,
-    orderer: Orderer,
+    dispatch: Dispatch,
     delta: Facts | None = None,
     counters: "EvalCounters | None" = None,
 ) -> set[tuple]:
     """All head tuples one rule derives (optionally delta-restricted)."""
-    node = crule.node
     derived: set[tuple] = set()
-    if not node.positive:
-        # Body is empty or has only checks over constants.  A delta pass
-        # can never use such a rule (no positive occurrence to restrict).
-        if delta is None and _pre_checks_pass(crule, store):
-            derived.add(node.rule.head.ground_tuple({}))
-        return derived
     if delta is None:
-        _join(crule, store, orderer, derived, counters=counters)
-        return derived
-    for info in node.positive:
-        delta_rows = delta.get(info.atom.predicate)
-        if not delta_rows:
-            continue
-        _join(
-            crule,
-            store,
-            orderer,
-            derived,
-            first=info,
-            first_rows=delta_rows,
-            counters=counters,
-        )
+        crule.derive_full(store, dispatch, derived, counters)
+    else:
+        crule.derive_delta(store, dispatch, derived, delta, counters)
     return derived
 
 
@@ -392,14 +437,18 @@ class IncrementalExecutor:
     * ``static`` -- database-only body: joined once, cached for the
       session's lifetime.
 
+    Only a program with a ``delta`` rule reads the step's delta, so
+    only such a program pays to compute it and to remember the
+    previous step's monotone rows.
+
     An executor is per-session mutable state and is NOT thread-safe:
     the pod service keeps it safe by stepping each session on exactly
     one thread at a time (the shared, read-only
     :class:`PhysicalPlan` is what crosses threads).
     """
 
-    __slots__ = ("plan", "volatile", "monotone", "categories", "_caches",
-                 "_previous", "counters")
+    __slots__ = ("plan", "volatile", "monotone", "categories", "_rules",
+                 "_tracks_delta", "_caches", "_previous", "counters")
 
     def __init__(
         self,
@@ -413,6 +462,8 @@ class IncrementalExecutor:
         self.categories = plan.incremental_categories(
             self.volatile, self.monotone
         )
+        self._rules = tuple(zip(plan.compiled, self.categories))
+        self._tracks_delta = CATEGORY_DELTA in self.categories
         self._caches: list[frozenset[tuple] | set[tuple] | None] = [
             None for _ in plan.compiled
         ]
@@ -447,63 +498,55 @@ class IncrementalExecutor:
         database); ``monotone_rows`` the current rows of each monotone
         predicate, from which the executor computes the step's delta
         itself.  Returns every head predicate mapped to its derived
-        rows.
+        rows.  Plan dispatch happens once for the step:
+        :meth:`PhysicalPlan.full_keys` sizes the body relations once
+        and yields every rule's memo key.
         """
         store = coerce_store(store)
-        orderer = self.plan.orderer(store)
-        delta = self._delta_of(monotone_rows)
+        plan = self.plan
+        dispatch = plan.dispatch(store)
+        keys = plan.full_keys(dispatch)
+        tracks_delta = self._tracks_delta
+        delta = self._delta_of(monotone_rows) if tracks_delta else None
         counters = self.counters
+        caches = self._caches
         derived: dict[str, set[tuple]] = {
-            predicate: set() for predicate in self.plan.logical.idb
+            predicate: set() for predicate in plan.logical.idb
         }
-        for i, crule in enumerate(self.plan.compiled):
-            category = self.categories[i]
+        for i, (crule, category) in enumerate(self._rules):
+            out = derived[crule.head]
             if category == CATEGORY_RECOMPUTE:
-                rows = derive_rule(crule, store, orderer, counters=counters)
+                crule.derive_full(store, dispatch, out, counters, keys[i])
                 counters.full_rule_evals += 1
+                continue
+            cache = caches[i]
+            if cache is None:
+                cache = set()
+                crule.derive_full(store, dispatch, cache, counters, keys[i])
+                counters.full_rule_evals += 1
+                caches[i] = (
+                    frozenset(cache) if category == CATEGORY_STATIC else cache
+                )
             elif category == CATEGORY_STATIC:
-                cache = self._caches[i]
-                if cache is None:
-                    cache = frozenset(
-                        derive_rule(crule, store, orderer, counters=counters)
-                    )
-                    self._caches[i] = cache
-                    counters.full_rule_evals += 1
-                else:
-                    counters.static_cache_hits += 1
-                rows = cache
-            else:  # CATEGORY_DELTA
-                cache = self._caches[i]
-                if cache is None:
-                    cache = derive_rule(crule, store, orderer, counters=counters)
-                    counters.full_rule_evals += 1
-                else:
-                    relevant = {
-                        name: delta[name]
-                        for name in crule.node.positive_preds
-                        if name in delta
-                    }
-                    if relevant:
-                        cache |= derive_rule(
-                            crule, store, orderer, delta=relevant,
-                            counters=counters,
-                        )
-                        counters.delta_rule_evals += 1
-                    else:
-                        counters.delta_rules_skipped += 1
-                self._caches[i] = cache
-                rows = cache
-            derived[crule.node.rule.head.predicate].update(rows)
-        self._previous = {
-            name: frozenset(rows) for name, rows in monotone_rows.items()
-        }
+                counters.static_cache_hits += 1
+            elif crule.node.positive_preds.isdisjoint(delta):
+                counters.delta_rules_skipped += 1
+            else:
+                crule.derive_delta(store, dispatch, cache, delta, counters)
+                counters.delta_rule_evals += 1
+            out.update(cache)
+        if tracks_delta:
+            self._previous = {
+                name: frozenset(rows) for name, rows in monotone_rows.items()
+            }
         return {name: frozenset(rows) for name, rows in derived.items()}
 
 
 class PhysicalPlan:
     """An executable plan: logical structure + ordering policy."""
 
-    __slots__ = ("logical", "ordering", "compiled", "_categories")
+    __slots__ = ("logical", "ordering", "compiled", "_categories", "_sized",
+                 "_full_keys")
 
     def __init__(
         self, logical: LogicalPlan, ordering: str = ORDERING_COST
@@ -516,6 +559,15 @@ class PhysicalPlan:
         self.ordering = ordering
         self.compiled = [CompiledRule(node) for node in logical.rules]
         self._categories: dict[tuple, tuple[str, ...]] = {}
+        # Every predicate whose size signs some rule's memo key, and the
+        # per-rule full-join keys per (policy, sizes); see full_keys().
+        self._sized = tuple(sorted({
+            pred
+            for node in logical.rules
+            if len(node.positive) > 1
+            for pred in node.positive_preds
+        }))
+        self._full_keys: dict[tuple, tuple[tuple, ...]] = {}
 
     def incremental_categories(
         self, volatile: frozenset[str], monotone: frozenset[str]
@@ -559,6 +611,33 @@ class PhysicalPlan:
         """An ``(atoms, first) -> order`` callable for one store."""
         return Orderer(self.ordering, store)
 
+    def dispatch(self, store: FactStore | None) -> Dispatch:
+        """The memo dispatch of one step/execute against ``store``."""
+        return Dispatch(self.ordering, store)
+
+    def full_keys(self, dispatch: Dispatch) -> tuple[tuple, ...]:
+        """Every rule's full-join memo key under ``dispatch``, at once.
+
+        The step's plan dispatch: each predicate that signs a memo key
+        is sized once, and one tuple of per-rule keys is shared by every
+        step that sees the same sizes (racing first computations
+        publish equal tuples).  Each key equals the one
+        :meth:`CompiledRule.plan_for` would compute for the rule.
+        """
+        store = dispatch.store
+        sizes = tuple([store.count(pred).bit_length() for pred in self._sized])
+        cache_key = (dispatch.policy, sizes)
+        keys = self._full_keys.get(cache_key)
+        if keys is None:
+            bits = dict(zip(self._sized, sizes))
+            keys = tuple(
+                crule.full_key(dispatch.policy, bits) for crule in self.compiled
+            )
+            if len(self._full_keys) >= _PLAN_MEMO_LIMIT * 16:
+                self._full_keys.clear()
+            self._full_keys[cache_key] = keys
+        return keys
+
     def _compiled_by_stratum(self) -> list[list[CompiledRule]]:
         by_node = {id(crule.node): crule for crule in self.compiled}
         return [
@@ -588,7 +667,7 @@ class PhysicalPlan:
             store = FactStore(facts)
         for predicate in self.logical.idb:
             store.ensure(predicate)
-        orderer = self.orderer(store)
+        dispatch = self.dispatch(store)
 
         for stratum_rules in self._compiled_by_stratum():
             # First full pass.
@@ -597,7 +676,7 @@ class PhysicalPlan:
                 head = crule.node.rule.head.predicate
                 fresh = store.add(
                     head,
-                    derive_rule(crule, store, orderer, counters=counters),
+                    derive_rule(crule, store, dispatch, counters=counters),
                 )
                 if fresh:
                     delta[head] = delta.get(head, frozenset()) | fresh
@@ -616,7 +695,7 @@ class PhysicalPlan:
                     fresh = store.add(
                         head,
                         derive_rule(
-                            crule, store, orderer, delta=delta,
+                            crule, store, dispatch, delta=delta,
                             counters=counters,
                         ),
                     )
@@ -644,12 +723,12 @@ class PhysicalPlan:
         :meth:`execute`).
         """
         store = coerce_store(facts)
-        orderer = self.orderer(store)
+        dispatch = self.dispatch(store)
         derived: dict[str, frozenset[tuple]] = {}
         for crule in self.compiled:
-            head = crule.node.rule.head.predicate
+            head = crule.head
             rows = derive_rule(
-                crule, store, orderer, delta=delta, counters=counters
+                crule, store, dispatch, delta=delta, counters=counters
             )
             if rows or head not in derived:
                 derived[head] = derived.get(head, frozenset()) | rows
@@ -675,8 +754,8 @@ class PhysicalPlan:
         """
         if store is not None and not isinstance(store, FactStore):
             store = FactStore(store)
-        orderer = self.orderer(store)
-        model = orderer.model
+        dispatch = self.dispatch(store)
+        model = self.orderer(store).model
         shape = "nonrecursive" if self.logical.nonrecursive else "recursive"
         strata = self.logical.strata_rules()
         lines = [
@@ -693,7 +772,7 @@ class PhysicalPlan:
                 if not node.positive:
                     lines.append("    join: (no positive atoms)")
                 else:
-                    order, _kernel = crule.plan_for(orderer)
+                    order, _kernel = crule.plan_for(dispatch)
                     parts = []
                     bound: set[Variable] = set()
                     for info in order:

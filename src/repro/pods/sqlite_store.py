@@ -36,7 +36,9 @@ evicted from the service.
 Facts are written in the JSONL store's sorted-row JSON
 (:func:`~repro.pods.store.encode_facts`): a ``log`` or ``state`` cell
 equals ``json.dumps(encode_facts(facts), sort_keys=True)`` byte for
-byte, so logs are byte-identical across the two backends and
+byte (built by :func:`~repro.pods.store.facts_json`, the encoder the
+pod server's step replies share), so logs are byte-identical across
+the two backends and
 :func:`~repro.pods.store.migrate_sessions` moves sessions either way.
 A loaded state equals the recorded one under the values' equality (a
 frozenset already holds one row for ``1``, ``1.0`` and ``True``).
@@ -83,7 +85,7 @@ import threading
 from pathlib import Path
 
 from repro.errors import SessionError, StoreError
-from repro.pods.api import SessionSnapshot, facts_of
+from repro.pods.api import SessionSnapshot
 from repro.pods.store import (
     StoreLifecycle,
     StoreStats,
@@ -91,8 +93,9 @@ from repro.pods.store import (
     _encode_facts,
     decode_rows,
     encode_rows,
+    facts_json,
+    facts_layout,
 )
-from repro.relalg.instance import Instance
 
 DURABILITY_MODES = ("full", "step")
 
@@ -133,16 +136,6 @@ _INSERT_STEP = (
 )
 
 
-def _facts_json(keys, relations) -> str:
-    """``json.dumps(encode_facts(facts), sort_keys=True)``, from
-    ``keys`` (each relation's JSON key and ``": "``, sorted by name)
-    and the relations' rows in the same order."""
-    return "{" + ", ".join([
-        key + (json.dumps(encode_rows(rows)) if rows else "[]")
-        for key, rows in zip(keys, relations)
-    ]) + "}"
-
-
 class SqliteStore(StoreLifecycle):
     """Every session of a service in one transactional SQLite file.
 
@@ -178,9 +171,6 @@ class SqliteStore(StoreLifecycle):
         # session id -> (relation names, their rows as last recorded,
         # rows written since the last full row); see record_step.
         self._state_memo: dict[str, tuple[tuple, list, int]] = {}
-        # id(schema) -> (schema, sorted names, their JSON keys); the
-        # entry keeps the schema alive, so its id is never reused.
-        self._layouts: dict[int, tuple] = {}
         try:
             self._conn = sqlite3.connect(
                 str(self._path), check_same_thread=False
@@ -274,27 +264,6 @@ class SqliteStore(StoreLifecycle):
                                 f"SQLite commit failed: {error}"
                             ) from error
 
-    def _relations(self, value) -> tuple[tuple, tuple, list]:
-        """(sorted names, their JSON keys, their rows) of an instance
-        or plain facts mapping; an instance's names and keys are
-        cached per schema."""
-        if isinstance(value, Instance):
-            schema = value.schema
-            layout = self._layouts.get(id(schema))
-            if layout is None:
-                names = tuple(sorted(schema.names))
-                layout = self._layouts[id(schema)] = (
-                    schema,
-                    names,
-                    tuple(json.dumps(name) + ": " for name in names),
-                )
-            _schema, names, keys = layout
-            return names, keys, [value[name] for name in names]
-        facts = facts_of(value)
-        names = tuple(sorted(facts))
-        keys = tuple(json.dumps(name) + ": " for name in names)
-        return names, keys, [facts[name] for name in names]
-
     # -- the SessionStore recording seam ---------------------------------------
 
     def record_created(self, session_id: str) -> None:
@@ -316,10 +285,10 @@ class SqliteStore(StoreLifecycle):
         whole or as the change since the session's last recorded
         state (see the module docstring)."""
         self._check_open()
-        names, keys, relations = self._relations(state)
+        names, keys, relations = facts_layout(state)
         log_json = None
         if log_entry is not None:
-            log_json = _facts_json(*self._relations(log_entry)[1:])
+            log_json = facts_json(*facts_layout(log_entry)[1:])
         with self._lock:
             # Diff and write under one lock hold, so the memo always
             # describes the last row written for the session.
@@ -329,7 +298,7 @@ class SqliteStore(StoreLifecycle):
                 or memo[0] != names
                 or memo[2] > sum(map(len, relations))
             ):
-                state_json, change_json = _facts_json(keys, relations), None
+                state_json, change_json = facts_json(keys, relations), None
                 written = 1
             else:
                 state_json, change_json = None, self._change_json(

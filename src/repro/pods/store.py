@@ -49,13 +49,11 @@ import threading
 from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol, TYPE_CHECKING, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 from repro.errors import SessionError, StoreError
 from repro.pods.api import Facts, SessionSnapshot, facts_of
-
-if TYPE_CHECKING:
-    from repro.relalg.instance import Instance
+from repro.relalg.instance import Instance
 
 
 @dataclass(frozen=True)
@@ -300,6 +298,53 @@ def encode_facts(facts: Facts) -> dict[str, list[list]]:
     are identical in an event file, a SQLite row, and an HTTP body.
     """
     return {name: encode_rows(rows) for name, rows in sorted(facts.items())}
+
+
+#: id(schema) -> (schema, sorted names, their JSON key fragments); the
+#: entry keeps the schema alive, so its id is never reused while cached.
+_LAYOUTS: dict[int, tuple] = {}
+_LAYOUT_LIMIT = 256
+
+
+def facts_layout(value) -> tuple[tuple[str, ...], tuple[str, ...], list]:
+    """(sorted names, their JSON key fragments, their rows) of an
+    :class:`~repro.relalg.instance.Instance` or plain facts mapping.
+
+    A key fragment is a relation's JSON name and ``": "``; an
+    instance's names and fragments are cached per schema, so encoding
+    a value of a known schema never re-sorts or re-escapes its names.
+    """
+    if isinstance(value, Instance):
+        schema = value.schema
+        layout = _LAYOUTS.get(id(schema))
+        if layout is None:
+            names = tuple(sorted(schema.names))
+            layout = (
+                schema, names, tuple(json.dumps(name) + ": " for name in names)
+            )
+            if len(_LAYOUTS) >= _LAYOUT_LIMIT:
+                _LAYOUTS.clear()
+            _LAYOUTS[id(schema)] = layout
+        _schema, names, keys = layout
+        relations = value.relations
+        return names, keys, [relations[name] for name in names]
+    facts = facts_of(value)
+    names = tuple(sorted(facts))
+    keys = tuple(json.dumps(name) + ": " for name in names)
+    return names, keys, [facts[name] for name in names]
+
+
+def facts_json(keys, relations) -> str:
+    """``json.dumps(encode_facts(facts))``, byte for byte, from the key
+    fragments and rows :func:`facts_layout` returns.
+
+    The one facts-JSON encoder of the runtime: the SQLite store's log
+    and state cells and the worker's step replies are both built here.
+    """
+    return "{" + ", ".join([
+        key + (json.dumps(encode_rows(rows)) if rows else "[]")
+        for key, rows in zip(keys, relations)
+    ]) + "}"
 
 
 def encode_rows(rows: frozenset[tuple]) -> list[list]:

@@ -8,7 +8,8 @@ insertion-ordered row list whose positions are the *row ids*, and
 per-position columns are materialized on demand.  Hash indexes bucket
 **row ids**, not row tuples: the index for predicate ``p`` on positions
 ``(0, 2)`` maps ``(row[0], row[2])`` to the ids of the rows with those
-values (:meth:`FactStore.lookup_ids`).  The compiled rule kernels of
+values (:meth:`FactStore.lookup_ids`, or the whole map from
+:meth:`FactStore.id_buckets`).  The compiled rule kernels of
 :mod:`repro.datalog.plan` walk id buckets and read values off the
 shared row list (:meth:`FactStore.row_list`).
 
@@ -46,6 +47,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.relalg.interning import intern_row
@@ -55,6 +57,7 @@ Key = tuple
 _IdBuckets = dict[Key, list[int]]
 
 _EMPTY: tuple = ()
+_NO_BUCKETS: Mapping[Key, Sequence[int]] = MappingProxyType({})
 
 
 class _Pad:
@@ -152,6 +155,25 @@ class FactStore:
                     self._rows[name] = {
                         intern_row(tuple(row)) for row in rows
                     }
+
+    @classmethod
+    def layered(
+        cls,
+        relations: dict[str, frozenset[tuple]],
+        base: "FactStore | None",
+    ) -> "FactStore":
+        """A store whose local layer is ``relations`` itself, over ``base``.
+
+        The dict is adopted, not copied or interned: it becomes the
+        store's own local layer (later writes land in it), so pass a
+        dict nobody else holds, whose values are frozensets -- as an
+        :class:`~repro.relalg.instance.Instance` holds them.  This is
+        the per-step store of a transducer step, layered over the
+        shared catalog store.
+        """
+        store = cls(base=base)
+        store._rows = relations
+        return store
 
     # -- read side -------------------------------------------------------------
 
@@ -271,11 +293,22 @@ class FactStore:
         :meth:`row_list`.  Base-layer predicates delegate so the shared
         catalog is indexed once.
         """
+        return self.id_buckets(predicate, positions).get(key, _EMPTY)
+
+    def id_buckets(
+        self, predicate: str, positions: Positions
+    ) -> Mapping[Key, Sequence[int]]:
+        """The (predicate, positions) index itself: key -> row ids.
+
+        What :meth:`lookup_ids` probes, for callers that probe one
+        index many times (the compiled rule kernels fetch it once per
+        call).  Read-only to callers; base-layer predicates delegate.
+        """
         if predicate not in self._rows:
             if self._base is not None:
-                return self._base.lookup_ids(predicate, positions, key)
-            return _EMPTY
-        return self._id_buckets(predicate, positions).get(key, _EMPTY)
+                return self._base.id_buckets(predicate, positions)
+            return _NO_BUCKETS
+        return self._id_buckets(predicate, positions)
 
     def _id_buckets(self, predicate: str, positions: Positions) -> _IdBuckets:
         """Id-bucket map of the (local) index, built on first use.

@@ -10,6 +10,7 @@ immutable instances).
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from repro.errors import ArityError, SchemaError
@@ -89,6 +90,20 @@ class Instance:
     def _from_checked(
         cls, schema: DatabaseSchema, data: dict[str, frozenset[tuple]]
     ) -> "Instance":
+        """An instance over ``data`` as given: no row is re-checked.
+
+        The internal constructor for values built from rows already
+        known to be well-formed.  The caller guarantees that ``data``
+        has an entry for every relation of ``schema`` and nothing
+        else, that each entry is a frozenset of tuples of the
+        relation's arity, and that nobody mutates ``data`` afterwards
+        (it is adopted, not copied).  Typical sources: the relations
+        of checked instances over schemas that agree on arity, their
+        unions and differences, and rule heads whose arity was proven
+        against the schema when the program was validated.  Anything
+        from outside -- callers, stores, the wire -- goes through the
+        checking constructor instead.
+        """
         inst = cls.__new__(cls)
         inst._schema = schema
         inst._relations = data
@@ -99,6 +114,11 @@ class Instance:
     @property
     def schema(self) -> DatabaseSchema:
         return self._schema
+
+    @property
+    def relations(self) -> Mapping[str, frozenset[tuple]]:
+        """Every relation's rows by name, as a read-only view."""
+        return MappingProxyType(self._relations)
 
     def __getitem__(self, name: str) -> frozenset[tuple]:
         try:

@@ -16,9 +16,9 @@ Facts travel in the exact sorted-row JSON the session stores persist
 (:func:`repro.pods.store.encode_facts`), so a step's output bytes are
 identical in a JSONL event file, a SQLite row, and an HTTP response --
 the byte-identity the serial-vs-server parity suite asserts.  A step
-result is encoded to JSON text once, in the worker that ran it; the
-text crosses the worker queue as a string and is spliced into the
-HTTP body (:func:`message_json`).
+result is encoded to JSON text once, in the worker that ran it
+(:func:`step_result_json`); the text crosses the worker queue as a
+string and is spliced into the HTTP body (:func:`message_json`).
 
 Errors map to wire codes (and suggested HTTP statuses) by exception
 type; :func:`decode_error` reconstructs the *same* typed exception on
@@ -35,6 +35,7 @@ decodes them with its own output schema.)
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -56,7 +57,7 @@ from repro.pods.api import (
     StepResult,
     facts_of,
 )
-from repro.pods.store import decode_facts, encode_facts
+from repro.pods.store import decode_facts, encode_facts, facts_json, facts_layout
 
 if TYPE_CHECKING:
     from repro.relalg.instance import Instance
@@ -197,6 +198,33 @@ def encode_step_result(result: StepResult) -> dict:
         "output": encode_facts(facts_of(result.output)),
         "latency_seconds": result.latency_seconds,
     }
+
+
+def _number_json(value) -> str:
+    """``json.dumps(value)`` for a step result's counters and latency."""
+    if type(value) is int:
+        return int.__repr__(value)
+    if type(value) is float and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value)
+
+
+def step_result_json(result: StepResult) -> str:
+    """``json.dumps(encode_step_result(result))``, byte for byte.
+
+    The output is encoded once, by the facts encoder the stores share
+    (:func:`repro.pods.store.facts_json`), from its schema's cached key
+    fragments; no intermediate dict is built.
+    """
+    handle = result.session
+    return (
+        '{"session": {"session_id": ' + json.dumps(handle.session_id)
+        + ', "shard": ' + _number_json(handle.shard)
+        + '}, "step": ' + _number_json(result.step)
+        + ', "output": ' + facts_json(*facts_layout(result.output)[1:])
+        + ', "latency_seconds": ' + _number_json(result.latency_seconds)
+        + "}"
+    )
 
 
 def decode_step_result(body, outputs_schema: "DatabaseSchema") -> StepResult:

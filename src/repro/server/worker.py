@@ -35,7 +35,6 @@ run, because nothing observable ever lived only in worker memory.
 from __future__ import annotations
 
 import itertools
-import json
 import multiprocessing
 import os
 import signal
@@ -116,9 +115,7 @@ def _handle_op(service: PodService, shard_index: int, op: str, body) -> dict:
     # end splices the text into its HTTP body.
     if op == "submit":
         result = service.submit(wire.decode_step_request(body))
-        return wire.message(
-            "result", {"result": json.dumps(wire.encode_step_result(result))}
-        )
+        return wire.message("result", {"result": wire.step_result_json(result)})
     if op == "batch":
         encoded = body.get("requests")
         if not isinstance(encoded, (list, tuple)):
@@ -129,11 +126,7 @@ def _handle_op(service: PodService, shard_index: int, op: str, body) -> dict:
         results = service.submit_batch(requests)
         return wire.message(
             "results",
-            {
-                "results": [
-                    json.dumps(wire.encode_step_result(r)) for r in results
-                ]
-            },
+            {"results": [wire.step_result_json(r) for r in results]},
         )
     if op == "snapshot":
         session_id = body.get("session_id")

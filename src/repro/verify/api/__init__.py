@@ -21,6 +21,7 @@ ROADMAP's typed-surfaces arc, after ``PodService`` and ``QueryPlan``):
 
 from repro.verify.api.auditor import AuditFinding, AuditOutcome, OnlineAuditor
 from repro.verify.api.monitor import (
+    HistoryView,
     StageView,
     StepMonitor,
     build_monitor,
@@ -60,6 +61,7 @@ __all__ = [
     "OnlineAuditor",
     "AuditFinding",
     "AuditOutcome",
+    "HistoryView",
     "StageView",
     "StepMonitor",
     "build_monitor",

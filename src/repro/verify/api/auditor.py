@@ -32,7 +32,12 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from repro.core.run import log_of_step
 from repro.datalog.plan import EvalCounters
 from repro.errors import SpecError
-from repro.verify.api.monitor import StageView, StepMonitor, build_monitor
+from repro.verify.api.monitor import (
+    HistoryView,
+    StageView,
+    StepMonitor,
+    build_monitor,
+)
 from repro.verify.api.specs import PropertySpec
 from repro.verify.api.trace import KIND_COUNTEREXAMPLE, CounterexampleTrace
 
@@ -97,8 +102,8 @@ class _SessionAudit:
         # build-time plan compiles/cache hits to the first audited step.
         self.counters_seen = EvalCounters()
         self.bsr_seen = 0
-        # The O(step) so-far tuples are only materialized for monitors
-        # that actually read history (log/reachability audits).
+        # Only monitors that read history (log/reachability audits)
+        # get views over inputs/log; building one is O(1).
         self.needs_history = any(m.needs_history for m in monitors)
 
 
@@ -332,11 +337,13 @@ class OnlineAuditor:
             state_after=state_after,
             log_entry=log_entry,
             inputs_so_far=(
-                audit.seed_inputs + tuple(audit.inputs)
+                HistoryView(audit.seed_inputs, audit.inputs)
                 if audit.needs_history
                 else ()
             ),
-            log_so_far=tuple(audit.log) if audit.needs_history else (),
+            log_so_far=(
+                HistoryView((), audit.log) if audit.needs_history else ()
+            ),
             resume_steps=audit.resume_steps,
         )
         findings: list[AuditFinding] = []

@@ -30,6 +30,7 @@ T_past-input sentence remains checkable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.run import log_of_step
@@ -71,15 +72,57 @@ if TYPE_CHECKING:
 VIOLATION_HEAD = "__violation"
 
 
+class HistoryView(Sequence):
+    """A read-only view of the first ``length`` items of ``head + tail``.
+
+    The online auditor lends monitors its own per-session history
+    through these instead of copying it: building a stage costs O(1)
+    however long the session has run, and a view keeps showing exactly
+    the items that existed when its stage was built (``tail`` only ever
+    grows at its end).  Indexing and iteration read through; a slice
+    is a tuple.  Copy (``tuple(view)``) whatever must outlive the stage.
+    """
+
+    __slots__ = ("_head", "_tail", "_length")
+
+    def __init__(self, head: Sequence, tail: Sequence) -> None:
+        self._head = head
+        self._tail = tail
+        self._length = len(head) + len(tail)
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(self._length)))
+        if index < 0:
+            index += self._length
+        if not 0 <= index < self._length:
+            raise IndexError("history index out of range")
+        split = len(self._head)
+        return self._head[index] if index < split else self._tail[index - split]
+
+    def __iter__(self):
+        yield from self._head
+        yield from islice(self._tail, self._length - len(self._head))
+
+    def __repr__(self) -> str:
+        return f"HistoryView({len(self)} items)"
+
+
 @dataclass(frozen=True)
 class StageView:
     """Everything a monitor may read about one completed step.
 
     ``step`` is 1-based; ``state_before``/``state_after`` bracket the
     transition; ``inputs_so_far``/``log_so_far`` include the current
-    step (their last elements are ``inputs`` and ``log_entry``).
-    ``resume_steps`` counts the leading ``log_so_far`` entries whose
-    inputs were never observed (a session resumed mid-run): the
+    step (their last elements are ``inputs`` and ``log_entry``).  They
+    are read-only sequences; the online auditor passes
+    :class:`HistoryView` objects over its own history, valid for this
+    stage, so a monitor that keeps any of it beyond ``observe`` copies
+    it.  ``resume_steps`` counts the leading ``log_so_far`` entries
+    whose inputs were never observed (a session resumed mid-run): the
     trailing observed inputs of ``inputs_so_far`` align with the
     trailing log entries from there on.
     """
@@ -90,17 +133,18 @@ class StageView:
     state_before: "Instance"
     state_after: "Instance"
     log_entry: "Instance | None"
-    inputs_so_far: tuple = ()
-    log_so_far: tuple = ()
+    inputs_so_far: Sequence = ()
+    log_so_far: Sequence = ()
     resume_steps: int = 0
 
 
 class StepMonitor:
     """Base class: observe stages, report violation descriptions."""
 
-    #: Does observe() read the O(step)-sized ``inputs_so_far`` /
-    #: ``log_so_far`` views?  The auditor only materializes them for
-    #: monitors that do, keeping single-stage monitors O(1) per step.
+    #: Does observe() read the ``inputs_so_far`` / ``log_so_far``
+    #: histories?  The auditor only hands them (as O(1)
+    #: :class:`HistoryView` objects) to monitors that do; the others
+    #: see empty tuples.
     needs_history = False
 
     #: Cumulative count of BSR sentences this monitor has decided; the

@@ -5,10 +5,13 @@ programs and databases, the compiled kernels and the scan-based
 reference interpreter (:func:`evaluate_program_naive` /
 :func:`evaluate_rule_naive`) derive byte-identical fixpoints and delta
 passes, and the columnar access paths (row lists, columns, id buckets)
-agree with brute force.  The unit tests pin the kernel mechanics the
-equivalence suite exercises only probabilistically: the three access
-modes, delta-entry constant filtering, repeated-variable rechecks, and
-the order/kernel memos with their counters.
+agree with brute force.  The delta
+entry has its own equivalence block over mixed-arity rows.  The unit
+tests pin the kernel mechanics the equivalence suites exercise only
+probabilistically: the three access modes, delta-entry constant
+filtering, repeated-variable rechecks, constants matched as data, the
+generated source itself (a golden text), and the order/kernel memos
+with their counters.
 """
 
 import pytest
@@ -16,8 +19,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datalog import parse_program, parse_rule
+from repro.datalog.ast import (
+    Atom,
+    Constant,
+    Inequality,
+    NegatedAtom,
+    PositiveAtom,
+    Program,
+    Rule,
+    Variable,
+)
 from repro.datalog.evaluate import (
     evaluate_program_naive,
+    evaluate_rule,
     evaluate_rule_naive,
     naive_evaluation,
 )
@@ -87,6 +101,204 @@ class TestKernelInterpreterEquivalence:
         facts = {"e": edges, "t": edges}
         compiled = plan.execute_delta(facts, delta)
         assert compiled["t"] == evaluate_rule_naive(rule, facts, delta=delta)
+
+
+# Single rules for the delta entry: constants (also as index keys),
+# repeated variables, negation, inequalities, nullary atoms and heads.
+DELTA_RULES = [
+    "p(X, Z) :- e(X, Y), e(Y, Z)",
+    "p(X) :- e(a, X, X)",
+    "p(X, Y) :- e(X, Y), NOT f(Y), X <> Y",
+    "p(X) :- f(X), g, NOT e(X, X)",
+    "p(X) :- e(X, 1), f(X)",
+    "p :- g, f(X), NOT e(X)",
+    "p(X, Y) :- e(X, Y), f(X), e(Y, X), X <> b",
+    "p(X, b) :- e(X, Y, Z), e(Z), NOT e(Y, X, Z)",
+]
+
+mixed = st.sampled_from(["a", "b", 1, 2])
+# Rows of every arity in one relation: the kernels' arity guard must
+# drop exactly the rows the reference's matcher drops.
+mixed_rows = st.frozensets(
+    st.lists(mixed, min_size=0, max_size=3).map(tuple), max_size=12
+)
+
+
+class TestDeltaEntryEquivalence:
+    """The delta entry derives what the reference derives from a delta."""
+
+    @given(
+        st.sampled_from(DELTA_RULES),
+        mixed_rows,
+        mixed_rows,
+        st.booleans(),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_delta_entry_matches_naive(self, source, e, f, g, data):
+        facts = {"e": e, "f": f, "g": frozenset({()}) if g else frozenset()}
+        delta = {
+            name: data.draw(st.sets(st.sampled_from(sorted(rows, key=repr))))
+            if rows
+            else set()
+            for name, rows in facts.items()
+        }
+        delta = {name: frozenset(rows) for name, rows in delta.items() if rows}
+        rule = parse_rule(source)
+        assert evaluate_rule(rule, facts, delta=delta) == evaluate_rule_naive(
+            rule, facts, delta=delta
+        )
+        assert evaluate_rule(rule, facts) == evaluate_rule_naive(rule, facts)
+
+
+def ast_rule(head_terms, *body):
+    """A rule built from AST nodes: constants any parser would reject."""
+    return Rule(Atom("p", tuple(head_terms)), tuple(body))
+
+
+def pos(pred, *terms):
+    return PositiveAtom(Atom(pred, terms))
+
+
+X, Y = Variable("X"), Variable("Y")
+#: Values a generated kernel must match as data, never as source text.
+DATA_CONSTANTS = [
+    "'); import os #",
+    "line\nbreak",
+    "\"quoted\" \\ back",
+    "Ünïcødé ✓",
+    None,
+    True,
+    1,
+    1.0,
+    -0.0,
+    ("nested", (1, ("deep",))),
+]
+
+
+class TestConstantsAreData:
+    @pytest.mark.parametrize("value", DATA_CONSTANTS, ids=repr)
+    def test_constant_matches_like_the_reference(self, value):
+        rows = frozenset(
+            {(value, "hit"), ("other", "miss"), (1, "one"), (True, "true"),
+             (0.0, "zero"), (None, "none"), (("nested",), "short")}
+        )
+        for rule in (
+            # Index key, delta-entry constant check, and a negation.
+            ast_rule([Y], pos("e", Constant(value), Y)),
+            ast_rule([X, Y], pos("e", X, Y), NegatedAtom(Atom("e", (Constant(value), Y)))),
+            ast_rule([X], pos("e", X, Y), Inequality(X, Constant(value))),
+        ):
+            program = Program((rule,))
+            facts = {"e": rows}
+            assert fresh_plan_of(program).execute(facts) == (
+                evaluate_program_naive(program, facts)
+            )
+            delta = {"e": rows}
+            assert evaluate_rule(rule, facts, delta=delta) == (
+                evaluate_rule_naive(rule, facts, delta=delta)
+            )
+
+    def test_head_constants_keep_their_type(self):
+        # Equal but distinct constants stay distinct objects in the head
+        # tuple the kernel emits.
+        head = [Constant(-0.0), Constant(0.0), Constant(True), Constant(1),
+                Constant(1.0), X]
+        node = LogicalPlan.of(Program((ast_rule(head, pos("e", X)),))).rules[0]
+        kernel = compile_kernel(node, node.positive, [[]])
+        derived: set = set()
+        kernel.run_full(FactStore({"e": frozenset({("a",)})}), derived)
+        (row,) = derived
+        assert repr(row) == "(-0.0, 0.0, True, 1, 1.0, 'a')"
+
+    def test_constants_never_reach_the_source(self):
+        node = LogicalPlan.of(
+            Program((ast_rule([Y], pos("e", Constant("'); import os #"), Y)),))
+        ).rules[0]
+        kernel = compile_kernel(node, node.positive, [[]])
+        assert "import os" not in kernel.source
+        assert "'" not in kernel.source
+
+
+def fresh_plan_of(program):
+    return Planner(ORDERING_COST).plan(program)
+
+
+GOLDEN_SOURCE = """\
+def full(store, out):
+    s0 = store.rows(p0)
+    if not s0:
+        return
+    add = out.add
+    n0 = store.rows(p2)
+    b1 = l1 = None
+    for r0 in s0:
+        if len(r0) != 2:
+            continue
+        v0, v1 = r0
+        if b1 is None:
+            b1 = store.id_buckets(p1, k0)
+            l1 = store.row_list(p1)
+        for i1 in b1.get((v1,), ()):
+            r1 = l1[i1]
+            if len(r1) != 2:
+                continue
+            _, v2 = r1
+            if (v0, v2) in n0:
+                continue
+            if not (v0 != v2):
+                continue
+            add((v0, v2))
+
+def delta(store, out, rows):
+    add = out.add
+    n0 = store.rows(p2)
+    b1 = l1 = None
+    for r0 in rows:
+        if len(r0) != 2:
+            continue
+        v0, v1 = r0
+        if b1 is None:
+            b1 = store.id_buckets(p1, k0)
+            l1 = store.row_list(p1)
+        for i1 in b1.get((v1,), ()):
+            r1 = l1[i1]
+            if len(r1) != 2:
+                continue
+            _, v2 = r1
+            if (v0, v2) in n0:
+                continue
+            if not (v0 != v2):
+                continue
+            add((v0, v2))
+"""
+
+
+class TestGeneratedSource:
+    def test_golden_source(self):
+        # Scan e, then probe f's index on its first position; the
+        # negation and the inequality run once Z is bound.
+        node = LogicalPlan.of(
+            parse_program("p(X, Z) :- e(X, Y), f(Y, Z), NOT g(X, Z), X <> Z;")
+        ).rules[0]
+        kernel = compile_kernel(node, node.positive, [[], list(node.checks)])
+        assert kernel.source == GOLDEN_SOURCE
+
+    def test_joins_deeper_than_python_nests(self):
+        # CPython refuses more than 20 nested blocks; a 22-atom chain
+        # continues in a second generated function.
+        n = 22
+        body = ", ".join(f"e{i}(X{i}, X{i + 1})" for i in range(n))
+        program = parse_program(f"p(X0, X{n}) :- {body}, NOT q(X0);")
+        facts = {
+            f"e{i}": frozenset({("a", "a"), ("b", "c")} if i % 2 else {("a", "a")})
+            for i in range(n)
+        }
+        facts["q"] = frozenset({("b",)})
+        plan = fresh_plan(f"p(X0, X{n}) :- {body}, NOT q(X0);")
+        assert plan.execute(facts) == evaluate_program_naive(program, facts)
+        delta = {"e0": frozenset({("a", "a")})}
+        assert plan.execute_delta(facts, delta)["p"] == frozenset({("a", "a")})
 
 
 class TestScenarioDigestsMatchNaive:

@@ -284,3 +284,47 @@ class TestBsrDecisionCounter:
         del snapshots[0]["audit_bsr_decisions"]
         assert merge_snapshots(snapshots)["audit_bsr_decisions"] == 5
 
+
+
+def test_history_views_cost_the_same_late_in_a_long_session():
+    """A stage's history is lent, not copied: observing step 1,500 of a
+    session allocates no more than observing step 100 did.
+
+    Counted by allocated bytes (tracemalloc), not by the clock: a copy
+    of the history would add 8 bytes per earlier step, twice.
+    """
+    import statistics
+    import tracemalloc
+
+    auditor = OnlineAuditor([SPEC])
+    service = PodService(SHORT, DB, auditor=auditor)
+    service.create_session("long")
+    observe = auditor.observe_step
+    peaks: list[int] = []
+
+    def measured(*args, **kwargs):
+        current, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        try:
+            return observe(*args, **kwargs)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1] - current)
+
+    auditor.observe_step = measured
+    tracemalloc.start()
+    try:
+        for step in range(1500):
+            product = PRODUCTS[step % len(PRODUCTS)]
+            inputs = (
+                {"order": {(product,)}}
+                if step % 2 == 0
+                else {"pay": {(product, PRICES[product])}}
+            )
+            service.submit(StepRequest("long", inputs))
+    finally:
+        tracemalloc.stop()
+    # Medians over a window skip the steps where a list doubles.
+    early = statistics.median(peaks[100:140])
+    late = statistics.median(peaks[-40:])
+    assert late - early < 2048, (early, late)
+    assert auditor.violation_count() == 0

@@ -331,3 +331,86 @@ class TestMalformed:
     def test_malformed_error_body_is_wire_error(self):
         decoded = wire.decode_error(["not", "a", "dict"])
         assert isinstance(decoded, WireError)
+
+
+# -- encode once ---------------------------------------------------------------
+
+# Every JSON scalar shape a fact can hold, floats at the edges included.
+encoded_values = st.recursive(
+    st.one_of(
+        st.integers(),
+        st.integers(min_value=10**20, max_value=10**40),
+        st.floats(allow_nan=False),
+        st.sampled_from([-0.0, 0.0, 1e300, -1e-300, 5e-324]),
+        st.text(max_size=8),
+        st.booleans(),
+        st.none(),
+    ),
+    lambda children: st.lists(children, max_size=3).map(tuple),
+    max_leaves=6,
+)
+
+
+def perf_counter_latencies() -> list[float]:
+    """Latencies exactly as the service measures them."""
+    from time import perf_counter
+
+    latencies = []
+    for _ in range(4):
+        started = perf_counter()
+        sum(range(50))
+        latencies.append(perf_counter() - started)
+    return latencies
+
+
+@st.composite
+def outputs(draw):
+    """An output instance over a drawn schema (unicode names, any arity)."""
+    from repro.relalg.instance import Instance
+    from repro.relalg.schema import DatabaseSchema, RelationSchema
+
+    names = draw(st.lists(st.text(min_size=1, max_size=6), unique=True, max_size=4))
+    arities = [draw(st.integers(0, 3)) for _ in names]
+    data = {
+        name: draw(
+            st.frozensets(
+                st.tuples(*[encoded_values] * arity) if arity else st.just(()),
+                max_size=4,
+            )
+        )
+        for name, arity in zip(names, arities)
+    }
+    schema = DatabaseSchema(
+        RelationSchema(name, arity) for name, arity in zip(names, arities)
+    )
+    return Instance(schema, data)
+
+
+class TestEncodeOnce:
+    """The worker's reply text is exactly the dict encoder's bytes."""
+
+    @given(outputs(), session_ids, st.integers(0, 2**40), st.integers(0, 2**40))
+    @settings(max_examples=120, deadline=None)
+    def test_step_result_json_equals_json_dumps(self, output, session_id, shard, step):
+        from repro.pods.api import StepResult
+
+        for latency in [*perf_counter_latencies(), 0.0, 1e300]:
+            result = StepResult(SessionHandle(session_id, shard), step, output, latency)
+            assert wire.step_result_json(result) == json.dumps(
+                wire.encode_step_result(result)
+            )
+
+    @given(outputs())
+    @settings(max_examples=60, deadline=None)
+    def test_store_cells_share_the_encoder(self, output):
+        # The SQLite cells' format, produced by the same function.
+        from repro.pods.api import facts_of
+        from repro.pods.store import facts_json, facts_layout
+
+        assert facts_json(*facts_layout(output)[1:]) == json.dumps(
+            encode_facts(facts_of(output)), sort_keys=True
+        )
+        plain = facts_of(output)
+        assert facts_json(*facts_layout(plain)[1:]) == json.dumps(
+            encode_facts(plain), sort_keys=True
+        )
