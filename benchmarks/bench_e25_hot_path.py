@@ -33,6 +33,7 @@ from pathlib import Path
 from repro.commerce.catalog import CatalogGenerator
 from repro.commerce.models import build_friendly
 from repro.datalog.evaluate import naive_evaluation
+from repro.datalog.plan.planner import clear_plan_cache
 from repro.pods import PodService
 from repro.scenarios import log_digest
 
@@ -43,6 +44,10 @@ STEPS_PER_SESSION = 8
 FULL_SESSIONS = 1000
 FULL_ROUNDS = 3
 DIGEST_SESSIONS = 40
+#: The hot-path counters the record reports.
+COUNTERS = (
+    "kernels_compiled", "kernel_hits", "replans_avoided", "interned_constants"
+)
 
 #: The committed record; its ``history`` block is carried into re-runs.
 RECORD = Path(__file__).resolve().parent.parent / "BENCH_e25.json"
@@ -61,14 +66,22 @@ def _simulate(
 
 
 def _measure(sessions: int, products: int, steps: int, rounds: int) -> dict:
-    """Best-of-``rounds`` metrics snapshot."""
+    """The fastest of ``rounds`` timed rounds' metrics snapshot, with the
+    :data:`COUNTERS` of the last round.
+
+    An untimed round runs first: the first service of a process
+    compiles the kernels, and its hot-path counters differ from every
+    later round's.  Counting one fixed round rather than the fastest
+    keeps the counters independent of which round won on the clock.
+    """
+    _simulate(sessions, products, steps)
     best = None
     for _ in range(rounds):
         metrics = _simulate(sessions, products, steps).metrics.snapshot()
         assert metrics["steps_executed"] == sessions * steps
         if best is None or metrics["steps_per_second"] > best["steps_per_second"]:
             best = metrics
-    return best
+    return {**best, **{key: metrics[key] for key in COUNTERS}}
 
 
 def _digest(sessions: int, products: int, steps: int) -> str:
@@ -118,15 +131,7 @@ def run_experiment(
         "log_digest": digest,
         "naive_log_digest": naive,
         "logs_identical": digest == naive,
-        "counters": {
-            key: metrics[key]
-            for key in (
-                "kernels_compiled",
-                "kernel_hits",
-                "replans_avoided",
-                "interned_constants",
-            )
-        },
+        "counters": {key: metrics[key] for key in COUNTERS},
         "python": platform.python_version(),
     }
     history = _history()
@@ -152,6 +157,15 @@ def test_e25_counters_flow_through_metrics():
     assert metrics["kernel_hits"] > 0
     assert metrics["replans_avoided"] > 0
     assert metrics["interned_constants"] > 0
+
+
+def test_e25_counters_do_not_depend_on_the_fastest_round():
+    """Two measurements count the same, the first one in a process with
+    no compiled plans included."""
+    clear_plan_cache()
+    first = _measure(20, 200, 5, rounds=1)
+    second = _measure(20, 200, 5, rounds=1)
+    assert [first[key] for key in COUNTERS] == [second[key] for key in COUNTERS]
 
 
 def test_e25_hot_path_smoke(benchmark):

@@ -11,7 +11,8 @@ Sessions are addressed and stepped through small value objects:
   the session's step counter after the step, and the measured latency;
 * a :class:`SessionSnapshot` is the persistence-format view of a
   session -- plain fact dictionaries, no live objects -- exchanged with
-  :class:`~repro.pods.store.SessionStore` implementations.
+  :class:`~repro.pods.store.SessionStore` implementations; a
+  :class:`StoredLog` is its log as read from a store on first use.
 
 Handles are deliberately cheap and immutable: they carry no reference
 to the service, so they can be stored, logged, or sent across a process
@@ -20,9 +21,11 @@ boundary and resolved later.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Mapping, TYPE_CHECKING
 
+from repro.errors import SessionError
 from repro.relalg.instance import Instance
 
 if TYPE_CHECKING:
@@ -85,15 +88,65 @@ class SessionSnapshot:
 
     ``state_facts`` is the cumulative state after ``steps`` steps;
     ``log_facts`` holds one facts-mapping per logged step (empty when
-    the session was run with logging off).  The snapshot carries no
-    schemas: the service that restores it supplies them from its
-    transducer, so snapshots survive process restarts.
+    the session was run with logging off).  A snapshot from a store's
+    ``load`` carries its log as a :class:`StoredLog`, read from the
+    store only when first used; it compares equal to the tuple of the
+    same entries.  The snapshot carries no schemas: the service that
+    restores it supplies them from its transducer, so snapshots
+    survive process restarts.
     """
 
     session_id: str
     steps: int
     state_facts: Facts
-    log_facts: tuple[Facts, ...] = ()
+    log_facts: "Sequence[Facts]" = ()
+
+
+class StoredLog(Sequence):
+    """The log entries of steps 1..``steps`` of a stored session, read
+    from ``store`` (its ``load_log``) on first use and kept after.
+
+    Sessions and store snapshots hand out their logs in this form, so
+    restoring a session never reads its log: only the callers that use
+    the entries pay for decoding them.  A session closed before the
+    read raises :class:`~repro.errors.SessionError`.
+    """
+
+    __slots__ = ("_store", "_session_id", "_steps", "_entries")
+
+    def __init__(self, store, session_id: str, steps: int) -> None:
+        self._store = store
+        self._session_id = session_id
+        self._steps = steps
+        self._entries: "tuple[Facts, ...] | None" = None
+
+    def _read(self) -> "tuple[Facts, ...]":
+        if self._entries is None:
+            entries = self._store.load_log(self._session_id, self._steps)
+            if entries is None:
+                raise SessionError(
+                    f"session {self._session_id!r} was closed before its"
+                    " log was read"
+                )
+            self._entries = entries
+        return self._entries
+
+    def __len__(self) -> int:
+        return len(self._read())
+
+    def __getitem__(self, index):
+        return self._read()[index]
+
+    def __iter__(self):
+        return iter(self._read())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (tuple, StoredLog)):
+            return self._read() == tuple(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"StoredLog({self._read()!r})"
 
 
 def session_id_of(session: SessionHandle | str) -> str:

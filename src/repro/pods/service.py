@@ -11,7 +11,11 @@ async fan-out or admission control tomorrow) has a single choke point.
 Persistence is delegated to a :class:`~repro.pods.store.SessionStore`:
 the service writes every lifecycle event through the store and lazily
 restores sessions from it, so a service recreated over a durable store
-transparently resumes sessions created by a previous process.
+transparently resumes sessions created by a previous process.  The
+store is also the one home of every session's log: a resident session
+holds its state and step count, a restore reads only those, and log
+reads (``Session.log()``, :meth:`PodService.logs`,
+:meth:`PodService.close_session`) go to the store on demand.
 
 Residency is bounded by an :class:`~repro.pods.cache.LruSessionCache`
 (``max_resident_sessions=``, or :data:`~repro.pods.cache.MAX_RESIDENT_ENV`
@@ -59,7 +63,7 @@ from repro.pods.api import (
 from repro.pods.cache import LruSessionCache
 from repro.pods.cache import max_resident_sessions as _resolve_max_resident
 from repro.pods.metrics import RuntimeMetrics
-from repro.pods.session import Session, SessionLog
+from repro.pods.session import Session, SessionLog, stored_log
 from repro.pods.store import SessionStore, open_store
 from repro.relalg.instance import Instance
 
@@ -200,17 +204,19 @@ class PodService(_PodApi):
     :class:`~repro.pods.store.JsonlDirectoryStore`; a
     ``.sqlite``/``.sqlite3``/``.db`` file opens a
     :class:`~repro.pods.sqlite_store.SqliteStore`), or ``None`` for the
-    in-memory store.  ``keep_logs=False`` turns off per-session log
-    retention (and log persistence) for load-generation scenarios where
-    only throughput matters.
+    in-memory store.  Sessions keep no log in memory: the store holds
+    it and log reads go there.  ``keep_logs=False`` turns off log
+    persistence (and log reads return empty logs) for load-generation
+    scenarios where only throughput matters.
 
     ``max_resident_sessions`` bounds how many live sessions stay in
     memory at once (``None`` reads
     :data:`~repro.pods.cache.MAX_RESIDENT_ENV`, then defaults to
     unlimited): beyond the bound, least-recently-used idle sessions are
     evicted to the store and transparently rehydrated on their next
-    request.  The knob trades a rehydration (one store read plus a step
-    context rebuild) against resident memory; observable behavior --
+    request.  The knob trades a rehydration (one read of the stored
+    state plus a step context rebuild) against resident memory;
+    observable behavior --
     logs, snapshots, outputs, audit findings -- is unchanged.
     """
 
@@ -317,6 +323,7 @@ class PodService(_PodApi):
                 self._transducer,
                 self._database,
                 keep_log=self._keep_logs,
+                store=self._store,
             )
             # Publication into the cache comes LAST: session() reads the
             # cache without the service lock, so the moment another
@@ -336,7 +343,8 @@ class PodService(_PodApi):
         return SessionHandle(session_id, self._shard_index)
 
     def _restore(self, snapshot: SessionSnapshot) -> Session:
-        schema = self._transducer.schema
+        """A session at the snapshot's state and step count; its log
+        stays in the store (the snapshot's ``log_facts`` is not read)."""
         if snapshot.steps == 0 and not snapshot.state_facts:
             # Stores only snapshot state on the first record_step, so a
             # never-stepped session's snapshot carries no state facts.
@@ -344,25 +352,7 @@ class PodService(_PodApi):
             # transducer -- not the all-empty instance.
             state = self._transducer.initial_state()
         else:
-            state = Instance(schema.state, snapshot.state_facts)
-        if not self._keep_logs:
-            # Logging is off in this service; don't retain a restored log.
-            log: tuple[Instance, ...] = ()
-        elif snapshot.steps != len(snapshot.log_facts):
-            # The snapshot was written with keep_logs=False (or is
-            # damaged): resuming it with logging on would produce a log
-            # silently missing the pre-restart steps.
-            raise SessionError(
-                f"cannot resume {snapshot.session_id!r} with keep_logs=True:"
-                f" the stored snapshot has {len(snapshot.log_facts)} log"
-                f" entries for {snapshot.steps} steps (was it recorded with"
-                " keep_logs=False?)"
-            )
-        else:
-            log = tuple(
-                Instance(schema.log_schema, entry)
-                for entry in snapshot.log_facts
-            )
+            state = Instance(self._transducer.schema.state, snapshot.state_facts)
         return Session(
             snapshot.session_id,
             self._transducer,
@@ -370,7 +360,7 @@ class PodService(_PodApi):
             keep_log=self._keep_logs,
             state=state,
             steps=snapshot.steps,
-            log=log,
+            store=self._store,
         )
 
     def _note_evictions(
@@ -495,8 +485,10 @@ class PodService(_PodApi):
         return self._store.session_ids()
 
     def close_session(self, session: SessionHandle | str) -> SessionLog:
-        """Retire a session; returns its final log."""
+        """Retire a session; returns its final log, read from the store
+        before the session's records are dropped."""
         live = self.session(session)
+        log = live.log()
         session_id = session_id_of(session)
         with self._lock:
             popped = self._sessions.pop(session_id)
@@ -512,7 +504,7 @@ class PodService(_PodApi):
         if self._auditor is not None:
             self._auditor.forget_session(session_id)
         self.metrics.record_close()
-        return live.log()
+        return log
 
     def close(self) -> None:
         """Release the service: close its store.
@@ -603,10 +595,26 @@ class PodService(_PodApi):
     def logs(self) -> list[SessionLog]:
         """Logs of all open sessions, ordered by session id.
 
-        Covers evicted sessions too (rehydrating each on touch), so the
-        view is independent of cache pressure.
+        Covers evicted sessions too, so the view is independent of cache
+        pressure; every log is read from the store, and an evicted
+        session is not rehydrated to read it.
         """
         return [
-            self.session(session_id).log()
-            for session_id in self.session_ids()
+            self._log_of(session_id) for session_id in self.session_ids()
         ]
+
+    def _log_of(self, session_id: str) -> SessionLog:
+        live = self._sessions.get(session_id)
+        if live is not None:
+            return live.log()
+        if not self._keep_logs:
+            return SessionLog(session_id, ())
+        snapshot = self._store.load(session_id)
+        if snapshot is None:
+            raise SessionError(f"no such session: {session_id!r}")
+        return stored_log(
+            self._store,
+            session_id,
+            snapshot.steps,
+            self._transducer.schema.log_schema,
+        )

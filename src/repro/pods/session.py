@@ -3,29 +3,33 @@
 A :class:`Session` wraps the run semantics of Section 2.2 as an
 incremental object: instead of materializing a whole :class:`Run` from a
 complete input sequence, it holds the current cumulative state and
-advances one input instance at a time, recording the per-step log
-entries.  Sessions are created and driven by a
-:class:`~repro.pods.service.PodService`; they never touch the shared
-database except through the transducer's (read-only, indexed) view of
-it.
+advances one input instance at a time.  Sessions are created and driven
+by a :class:`~repro.pods.service.PodService`; they never touch the
+shared database except through the transducer's (read-only, indexed)
+view of it.
 
-A session's forward-going state is exactly (cumulative state, step
-count, log so far), so a session can be reconstructed from a
-:class:`~repro.pods.api.SessionSnapshot` taken after any step: pass the
-restored pieces to the constructor and stepping continues as if the
-process had never stopped.
+A Spocus run continues from its cumulative state and step count alone
+(Section 3.1), so that pair is a session's whole forward-going state:
+a session can be reconstructed from the state and step count of a
+:class:`~repro.pods.api.SessionSnapshot` taken after any step, and
+stepping continues as if the process had never stopped.  The log
+``(I_i ∪ O_i)|log`` of Section 2.2 exists to be read, and its one home
+is the session's :class:`~repro.pods.store.SessionStore`, which every
+step writes through: :meth:`Session.log` and :meth:`Session.snapshot`
+read it there, on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.core.run import log_of_step
 from repro.core.transducer import InputLike, RelationalTransducer
 from repro.datalog.plan import EvalCounters
-from repro.pods.api import SessionSnapshot, facts_of
+from repro.errors import SessionError
+from repro.pods.api import SessionSnapshot, StoredLog, facts_of
 from repro.relalg.instance import Instance
+from repro.relalg.schema import DatabaseSchema
 
 
 @dataclass(frozen=True)
@@ -39,16 +43,43 @@ class SessionLog:
         return len(self.entries)
 
 
+def stored_log(
+    store, session_id: str, steps: int, log_schema: DatabaseSchema
+) -> SessionLog:
+    """The log of a session's steps 1..``steps``, read from ``store``.
+
+    Raises :class:`~repro.errors.SessionError` when the store holds no
+    such session, or fewer entries than steps: a session recorded with
+    ``keep_logs=False`` has no whole log to give.
+    """
+    entries = store.load_log(session_id, steps)
+    if entries is None:
+        raise SessionError(f"no such session: {session_id!r}")
+    if len(entries) != steps:
+        raise SessionError(
+            f"cannot read the log of {session_id!r} with keep_logs=True:"
+            f" the store has {len(entries)} log entries for {steps} steps"
+            " (was it recorded with keep_logs=False?)"
+        )
+    return SessionLog(
+        session_id, tuple(Instance(log_schema, entry) for entry in entries)
+    )
+
+
 class Session:
     """An independent run of a transducer over the shared database.
 
     ``session_id`` is unique within the owning service.  The session
-    keeps only what the run semantics needs going forward: the state
-    after the last step, the step count, and (optionally) the log.
-    Outputs are returned to the caller per step, not retained.
+    keeps only what its next step needs: the state after the last step
+    and the step count, plus the last step's inputs and log entry for
+    the service's write-through and audit.  Outputs are returned to the
+    caller per step, not retained, and the log lives in ``store``.
 
-    ``state``, ``steps``, and ``log`` seed a restored session; leaving
-    them at their defaults starts a fresh run (state S_0, step 0).
+    ``state`` and ``steps`` seed a restored session; leaving them at
+    their defaults starts a fresh run (state S_0, step 0).  ``store``
+    is the :class:`~repro.pods.store.SessionStore` the owning service
+    records this session's steps in; a session without one has no log
+    to read.
 
     Sessions are NOT thread-safe: a session's steps must be applied
     sequentially by one thread at a time.  The service's batch path
@@ -59,7 +90,8 @@ class Session:
     """
 
     __slots__ = ("session_id", "_transducer", "_database", "_state",
-                 "_steps", "_log", "_keep_log", "_ctx", "_last_inputs")
+                 "_steps", "_store", "_keep_log", "_ctx", "_last_inputs",
+                 "_last_log_entry")
 
     def __init__(
         self,
@@ -70,14 +102,14 @@ class Session:
         *,
         state: Instance | None = None,
         steps: int = 0,
-        log: Iterable[Instance] = (),
+        store=None,
     ) -> None:
         self.session_id = session_id
         self._transducer = transducer
         self._database = database
         self._state = state if state is not None else transducer.initial_state()
         self._steps = steps
-        self._log: list[Instance] = list(log)
+        self._store = store
         self._keep_log = keep_log
         # Per-session evaluation context: compiled-plan reuse plus
         # cross-step incremental (delta) evaluation where the transducer
@@ -85,6 +117,7 @@ class Session:
         # step simply pays one full evaluation.
         self._ctx = transducer.new_step_context(database)
         self._last_inputs: Instance | None = None
+        self._last_log_entry: Instance | None = None
 
     @property
     def state(self) -> Instance:
@@ -96,8 +129,13 @@ class Session:
 
     @property
     def last_log_entry(self) -> Instance | None:
-        """The most recent log entry (None when empty or logging off)."""
-        return self._log[-1] if self._log else None
+        """The log entry of the most recent step.
+
+        None when logging is off, and before the first step of this
+        process's lifetime (restored sessions included): earlier
+        entries live in the store.
+        """
+        return self._last_log_entry
 
     @property
     def last_inputs(self) -> Instance | None:
@@ -123,16 +161,26 @@ class Session:
         )
         self._steps += 1
         if self._keep_log:
-            self._log.append(
-                log_of_step(
-                    current, output, transducer.schema.log_schema
-                )
+            self._last_log_entry = log_of_step(
+                current, output, transducer.schema.log_schema
             )
         return output
 
     def log(self) -> SessionLog:
-        """The session's log so far (empty when ``keep_log`` is off)."""
-        return SessionLog(self.session_id, tuple(self._log))
+        """The session's log so far, read from its store (empty when
+        ``keep_log`` is off).
+
+        Raises :class:`~repro.errors.SessionError` when the store holds
+        fewer entries than steps (see :func:`stored_log`).
+        """
+        if not self._keep_log:
+            return SessionLog(self.session_id, ())
+        return stored_log(
+            self._log_store(),
+            str(self.session_id),
+            self._steps,
+            self._transducer.schema.log_schema,
+        )
 
     def snapshot(self) -> SessionSnapshot:
         """This session's persistent state, in plain-facts wire form.
@@ -143,13 +191,26 @@ class Session:
         the process had never stopped.  The hot-session cache relies on
         this equivalence -- evicting a session and rehydrating it from
         the store is observationally the same as keeping it resident.
+        The log is read from the store on first use (empty when
+        ``keep_log`` is off).
         """
+        session_id = str(self.session_id)
         return SessionSnapshot(
-            str(self.session_id),
+            session_id,
             self._steps,
             facts_of(self._state),
-            tuple(facts_of(entry) for entry in self._log),
+            StoredLog(self._log_store(), session_id, self._steps)
+            if self._keep_log
+            else (),
         )
+
+    def _log_store(self):
+        if self._store is None:
+            raise SessionError(
+                f"session {self.session_id!r} has no store to read its"
+                " log from"
+            )
+        return self._store
 
     def eval_counters(self) -> EvalCounters:
         """This session's cumulative plan/evaluation counters.

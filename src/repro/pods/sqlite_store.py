@@ -24,8 +24,11 @@ atomic.  A step writes a full ``state`` row when the store holds no
 previous state for the session (the first step after create, after
 :meth:`~SqliteStore.evict`, after a reopen or an import), or when the
 rows written since the last full row reach 1 + the number of rows in
-the state.  :meth:`~SqliteStore.load` therefore folds at most
-|state| + 1 rows, and full rows cost O(1) per step amortized.  To
+the state.  :meth:`~SqliteStore.load` therefore reads and folds at
+most |state| + 1 rows, newest first, and never the ``log`` column:
+the log is a separate ordered read (:meth:`~SqliteStore.load_log`),
+made only when a caller uses the snapshot's ``log_facts``.  Full rows
+cost O(1) per step amortized.  To
 diff, the store keeps each resident session's last recorded relations
 (the immutable frozensets, by reference) and that row count; a Spocus
 step changes only the ``past-*`` relations its input touched, so the
@@ -85,7 +88,7 @@ import threading
 from pathlib import Path
 
 from repro.errors import SessionError, StoreError
-from repro.pods.api import SessionSnapshot
+from repro.pods.api import SessionSnapshot, StoredLog
 from repro.pods.store import (
     StoreLifecycle,
     StoreStats,
@@ -377,50 +380,61 @@ class SqliteStore(StoreLifecycle):
         with self._lock:
             # Check and insert under one lock hold, so two racing
             # imports of one id cannot both pass the check.
-            exists = self._conn.execute(
-                "SELECT 1 FROM sessions WHERE session_id = ?",
-                (session_id,),
-            ).fetchone()
-            if exists is not None:
+            if self._exists(session_id):
                 raise SessionError(f"session already exists: {session_id!r}")
             self._execute(statements)
 
     # -- reads (always read-your-writes) ---------------------------------------
 
+    def _exists(self, session_id: str) -> bool:
+        """Whether the session is open (call with the lock held)."""
+        return self._conn.execute(
+            "SELECT 1 FROM sessions WHERE session_id = ?", (session_id,)
+        ).fetchone() is not None
+
     def load(self, session_id: str) -> SessionSnapshot | None:
-        """The session's snapshot: every log entry, and the state of
-        its last full row with the changes after it folded in."""
+        """The session's snapshot: the state of its last full row with
+        the changes after it folded in, and its log as a
+        :class:`~repro.pods.api.StoredLog`, read on first use."""
         self._check_open()
         with self._lock:
-            if self._conn.execute(
-                "SELECT 1 FROM sessions WHERE session_id = ?",
-                (session_id,),
-            ).fetchone() is None:
+            if not self._exists(session_id):
                 return None
-            rows = self._conn.execute(
-                "SELECT step, log, state, change FROM events "
-                "WHERE session_id = ? ORDER BY step",
+            # Newest row first, down to the last full state row: the
+            # rows before it hold nothing the state needs.
+            rows = []
+            with contextlib.closing(self._conn.execute(
+                "SELECT step, state, change FROM events "
+                "WHERE session_id = ? ORDER BY step DESC",
                 (session_id,),
-            ).fetchall()
-        full = len(rows) - 1
-        while full >= 0 and rows[full][2] is None:
-            full -= 1
-        if full < 0:
+            )) as cursor:
+                for row in cursor:
+                    rows.append(row)
+                    if row[1] is not None:
+                        break
+        steps = rows[0][0] if rows else 0
+        if not rows or rows[-1][1] is None:
             state_facts = {}
-        elif full == len(rows) - 1:
-            state_facts = _decode_facts(json.loads(rows[full][2]))
+        elif len(rows) == 1:
+            state_facts = _decode_facts(json.loads(rows[0][1]))
         else:
-            state_facts = self._fold(rows[full][2], rows[full + 1:])
+            state_facts = self._fold(rows[-1][1], reversed(rows[:-1]))
         return SessionSnapshot(
-            session_id,
-            rows[-1][0] if rows else 0,
-            state_facts,
-            tuple(
-                _decode_facts(json.loads(log))
-                for _step, log, _state, _change in rows
-                if log is not None
-            ),
+            session_id, steps, state_facts, StoredLog(self, session_id, steps)
         )
+
+    def load_log(self, session_id: str, steps: int):
+        """The logged entries of steps 1..``steps``, in step order."""
+        self._check_open()
+        with self._lock:
+            if not self._exists(session_id):
+                return None
+            cells = self._conn.execute(
+                "SELECT log FROM events WHERE session_id = ? AND step <= ?"
+                " AND log IS NOT NULL ORDER BY step",
+                (session_id, steps),
+            ).fetchall()
+        return tuple(_decode_facts(json.loads(log)) for (log,) in cells)
 
     @staticmethod
     def _fold(state_json: str, changes) -> dict[str, frozenset]:
@@ -429,7 +443,7 @@ class SqliteStore(StoreLifecycle):
             name: set(rows)
             for name, rows in _decode_facts(json.loads(state_json)).items()
         }
-        for _step, _log, _state, change_json in changes:
+        for _step, _state, change_json in changes:
             if change_json is None:
                 continue
             change = json.loads(change_json)

@@ -3,7 +3,14 @@
 A :class:`SessionStore` receives every lifecycle event of every session
 (:meth:`record_created`, :meth:`record_step`, :meth:`record_closed`)
 and can reproduce any live session as a
-:class:`~repro.pods.api.SessionSnapshot`.  Three implementations:
+:class:`~repro.pods.api.SessionSnapshot`.  The store is the one home
+of a session's log: a resident :class:`~repro.pods.session.Session`
+holds only its state, step count and last step, and every log read
+(``Session.log()``, ``snapshot()``, ``close_session``, migration)
+comes here.  :meth:`~SessionStore.load` therefore reads the state and
+step count at once and the log only when the snapshot's
+``log_facts`` is first used (:meth:`~SessionStore.load_log`).  Three
+implementations:
 
 * :class:`InMemoryStore` keeps snapshots in process memory -- the
   behavior of the PR 1 engine, plus the ability to hand a session from
@@ -52,7 +59,7 @@ from pathlib import Path
 from typing import Protocol, runtime_checkable
 
 from repro.errors import SessionError, StoreError
-from repro.pods.api import Facts, SessionSnapshot, facts_of
+from repro.pods.api import Facts, SessionSnapshot, StoredLog, facts_of
 from repro.relalg.instance import Instance
 
 
@@ -103,8 +110,13 @@ class SessionStore(Protocol):
     store encodes eagerly, the SQLite store encodes eagerly and
     commits once per call (see :meth:`scope`).  ``log_entry`` is
     ``None`` when the service runs with logging off; stores then
-    persist only state and step count, and restored sessions resume
-    with an empty log (matching ``keep_logs=False`` semantics).
+    persist only state and step count, and such a session's stored
+    log has fewer entries than steps.
+
+    :meth:`load` returns the state and step count eagerly and the log
+    as a :class:`~repro.pods.api.StoredLog`, which calls
+    :meth:`load_log` on first use: restoring a session costs its state,
+    not its log.
 
     On top of the recording seam, a store is a managed resource:
     :meth:`close` releases the backend and :meth:`stats` reports a
@@ -133,7 +145,15 @@ class SessionStore(Protocol):
         ...
 
     def load(self, session_id: str) -> SessionSnapshot | None:
-        """The snapshot of a resumable session, or ``None``."""
+        """The snapshot of a resumable session, or ``None``; its log is
+        read on first use."""
+        ...
+
+    def load_log(
+        self, session_id: str, steps: int
+    ) -> "tuple[Facts, ...] | None":
+        """The stored log entries of steps 1..``steps``, in step order,
+        or ``None`` when the session is not resumable."""
         ...
 
     def session_ids(self) -> list[str]:
@@ -199,11 +219,11 @@ class StoreLifecycle:
 class InMemoryStore(StoreLifecycle):
     """Process-local snapshots; no durability across restarts.
 
-    This is "today's behavior" from PR 1: sessions exist only while the
-    serving process lives.  Per-step bookkeeping is two assignments and
-    a list append of references to the instances the session already
-    holds (instances are immutable, so sharing is safe); snapshots are
-    materialized into plain facts only on :meth:`load`.
+    Sessions exist only while the serving process lives.  Per-step
+    bookkeeping is two assignments and a list append of references to
+    the instances the step produced (instances are immutable, so
+    sharing is safe); they are materialized into plain facts only on
+    :meth:`load` (the state) and :meth:`load_log` (the entries).
     """
 
     def __init__(self) -> None:
@@ -275,14 +295,21 @@ class InMemoryStore(StoreLifecycle):
             record = self._records.get(session_id)
             if record is None:
                 return None
-            steps, state, log = record
-            log = list(log)
+            steps, state, _log = record
         return SessionSnapshot(
             session_id,
             steps,
             self._facts(state) if state is not None else {},
-            tuple(self._facts(entry) for entry in log),
+            StoredLog(self, session_id, steps),
         )
+
+    def load_log(self, session_id: str, steps: int):
+        with self._lock:
+            record = self._records.get(session_id)
+            if record is None:
+                return None
+            log = record[2][:steps]
+        return tuple(map(self._facts, log))
 
     def session_ids(self) -> list[str]:
         with self._lock:
@@ -392,9 +419,10 @@ class JsonlDirectoryStore(StoreLifecycle):
     a ``step`` record carrying the *cumulative* state (Spocus state is
     monotone and small) plus that step's log entry; closing appends a
     ``closed`` record, after which the session is no longer resumable
-    (recreating the id truncates the file).  :meth:`load` replays the
-    file: state and step count come from the last ``step`` (or
-    ``snapshot``) record, the log is the concatenation of all entries.
+    (recreating the id truncates the file).  :meth:`load` decodes only
+    the last ``step`` (or ``snapshot``) record, which holds the state
+    and step count; :meth:`load_log` concatenates the entries of all
+    records.
 
     Because each ``step`` record restates the cumulative state, only the
     last one is load-bearing; on open the store therefore *compacts*
@@ -574,41 +602,58 @@ class JsonlDirectoryStore(StoreLifecycle):
         # Reads never take the session lock (appends are whole-line
         # atomic and loads tolerate a final partial view); compact()
         # calls in here while already holding the lock.
-        path = self.path_of(session_id)
-        if not path.exists():
+        lines = self._lines(session_id)
+        if lines is None:
             return None
-        steps = 0
-        state_facts: dict[str, frozenset[tuple]] = {}
-        log_facts: list[Facts] = []
-        with path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
+        steps, state_facts = 0, {}
+        for line in reversed(lines):
+            if line.startswith(self._STATE_PREFIXES):
                 record = json.loads(line)
-                kind = record.get("kind")
-                if kind == "closed":
-                    return None
-                if kind == "snapshot":
-                    steps = record["steps"]
-                    state_facts = _decode_facts(record["state"])
-                    log_facts = [
-                        _decode_facts(entry) for entry in record["logs"]
-                    ]
-                    continue
-                if kind != "step":
-                    continue
                 steps = record["steps"]
                 state_facts = _decode_facts(record["state"])
+                break
+        return SessionSnapshot(
+            session_id, steps, state_facts, StoredLog(self, session_id, steps)
+        )
+
+    def load_log(self, session_id: str, steps: int):
+        lines = self._lines(session_id)
+        if lines is None:
+            return None
+        log_facts: list[Facts] = []
+        for line in lines:
+            if line.startswith(self._SNAPSHOT_PREFIX):
+                log_facts = [
+                    _decode_facts(entry) for entry in json.loads(line)["logs"]
+                ]
+            elif line.startswith(self._STEP_PREFIX):
+                record = json.loads(line)
+                if record["steps"] > steps:
+                    break
                 if record["log"] is not None:
                     log_facts.append(_decode_facts(record["log"]))
-        return SessionSnapshot(session_id, steps, state_facts, tuple(log_facts))
+        return tuple(log_facts[:steps])
+
+    def _lines(self, session_id: str) -> "list[str] | None":
+        """The non-blank lines of a resumable session's event file, or
+        ``None`` (no file, or a ``closed`` record in it)."""
+        try:
+            with self.path_of(session_id).open("r", encoding="utf-8") as handle:
+                lines = [line for line in map(str.strip, handle) if line]
+        except FileNotFoundError:
+            return None
+        if any(line.startswith(self._CLOSED_PREFIX) for line in lines):
+            return None
+        return lines
 
     # Every record is dumped with sort_keys=True and "kind" sorts before
     # every other key this store writes (log/logs/session_id/state/
     # steps/version), so each line starts with its kind marker and
     # resumability is decidable from the raw lines -- no fact decoding.
     _CLOSED_PREFIX = '{"kind": "closed"'
+    _STEP_PREFIX = '{"kind": "step"'
+    _SNAPSHOT_PREFIX = '{"kind": "snapshot"'
+    _STATE_PREFIXES = (_STEP_PREFIX, _SNAPSHOT_PREFIX)
 
     def _is_resumable(self, path: Path) -> bool:
         """Scan one event file for a ``closed`` record, cheaply.
@@ -717,6 +762,7 @@ _STORE_METHODS = (
     "record_step",
     "record_closed",
     "load",
+    "load_log",
     "session_ids",
     "close",
     "stats",

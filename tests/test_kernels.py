@@ -553,7 +553,8 @@ class TestMemosAndSwitches:
 
 
 class TestInterningTypeFidelity:
-    """Pools are keyed by (type, value): cross-type equals never conflate."""
+    """Pools key by type, float sign and nested element types: equal
+    values that differ inside never conflate."""
 
     def setup_method(self):
         clear_intern_pools()
@@ -595,3 +596,27 @@ class TestInterningTypeFidelity:
         unhashable = ["not", "hashable"]
         assert intern_constant(unhashable) is unhashable
         assert intern_row(("a", unhashable)) == ("a", unhashable)
+
+    def test_float_sign_survives_prior_interning(self):
+        intern_constant(0.0)
+        assert repr(intern_row((-0.0, "x"))) == "(-0.0, 'x')"
+
+    def test_nested_element_types_survive_prior_interning(self):
+        intern_constant((1, "a"))
+        assert repr(intern_constant((1.0, "a"))) == "(1.0, 'a')"
+        intern_constant((2, "b"))
+        assert repr(intern_row(((2.0, "b"),))) == "((2.0, 'b'),)"
+
+    @pytest.mark.parametrize(
+        ("constant", "pooled"), [(-0.0, 0.0), ((1.0, "a"), (1, "a"))], ids=repr
+    )
+    def test_head_constant_matches_the_reference(self, constant, pooled):
+        # An equal constant of another shape is pooled first (say, by
+        # the catalog); the fixpoint's head rows must not become it.
+        intern_constant(pooled)
+        program = Program((ast_rule([Constant(constant), X], pos("e", X)),))
+        facts = {"e": frozenset({("k",)})}
+        planned = fresh_plan_of(program).execute(facts)
+        reference = evaluate_program_naive(program, facts)
+        assert repr(sorted(planned["p"])) == repr(sorted(reference["p"]))
+        assert repr(sorted(reference["p"])) == repr([(constant, "k")])

@@ -240,8 +240,14 @@ class TestStores:
         logged = PodService(
             build_short(), default_database(), store=tmp_path / "pods"
         )
+        # The state resumes; the log check runs where the log is read,
+        # so a log missing the pre-restart steps is never handed out.
+        session = logged.session(handle)
+        assert session.steps == 2
         with pytest.raises(SessionError, match="keep_logs"):
-            logged.session(handle)
+            session.log()
+        with pytest.raises(SessionError, match="keep_logs"):
+            logged.close_session(handle)
 
     def test_closed_sessions_are_not_resumable(self, tmp_path):
         store = JsonlDirectoryStore(tmp_path / "pods")

@@ -33,6 +33,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -380,7 +381,10 @@ def assert_partial_results_contract(batch, violation, expected, shard_file):
     def stored(session_id):
         store = SqliteStore(shard_file(shard_of(session_id, 2)))
         try:
-            return store.load(session_id)
+            snapshot = store.load(session_id)
+            # A loaded log is read on first use: read it while the
+            # store is open.
+            return replace(snapshot, log_facts=tuple(snapshot.log_facts))
         finally:
             store.close()
 
