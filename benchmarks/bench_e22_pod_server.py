@@ -102,8 +102,7 @@ def measure_server(
         workers=workers,
         queue_depth=QUEUE_DEPTH,
         keep_logs=False,
-    ) as server:
-        client = PodClient(server.url, build_friendly())
+    ) as server, PodClient(server.url, build_friendly()) as client:
         for n in range(sessions):
             client.create_session(f"customer-{n:06d}")
         started = time.perf_counter()
@@ -216,8 +215,7 @@ def test_e22_server_matches_in_process():
     serial_results = serial.submit_batch(requests)
     with PodServer(
         build_friendly, catalog.as_database(), workers=2
-    ) as server:
-        client = PodClient(server.url, build_friendly())
+    ) as server, PodClient(server.url, build_friendly()) as client:
         for n in range(sessions):
             client.create_session(f"customer-{n:06d}")
         server_results = client.submit_batch(requests)

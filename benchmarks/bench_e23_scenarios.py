@@ -151,8 +151,7 @@ def measure_http_parity(sessions: int, steps: int) -> dict:
             partial(scenario_transducer, name),
             scenario_database(name, seed=SEED),
             workers=1,
-        ) as server:
-            client = PodClient(server.url, scenario_transducer(name))
+        ) as server, PodClient(server.url, scenario_transducer(name)) as client:
             remote = run_scenario(
                 name, service=client, sessions=sessions, steps=steps, seed=SEED
             )

@@ -254,8 +254,10 @@ def main() -> None:
     from repro.server import PodClient, PodServer
 
     print("\npod server (2 worker processes behind HTTP):")
-    with PodServer(build_short, database, workers=2) as server:
-        client = PodClient(server.url, transducer)
+    with (
+        PodServer(build_short, database, workers=2) as server,
+        PodClient(server.url, transducer) as client,
+    ):
         print(f"  listening on {server.url}, healthz: {client.healthz()}")
         henry = client.create_session("henry")
         print(

@@ -51,9 +51,10 @@ def main() -> None:
     )
 
     # -- 5. The same driver goes over the wire -----------------------
-    # run_scenario(service=PodClient(...)) sends the identical traffic
-    # to a process-level pod server; the digest matches the in-process
-    # run.  (Start one with: python -m repro.server --scenario auction)
+    # run_scenario(service=client), inside `with PodClient(...) as
+    # client:`, sends the identical traffic to a process-level pod
+    # server; the digest matches the in-process run.  (Start one with:
+    # python -m repro.server --scenario auction)
     print("\nremote: run_scenario(service=PodClient(url, ...)) -- same digest.")
 
 

@@ -243,10 +243,9 @@ class PodService(_PodApi):
             _resolve_max_resident(max_resident_sessions)
         )
         # Ids this service instance evicted and has not yet rehydrated
-        # or closed.  session_ids() unions it with the residents so the
-        # set of *open* sessions is residency-independent; session()
-        # consults it to count a restore as a rehydration rather than a
-        # cross-process resume.
+        # or closed.  session() consults it to count a restore as a
+        # rehydration rather than a cross-process resume, and
+        # close_session() to accept a session that is not resident.
         self._evicted: set[str] = set()
         self._evicted_lock = threading.Lock()
         self._next_id = 0
@@ -467,14 +466,12 @@ class PodService(_PodApi):
     def session_ids(self) -> list[str]:
         """Ids of all open sessions of this service, sorted.
 
-        Residency-independent: an evicted session is still open -- its
-        state lives in the store and the next request rehydrates it --
-        so it is listed alongside the resident ones.
+        Residency-independent: an evicted session, or one stored by an
+        earlier service over the same store, is still open -- its state
+        lives in the store and the next request restores it -- so it is
+        listed alongside the resident ones.
         """
-        with self._evicted_lock:
-            open_ids = set(self._evicted)
-        open_ids.update(self._sessions.ids())
-        return sorted(open_ids)
+        return sorted(set(self._store.session_ids()).union(self._sessions.ids()))
 
     def resident_session_ids(self) -> list[str]:
         """Ids of the sessions currently held in memory, sorted."""

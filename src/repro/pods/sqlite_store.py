@@ -98,6 +98,7 @@ from repro.pods.store import (
     encode_rows,
     facts_json,
     facts_layout,
+    json_text,
 )
 
 DURABILITY_MODES = ("full", "step")
@@ -330,10 +331,10 @@ class SqliteStore(StoreLifecycle):
                 continue
             grown = rows - old
             if grown:
-                added.append(key + json.dumps(encode_rows(grown)))
+                added.append(key + json_text(encode_rows(grown)))
             lost = old - rows
             if lost:
-                removed.append(key + json.dumps(encode_rows(lost)))
+                removed.append(key + json_text(encode_rows(lost)))
         text = '{"+": {' + ", ".join(added) + "}"
         if removed:
             text += ', "-": {' + ", ".join(removed) + "}"

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import json.encoder
 import os
 import threading
 from collections.abc import Mapping
@@ -361,6 +362,31 @@ def facts_layout(value) -> tuple[tuple[str, ...], tuple[str, ...], list]:
     return names, keys, [facts[name] for name in names]
 
 
+if json.encoder.c_make_encoder is None:
+    json_text = json.dumps
+else:
+    # json.dumps builds a new C encoder on every call; this one is
+    # built once, with json.dumps's defaults except the circular-
+    # reference check: the values encoded here are fresh lists of
+    # row values, and a shared marker dict would keep the entries of a
+    # call that raised.
+    _encode = json.encoder.c_make_encoder(
+        None,
+        json.JSONEncoder().default,
+        json.encoder.encode_basestring_ascii,
+        None,
+        ": ",
+        ", ",
+        False,
+        False,
+        True,
+    )
+
+    def json_text(value) -> str:
+        """``json.dumps(value)``, byte for byte."""
+        return "".join(_encode(value, 0))
+
+
 def facts_json(keys, relations) -> str:
     """``json.dumps(encode_facts(facts))``, byte for byte, from the key
     fragments and rows :func:`facts_layout` returns.
@@ -369,7 +395,7 @@ def facts_json(keys, relations) -> str:
     and state cells and the worker's step replies are both built here.
     """
     return "{" + ", ".join([
-        key + (json.dumps(encode_rows(rows)) if rows else "[]")
+        key + (json_text(encode_rows(rows)) if rows else "[]")
         for key, rows in zip(keys, relations)
     ]) + "}"
 

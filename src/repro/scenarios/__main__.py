@@ -12,7 +12,8 @@ divergence is recorded, so CI can use the run as a containment gate.
 Runs here use one in-process service.  To spread a scenario over N
 worker processes, serve it with ``python -m repro.server --scenario
 NAME --workers N`` and drive it with ``run_scenario(NAME,
-service=PodClient(url, scenario_transducer(NAME)))``.
+service=client)`` inside ``with PodClient(url, scenario_transducer(NAME))
+as client:`` (leaving the block closes the client's sockets).
 """
 
 from __future__ import annotations

@@ -6,7 +6,8 @@ surface it touches -- so the *same* call works against an in-process
 :class:`~repro.pods.service.PodService` or a
 :class:`~repro.server.client.PodClient` talking HTTP to a pod server
 (one worker or N: a sharded run is ``python -m repro.server --scenario
-NAME --workers N`` plus ``run_scenario(NAME, service=PodClient(...))``).
+NAME --workers N`` plus ``run_scenario(NAME, service=client)`` inside
+``with PodClient(...) as client:``).
 When no service is injected it builds one from the scenario bundle,
 with the scenario's own :class:`~repro.verify.api.PropertySpec` list
 attached as an :class:`~repro.verify.api.OnlineAuditor`.

@@ -18,11 +18,17 @@ log schema, state over the state schema.  Equality with in-process
 results is therefore exact, which is what the byte-identical parity
 tests assert.
 
-Each calling thread keeps one HTTP/1.1 keep-alive connection to the
+Each calling thread keeps one HTTP/1.1 keep-alive socket to the
 server, so a call costs one round trip, not a TCP handshake plus a
-server thread.  A request is never re-sent: a broken connection is
-closed and the call raises :class:`~repro.errors.ServerError` (a POST
+server thread.  The client speaks the little HTTP the pod server needs
+straight over that socket: a request is one ``sendall``, and a reply
+is its status line, its headers and exactly ``Content-Length`` body
+bytes (chunked or length-less replies are refused).  A request is
+never re-sent: a broken connection or a malformed reply closes the
+socket and the call raises :class:`~repro.errors.ServerError` (a POST
 may already have been applied), and the thread's next call reconnects.
+:meth:`PodClient.close` (or leaving a ``with PodClient(...)`` block)
+closes the sockets of every thread.
 
 Typed errors round-trip: a 4xx/5xx response carries an error envelope,
 and the client raises the same exception type an in-process caller
@@ -35,8 +41,8 @@ Transport failures (connection refused, malformed response) raise
 
 from __future__ import annotations
 
-import http.client
 import json
+import socket
 import threading
 import urllib.parse
 from typing import TYPE_CHECKING, Iterable
@@ -130,54 +136,87 @@ class PodClient(_PodApi):
         if parts.scheme != "http" or not parts.hostname:
             raise ServerError(f"not an http:// server URL: {base_url!r}")
         self._host = parts.hostname
-        self._port = parts.port
+        self._port = parts.port or 80
+        self._netloc = parts.netloc
         self._prefix = parts.path
-        # One keep-alive connection per calling thread.
+        # One keep-alive socket per calling thread; every socket the
+        # client opened, for close().
         self._local = threading.local()
+        self._sockets: set[socket.socket] = set()
+        self._sockets_lock = threading.Lock()
 
     # -- transport -------------------------------------------------------------
 
-    def _connection(self) -> http.client.HTTPConnection:
-        """This thread's connection to the server, made on first use.
+    def close(self) -> None:
+        """Close every socket this client opened, on all threads; a
+        later call reconnects."""
+        with self._sockets_lock:
+            sockets, self._sockets = self._sockets, set()
+        for sock in sockets:
+            sock.close()
 
-        After an error closes it, its next request reconnects.
-        """
-        connection = getattr(self._local, "connection", None)
-        if connection is None:
-            connection = self._local.connection = http.client.HTTPConnection(
-                self._host, self._port, timeout=self.timeout
+    def __enter__(self) -> "PodClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _socket(self) -> socket.socket:
+        """This thread's socket to the server, made on first use and
+        again after an error or :meth:`close` closed it."""
+        sock = getattr(self._local, "socket", None)
+        if sock is None or sock.fileno() < 0:
+            sock = socket.create_connection(
+                (self._host, self._port), timeout=self.timeout
             )
-        return connection
+            # A request is one write; don't hold it for an ACK.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            with self._sockets_lock:
+                self._sockets.add(sock)
+            self._local.socket = sock
+        return sock
+
+    def _discard(self, sock: socket.socket) -> None:
+        with self._sockets_lock:
+            self._sockets.discard(sock)
+        sock.close()
 
     def _request(self, method: str, path: str, payload=None) -> dict:
-        data = None
-        headers = {}
-        if payload is not None:
-            data = json.dumps(payload).encode("utf-8")
-            headers["Content-Type"] = "application/json"
+        head = (
+            f"{method} {self._prefix}{path} HTTP/1.1\r\n"
+            f"Host: {self._netloc}\r\n"
+        )
+        if payload is None:
+            data = (head + "\r\n").encode("latin-1")
+        else:
+            body = json.dumps(payload).encode("utf-8")
+            data = (
+                f"{head}Content-Type: application/json\r\n"
+                f"Content-Length: {len(body)}\r\n\r\n"
+            ).encode("latin-1") + body
         # One attempt only: a failed POST may already have been applied
         # (a step would apply twice if re-sent), so a broken connection
         # is closed and surfaces as ServerError.
-        connection = self._connection()
+        sock = None
         try:
-            connection.request(
-                method, self._prefix + path, body=data, headers=headers
-            )
-            response = connection.getresponse()
-            raw = response.read()
-        except (OSError, http.client.HTTPException) as error:
-            connection.close()
+            sock = self._socket()
+            sock.sendall(data)
+            status, raw, close = _read_reply(sock)
+        except (OSError, _ReplyError) as error:
+            if sock is not None:
+                self._discard(sock)
             raise ServerError(
                 f"cannot reach pod server at {self.base_url}{path}: "
                 f"{error or type(error).__name__}"
             ) from None
-        if response.status >= 400:
+        if close:
+            self._discard(sock)
+        if status >= 400:
             try:
-                envelope = json.loads(raw.decode("utf-8"))
+                envelope = json.loads(raw)
             except (ValueError, UnicodeDecodeError):
                 raise ServerError(
-                    f"HTTP {response.status} from {method} {path}: "
-                    f"{raw[:200]!r}"
+                    f"HTTP {status} from {method} {path}: {raw[:200]!r}"
                 ) from None
             wire.parse_message(envelope)  # raises the typed error
             # A non-error envelope on a 4xx/5xx (e.g. the degraded
@@ -302,3 +341,48 @@ class PodClient(_PodApi):
         """The ``/healthz`` body -- degraded servers answer 503 with
         the same payload shape (``status`` says so), not an error."""
         return self._get("/healthz", "health")
+
+
+class _ReplyError(Exception):
+    """A reply this client cannot read: cut short, not HTTP/1.x, or
+    without a ``Content-Length`` (chunked bodies included)."""
+
+
+def _read_reply(sock: socket.socket) -> "tuple[int, bytes, bool]":
+    """(status, body, server closes) of one HTTP/1.x reply.
+
+    Reads the status line and headers, then exactly ``Content-Length``
+    body bytes.  The server answers one request at a time, so nothing
+    follows the body on the socket.
+    """
+    buffer = bytearray()
+    while (end := buffer.find(b"\r\n\r\n")) < 0:
+        _receive(sock, buffer)
+    lines = buffer[:end].decode("ascii", "replace").split("\r\n")
+    version, _, rest = lines[0].partition(" ")
+    if not version.startswith("HTTP/1.") or not rest[:3].isdigit():
+        raise _ReplyError(f"bad status line {lines[0][:80]!r}")
+    headers = {}
+    for line in lines[1:]:
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    if "transfer-encoding" in headers:
+        raise _ReplyError(
+            f"{headers['transfer-encoding']} transfer encoding is not supported"
+        )
+    length = headers.get("content-length", "")
+    if not length.isdigit():
+        raise _ReplyError(f"no usable Content-Length: {length!r}")
+    end += 4
+    total = end + int(length)
+    while len(buffer) < total:
+        _receive(sock, buffer)
+    close = headers.get("connection", "").lower() == "close"
+    return int(rest[:3]), bytes(buffer[end:total]), close
+
+
+def _receive(sock: socket.socket, buffer: bytearray) -> None:
+    chunk = sock.recv(65536)
+    if not chunk:
+        raise _ReplyError("the server closed the connection")
+    buffer += chunk

@@ -34,11 +34,13 @@ worker processes are the server's only parallelism: each worker steps
 its slice serially.
 
 Everything is stdlib: ``http.server`` + ``multiprocessing`` +
-``threading``.  This is deliberately not a production web stack; it is
-the reference topology for the paper's "pods" -- isolated relational
-transducers behind a thin router -- with enough supervision (crash
-restart + store rehydration, graceful drain on shutdown) to measure
-honestly.
+``threading``.  An HTTP handler thread calls its worker directly: it
+writes the request to the worker's pipe and reads the reply itself
+(see :mod:`repro.server.worker`).  This is deliberately not a
+production web stack; it is the reference topology for the paper's
+"pods" -- isolated relational transducers behind a thin router -- with
+enough supervision (crash restart + store rehydration, graceful drain
+on shutdown) to measure honestly.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ import tempfile
 import threading
 from collections.abc import Callable, Mapping
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
@@ -155,24 +158,18 @@ class PodServer:
         self._port = port
         self._call_timeout = call_timeout
         self._tempdir: "tempfile.TemporaryDirectory | None" = None
-        if store_root is None:
-            self._tempdir = tempfile.TemporaryDirectory(prefix="pod-server-")
-            store_root = self._tempdir.name
-        self._store_root = str(store_root)
-        os.makedirs(self._store_root, exist_ok=True)
-        database_facts = database_facts_of(database)
-        self._configs = [
-            WorkerConfig(
-                transducer_factory=transducer_factory,
-                database_facts=database_facts,
-                store_target=self._shard_store_target(index, store_kind),
-                keep_logs=keep_logs,
-                auditor_factory=auditor_factory,
-                durability=durability,
-                max_resident_sessions=max_resident_sessions,
-            )
-            for index in range(workers)
-        ]
+        self._store_root = None if store_root is None else str(store_root)
+        self._store_kind = store_kind
+        # Each worker's config is this one with its own store target.
+        self._config = WorkerConfig(
+            transducer_factory=transducer_factory,
+            database_facts=database_facts_of(database),
+            store_target=None,
+            keep_logs=keep_logs,
+            auditor_factory=auditor_factory,
+            durability=durability,
+            max_resident_sessions=max_resident_sessions,
+        )
         self._workers: list[WorkerHandle] = []
         self._httpd: "ThreadingHTTPServer | None" = None
         self._http_thread: "threading.Thread | None" = None
@@ -181,9 +178,9 @@ class PodServer:
         self._started = False
         self._closed = False
 
-    def _shard_store_target(self, index: int, store_kind: str) -> str:
+    def _shard_store_target(self, index: int) -> str:
         name = f"shard-{index:02d}"
-        if store_kind == "sqlite":
+        if self._store_kind == "sqlite":
             name += ".sqlite"
         return os.path.join(self._store_root, name)
 
@@ -195,14 +192,20 @@ class PodServer:
             return self
         if self._closed:
             raise ServerError("server already shut down")
+        if self._store_root is None:
+            # Made here, not at construction, so a server that never
+            # starts leaves no directory behind.
+            self._tempdir = tempfile.TemporaryDirectory(prefix="pod-server-")
+            self._store_root = self._tempdir.name
+        os.makedirs(self._store_root, exist_ok=True)
         self._workers = [
             WorkerHandle(
                 index,
-                config,
+                replace(self._config, store_target=self._shard_store_target(index)),
                 queue_depth=self.queue_depth,
                 call_timeout=self._call_timeout,
             )
-            for index, config in enumerate(self._configs)
+            for index in range(self.worker_count)
         ]
         for worker in self._workers:
             worker.call("ping", {})
@@ -261,7 +264,7 @@ class PodServer:
 
     def healthz(self) -> tuple[int, dict]:
         """(HTTP status, payload): process liveness without touching
-        the workers' queues -- observability never takes a slot."""
+        the workers' pipes -- observability never takes a slot."""
         rows = [
             {
                 "shard": worker.shard_index,
@@ -489,10 +492,10 @@ class _PodHTTPServer(ThreadingHTTPServer):
 class _PodRequestHandler(BaseHTTPRequestHandler):
     """Wire messages over HTTP; every response is a JSON envelope.
 
-    Connections stay open across requests (HTTP/1.1 keep-alive).
-    Nagle's algorithm is off: a response goes out as two writes
-    (headers, then body), and with Nagle on, the body waits for the
-    client's delayed ACK of the headers -- ~40 ms per call.
+    Connections stay open across requests (HTTP/1.1 keep-alive).  A
+    response goes out as one write, status line, headers and body
+    together, and Nagle's algorithm is off, so no part of it waits
+    for the client's delayed ACK (~40 ms per call).
     """
 
     protocol_version = "HTTP/1.1"
@@ -518,11 +521,15 @@ class _PodRequestHandler(BaseHTTPRequestHandler):
             data = json.dumps(payload).encode("utf-8")
             if status is None:
                 status = wire.http_status_of(payload)
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
+        # One write per reply: status line, headers and body together.
+        head = (
+            f"{self.protocol_version} {status} "
+            f"{self.responses.get(status, ('',))[0]}\r\n"
+            f"Server: {self.server_version}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(data)}\r\n\r\n"
+        )
+        self.wfile.write(head.encode("latin-1") + data)
 
     def _respond_error(self, error: BaseException) -> None:
         self._respond(wire.encode_error(error))

@@ -1,7 +1,7 @@
 """The versioned JSON wire format of the pod server.
 
 Every payload that crosses a process boundary -- front-end to worker
-over the request queues, server to client over HTTP -- is a *message*::
+over the worker's pipe, server to client over HTTP -- is a *message*::
 
     {"v": 1, "kind": "<kind>", "body": {...}}
 
@@ -17,8 +17,10 @@ Facts travel in the exact sorted-row JSON the session stores persist
 identical in a JSONL event file, a SQLite row, and an HTTP response --
 the byte-identity the serial-vs-server parity suite asserts.  A step
 result is encoded to JSON text once, in the worker that ran it
-(:func:`step_result_json`); the text crosses the worker queue as a
+(:func:`step_result_json`); the text crosses the worker pipe as a
 string and is spliced into the HTTP body (:func:`message_json`).
+Facts and session ids are encoded by one C JSON encoder built at
+import (:func:`repro.pods.store.json_text`), not a new one per call.
 
 Errors map to wire codes (and suggested HTTP statuses) by exception
 type; :func:`decode_error` reconstructs the *same* typed exception on
@@ -57,7 +59,13 @@ from repro.pods.api import (
     StepResult,
     facts_of,
 )
-from repro.pods.store import decode_facts, encode_facts, facts_json, facts_layout
+from repro.pods.store import (
+    decode_facts,
+    encode_facts,
+    facts_json,
+    facts_layout,
+    json_text,
+)
 
 if TYPE_CHECKING:
     from repro.relalg.instance import Instance
@@ -218,7 +226,7 @@ def step_result_json(result: StepResult) -> str:
     """
     handle = result.session
     return (
-        '{"session": {"session_id": ' + json.dumps(handle.session_id)
+        '{"session": {"session_id": ' + json_text(handle.session_id)
         + ', "shard": ' + _number_json(handle.shard)
         + '}, "step": ' + _number_json(result.step)
         + ', "output": ' + facts_json(*facts_layout(result.output)[1:])

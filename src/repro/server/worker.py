@@ -3,33 +3,38 @@
 The process-level server runs each shard as its own
 :mod:`multiprocessing` worker: a child process that owns one
 :class:`~repro.pods.service.PodService` over its own store directory
-and serves wire-format requests from a queue.  Session ids route to
-workers with the stable CRC-32 :func:`~repro.pods.service.shard_of`
-hash, so a session's home shard -- and its on-disk store -- is the
-same in every process, every run.
+and serves wire-format requests over one duplex pipe.  Session ids
+route to workers with the stable CRC-32
+:func:`~repro.pods.service.shard_of` hash, so a session's home shard
+-- and its on-disk store -- is the same in every process, every run.
 
 Workers always start via the ``spawn`` context: the front-end is
-threaded (HTTP handler threads, per-worker dispatcher threads), and
-forking a threaded parent -- which a crash restart would do constantly
--- is a deadlock lottery.  Spawn also forces the picklability
-discipline that keeps :class:`WorkerConfig` honest: a worker is rebuilt
-from scratch (factory callable + plain facts), never from leaked parent
-state.
+threaded (one HTTP handler thread per connection), and forking a
+threaded parent -- which a crash restart would do constantly -- is a
+deadlock lottery.  Spawn also forces the picklability discipline that
+keeps :class:`WorkerConfig` honest: a worker is rebuilt from scratch
+(factory callable + plain facts), never from leaked parent state.
+
+A worker steps serially, so one call in flight is all it can use.  The
+calling thread takes the handle's lock, writes its request to the pipe
+and reads its own reply: there is no reader thread and no table of
+pending calls.  Requests carry ids; a call that times out leaves its
+reply owed, and the next call reads and drops that late reply before
+it writes its own request.
 
 Backpressure is enforced on the *parent* side: each
 :class:`WorkerHandle` holds a semaphore of ``queue_depth`` admission
-slots, and a request that cannot take a slot without blocking is
-rejected immediately with a typed :class:`~repro.errors.Backpressure`
--- the transport queues themselves stay unbounded, so an admitted
-request never blocks on ``put``.  Overload is therefore a fast, typed
-"try again later", never a hang.
+slots -- the call on the pipe plus the calls waiting for the lock --
+and a request that cannot take a slot without blocking is rejected
+immediately with a typed :class:`~repro.errors.Backpressure`.
+Overload is therefore a fast, typed "try again later", never a hang.
 
-Supervision: the handle detects a dead worker process on the next call
-(or via :meth:`WorkerHandle.check`), fails the calls that were in
-flight with :class:`~repro.errors.ServerError`, and restarts the
-worker, which rehydrates every session from the write-through store --
-logs and snapshots afterwards are byte-identical to an uninterrupted
-run, because nothing observable ever lived only in worker memory.
+Supervision: a call that finds the worker process dead restarts it
+first; a call whose pipe closes while it waits for its reply restarts
+the worker and fails with :class:`~repro.errors.ServerError`.  The new
+worker rehydrates every session from the write-through store -- logs
+and snapshots afterwards are byte-identical to an uninterrupted run,
+because nothing observable ever lived only in worker memory.
 """
 
 from __future__ import annotations
@@ -41,10 +46,10 @@ import signal
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
-from repro.errors import Backpressure, ReproError, ServerError, WireError
+from repro.errors import Backpressure, ServerError, WireError
 from repro.pods.api import facts_of
 from repro.pods.service import PodService
 from repro.pods.store import open_store
@@ -52,10 +57,6 @@ from repro.server import wire
 
 if TYPE_CHECKING:
     from repro.core.transducer import RelationalTransducer
-
-#: Wait granularity while a call polls for its response; short enough
-#: that a worker crash is noticed promptly, long enough to stay cheap.
-_POLL_SECONDS = 0.05
 
 
 @dataclass(frozen=True)
@@ -163,57 +164,38 @@ def _handle_op(service: PodService, shard_index: int, op: str, body) -> dict:
     if op == "ping":
         return wire.message("pong", {"shard": shard_index})
     if op == "sleep":
-        # Test/ops aid: hold this worker's single dispatch loop busy so
-        # admission slots saturate deterministically (backpressure
-        # tests) without patching timing internals.
+        # Test/ops aid: hold this worker busy so admission slots
+        # saturate and calls time out deterministically, without
+        # patching timing internals.
         seconds = float(body.get("seconds", 0.0))
         time.sleep(min(seconds, 30.0))
         return wire.message("slept", {"seconds": seconds})
     raise WireError(f"unknown worker op {op!r}")
 
 
-def worker_main(
-    shard_index: int,
-    config: WorkerConfig,
-    requests: "multiprocessing.Queue",
-    responses: "multiprocessing.Queue",
-) -> None:
+def worker_main(shard_index: int, config: WorkerConfig, pipe) -> None:
     """Entry point of a shard worker process.
 
-    Serves ``(request_id, op, wire_message)`` tuples until a
-    ``shutdown`` op arrives; every response -- success or typed error
-    envelope -- is tagged with its request id.  The service's store is
-    closed on *any* exit path, including SIGTERM.
+    Serves ``(request_id, op, wire_message)`` tuples from ``pipe``
+    until the parent closes its end; every reply -- success or typed
+    error envelope -- is tagged with its request id.  The service's
+    store is closed on *any* exit path, including SIGTERM.
     """
-    # Graceful SIGTERM: raise SystemExit so the finally below closes
-    # the store.
+    # Graceful SIGTERM: raise SystemExit out of the blocking read, so
+    # the finally below closes the store.
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(0))
     service = _build_service(shard_index, config)
-    import queue as queue_module
-
     try:
         while True:
-            # Poll with a timeout rather than blocking forever: the OS
-            # may deliver SIGTERM to a non-main thread (the queue
-            # feeder), in which case the handler only runs once the
-            # main thread wakes -- a bounded wait makes that prompt.
-            try:
-                request_id, op, payload = requests.get(timeout=0.5)
-            except queue_module.Empty:
-                continue
-            if op == "shutdown":
-                responses.put(
-                    (request_id, wire.message("bye", {"shard": shard_index}))
-                )
-                break
+            request_id, op, payload = pipe.recv()
             try:
                 body = wire.parse_message(payload, expect=op)
-                response = _handle_op(service, shard_index, op, body)
-            except ReproError as error:
-                response = wire.encode_error(error)
+                reply = _handle_op(service, shard_index, op, body)
             except Exception as error:  # never let a request kill the worker
-                response = wire.encode_error(error)
-            responses.put((request_id, response))
+                reply = wire.encode_error(error)
+            pipe.send((request_id, reply))
+    except (EOFError, OSError):
+        pass  # the parent closed its end of the pipe
     finally:
         try:
             service.close()
@@ -224,20 +206,13 @@ def worker_main(
 # -- the parent-side handle ----------------------------------------------------
 
 
-@dataclass
-class _Pending:
-    event: threading.Event = field(default_factory=threading.Event)
-    response: Any = None
-    generation: int = 0
-
-
 class WorkerHandle:
     """The front-end's view of one shard worker process.
 
     Thread-safe: HTTP handler threads call :meth:`call` concurrently;
-    a per-handle lock guards the pending-call table and the
-    restart-on-crash transition, and a bounded semaphore enforces the
-    admission limit (``queue_depth`` requests in flight per worker).
+    a per-handle lock admits one call to the pipe at a time and guards
+    the restart-on-crash transition, and a bounded semaphore enforces
+    the admission limit (``queue_depth`` calls per worker).
     """
 
     def __init__(
@@ -258,94 +233,42 @@ class WorkerHandle:
         self._ctx = multiprocessing.get_context("spawn")
         self._admission = threading.BoundedSemaphore(queue_depth)
         self._lock = threading.Lock()
-        self._pending: dict[int, _Pending] = {}
         self._request_ids = itertools.count(1)
-        self._generation = 0
-        self._process: "multiprocessing.process.BaseProcess | None" = None
-        self._requests = None
-        self._responses = None
-        self._spawn_locked()
+        self._closed = False
+        self._spawn()
 
     # -- lifecycle -------------------------------------------------------------
 
-    def _spawn_locked(self) -> None:
-        """Start (or restart) the worker process.  Caller holds no lock
-        on first spawn; restarts hold ``self._lock``."""
-        self._generation += 1
-        generation = self._generation
-        self._requests = self._ctx.Queue()
-        self._responses = self._ctx.Queue()
+    def _spawn(self) -> None:
+        """Start a worker process on a fresh pipe."""
+        ours, theirs = self._ctx.Pipe()
         self._process = self._ctx.Process(
             target=worker_main,
-            args=(
-                self.shard_index,
-                self._config,
-                self._requests,
-                self._responses,
-            ),
+            args=(self.shard_index, self._config, theirs),
             name=f"pod-worker-{self.shard_index}",
             daemon=True,
         )
         self._process.start()
-        dispatcher = threading.Thread(
-            target=self._dispatch,
-            args=(generation, self._responses),
-            name=f"pod-dispatch-{self.shard_index}",
-            daemon=True,
-        )
-        dispatcher.start()
+        # Only the worker holds its end now, so ours reads EOF the
+        # moment the worker exits.
+        theirs.close()
+        self._pipe = ours
+        #: The id of a request whose call timed out: its reply is owed.
+        self._late: "int | None" = None
 
-    def _dispatch(self, generation: int, responses) -> None:
-        """Deliver worker responses to their waiting callers."""
-        import queue as queue_module
-
-        while True:
-            with self._lock:
-                if generation != self._generation:
-                    return
-            try:
-                request_id, payload = responses.get(timeout=0.2)
-            except queue_module.Empty:
-                continue
-            except (EOFError, OSError, ValueError):
-                return
-            with self._lock:
-                pending = self._pending.pop(request_id, None)
-            if pending is not None:
-                pending.response = payload
-                pending.event.set()
+    def _restart_locked(self) -> None:
+        """Reap the dead (or dying) worker and start a new one."""
+        self._process.join(5.0)
+        if self._process.is_alive():
+            self._process.kill()
+            self._process.join(1.0)
+        self._pipe.close()
+        self.restarts += 1
+        self._spawn()
 
     @property
     def alive(self) -> bool:
-        process = self._process
-        return process is not None and process.is_alive()
-
-    def check(self) -> bool:
-        """Detect a dead worker and restart it; True if it was alive."""
-        if self.alive:
-            return True
-        with self._lock:
-            self._restart_locked()
-        return False
-
-    def _restart_locked(self) -> None:
-        if self._process is not None and self._process.is_alive():
-            return
-        # Fail everything in flight on the dead generation: the caller
-        # cannot know whether its request was applied, and the typed
-        # error says exactly that.
-        crashed = wire.encode_error(
-            ServerError(
-                f"worker {self.shard_index} died with request in flight; "
-                f"restarted -- retry against the rehydrated shard"
-            )
-        )
-        for pending in self._pending.values():
-            pending.response = crashed
-            pending.event.set()
-        self._pending.clear()
-        self.restarts += 1
-        self._spawn_locked()
+        return self._process.is_alive()
 
     # -- calls -----------------------------------------------------------------
 
@@ -353,7 +276,8 @@ class WorkerHandle:
         """Send one op; return the response body (or raise its error).
 
         Rejects immediately with :class:`~repro.errors.Backpressure`
-        when all ``queue_depth`` admission slots are taken.
+        when all ``queue_depth`` admission slots are taken.  The
+        timeout covers the wait for the lock and for the reply.
         """
         if not self._admission.acquire(blocking=False):
             raise Backpressure(
@@ -363,101 +287,115 @@ class WorkerHandle:
                 queue_depth=self.queue_depth,
             )
         try:
-            return self._call_admitted(op, body, timeout)
+            seconds = self.call_timeout if timeout is None else timeout
+            deadline = time.monotonic() + seconds
+            if not self._lock.acquire(timeout=max(seconds, 0.0)):
+                raise self._timed_out(op, seconds)
+            try:
+                reply = self._call_locked(op, body, deadline, seconds)
+            finally:
+                self._lock.release()
         finally:
             self._admission.release()
+        return wire.parse_message(reply)
 
-    def _call_admitted(self, op: str, body: dict, timeout: "float | None"):
-        deadline = time.monotonic() + (
-            timeout if timeout is not None else self.call_timeout
+    def _call_locked(self, op: str, body: dict, deadline: float, seconds):
+        if self._closed:
+            raise ServerError(f"worker {self.shard_index} is shut down")
+        if not self._process.is_alive():
+            self._restart_locked()
+        if self._late is not None:
+            # Read the owed reply before writing: a worker still busy
+            # with the late call reads no request, and a large request
+            # and a large reply would each wait for the other.
+            self._reply_to(self._late, deadline, op, seconds)
+            self._late = None
+        request_id = next(self._request_ids)
+        try:
+            self._pipe.send((request_id, op, wire.message(op, body)))
+        except OSError:
+            raise self._died_locked() from None
+        return self._reply_to(request_id, deadline, op, seconds)
+
+    def _reply_to(self, request_id: int, deadline: float, op: str, seconds):
+        """Read replies up to ``request_id``'s and return its payload;
+        one tagged with an earlier id answers a call that timed out and
+        is dropped.  At the deadline the reply stays owed."""
+        while True:
+            if not self._pipe.poll(max(deadline - time.monotonic(), 0.0)):
+                self._late = request_id
+                raise self._timed_out(op, seconds)
+            try:
+                reply_id, payload = self._pipe.recv()
+            except (EOFError, OSError):
+                raise self._died_locked() from None
+            if reply_id == request_id:
+                return payload
+
+    def _died_locked(self) -> ServerError:
+        """The worker's end of the pipe closed with a call in flight:
+        restart it (unless shut down) and return the call's error."""
+        if self._closed:
+            return ServerError(
+                f"worker {self.shard_index} shut down with the request "
+                f"in flight"
+            )
+        self._restart_locked()
+        # The caller cannot know whether its request was applied, and
+        # the typed error says exactly that.
+        return ServerError(
+            f"worker {self.shard_index} died with request in flight; "
+            f"restarted -- retry against the rehydrated shard"
         )
-        pending = _Pending()
-        with self._lock:
-            if self._process is None or not self._process.is_alive():
-                self._restart_locked()
-            request_id = next(self._request_ids)
-            pending.generation = self._generation
-            self._pending[request_id] = pending
-            requests = self._requests
-        requests.put((request_id, op, wire.message(op, body)))
-        while not pending.event.wait(_POLL_SECONDS):
-            if not self.alive:
-                with self._lock:
-                    self._restart_locked()
-                # _restart_locked set and answered our pending entry
-                # (crash error) if it was still registered.
-                if not pending.event.is_set():
-                    raise ServerError(
-                        f"worker {self.shard_index} died before replying"
-                    )
-            if time.monotonic() > deadline:
-                with self._lock:
-                    self._pending.pop(request_id, None)
-                raise ServerError(
-                    f"worker {self.shard_index} timed out after "
-                    f"{timeout if timeout is not None else self.call_timeout}s "
-                    f"on {op!r}"
-                )
-        return wire.parse_message(pending.response)
+
+    def _timed_out(self, op: str, seconds: float) -> ServerError:
+        return ServerError(
+            f"worker {self.shard_index} timed out after {seconds}s on {op!r}"
+        )
 
     # -- shutdown --------------------------------------------------------------
 
     def shutdown(self, timeout: float = 10.0) -> None:
-        """Stop the worker: graceful shutdown op, then escalate.
+        """Stop the worker: close its pipe, which ends its loop, then
+        escalate.
 
-        Bypasses admission (shutdown must succeed under saturation).
+        Bypasses admission (shutdown must succeed under saturation),
+        and waits up to ``timeout`` for the call in flight to finish.
         The store is closed by the worker's exit path.
         """
-        process = self._process
-        if process is None:
+        if self._closed:
             return
-        with self._lock:
-            self._generation += 1  # retire the dispatcher
-            for pending in self._pending.values():
-                pending.response = wire.encode_error(
-                    ServerError(
-                        f"worker {self.shard_index} shut down with the "
-                        f"request in flight"
-                    )
-                )
-                pending.event.set()
-            self._pending.clear()
-            requests = self._requests
-        if process.is_alive():
+        self._closed = True
+        process = self._process
+        if self._lock.acquire(timeout=timeout):
             try:
-                requests.put((0, "shutdown", wire.message("shutdown", {})))
-            except (OSError, ValueError):
-                pass
-            process.join(timeout)
+                self._pipe.close()
+                process.join(timeout)
+            finally:
+                self._lock.release()
         if process.is_alive():
             process.terminate()
             process.join(5.0)
-        if process.is_alive() and hasattr(process, "kill"):
+        if process.is_alive():
             process.kill()
             process.join(1.0)
-        for queue in (self._requests, self._responses):
-            try:
-                queue.close()
-            except (OSError, ValueError):
-                pass
 
     def kill(self) -> None:
-        """Hard-kill the worker process (supervision tests): no store
-        close, no goodbye -- the next call detects the corpse and restarts."""
+        """Hard-kill the worker process (supervision tests): no
+        goodbye -- the next call detects the corpse and restarts."""
         process = self._process
-        if process is not None and process.is_alive():
+        if process.is_alive():
             process.terminate()
             process.join(5.0)
 
     def pid(self) -> "int | None":
-        process = self._process
-        return process.pid if process is not None else None
+        return self._process.pid
 
 
 def default_worker_count() -> int:
     """Workers to start when the caller does not say: one per CPU, at
     least 1, at most 4 (the front-end is I/O bound; shards beyond the
-    CPU count only add queue hops)."""
+    CPU count only add pipe hops)."""
     return max(1, min(4, os.cpu_count() or 1))
 
 

@@ -178,8 +178,7 @@ class TestConcurrentEqualsSerial:
         serial_results = run_batch(serial, scripts, batch)
         with PodServer(
             build_friendly, CATALOG.as_database(), workers=2
-        ) as server:
-            concurrent = PodClient(server.url, build_friendly())
+        ) as server, PodClient(server.url, build_friendly()) as concurrent:
             results = run_batch(concurrent, scripts, batch, 4)
             assert [r.step for r in results] == [
                 r.step for r in serial_results

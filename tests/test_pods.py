@@ -22,6 +22,7 @@ from repro.pods import (
     PodService,
     RuntimeMetrics,
     SessionHandle,
+    SqliteStore,
     StepRequest,
     merge_snapshots,
     open_store,
@@ -39,8 +40,11 @@ def service():
 def two_workers():
     """A two-worker pod server over SHORT and a client for it, shared by
     the routing tests (each test uses its own session ids)."""
-    with PodServer(build_short, default_database(), workers=2) as server:
-        yield server, PodClient(server.url, build_short())
+    with (
+        PodServer(build_short, default_database(), workers=2) as server,
+        PodClient(server.url, build_short()) as client,
+    ):
+        yield server, client
 
 
 def make_scripts(count, length, catalog):
@@ -168,6 +172,25 @@ class TestStores:
         second.run_session(handle, FIGURE1_INPUTS[2:])
         run = build_short().run(default_database(), FIGURE1_INPUTS)
         assert list(second.session(handle).log().entries) == list(run.logs)
+
+    def test_reopened_service_lists_stored_sessions_it_has_not_touched(
+        self, tmp_path
+    ):
+        path = tmp_path / "pods.sqlite"
+        with SqliteStore(path) as store:
+            first = PodService(build_short(), default_database(), store=store)
+            first.run_session(first.create_session("alice"), FIGURE1_INPUTS[:2])
+        with SqliteStore(path) as store:
+            reopened = PodService(
+                build_short(), default_database(), store=store
+            )
+            assert reopened.session_ids() == ["alice"]
+            logs = reopened.logs()
+            assert [log.session_id for log in logs] == ["alice"]
+            run = build_short().run(default_database(), FIGURE1_INPUTS[:2])
+            assert list(logs[0].entries) == list(run.logs)
+            # Listing restored nothing.
+            assert reopened.resident_session_ids() == []
 
     def test_jsonl_restart_roundtrip_equals_uninterrupted_run(self, tmp_path):
         """Acceptance: stop a JSONL-backed service mid-workload, recreate
@@ -353,8 +376,7 @@ class TestStores:
                 store_root=str(tmp_path),
             )
 
-        with serve() as first:
-            client = PodClient(first.url, transducer)
+        with serve() as first, PodClient(first.url, transducer) as client:
             for session_id in scripts:
                 client.create_session(session_id)
             client.drive({sid: script[:2] for sid, script in scripts.items()})
@@ -366,8 +388,7 @@ class TestStores:
                 sid for sid in scripts if shard_of(sid, 2) == index
             )
 
-        with serve() as revived:
-            client = PodClient(revived.url, transducer)
+        with serve() as revived, PodClient(revived.url, transducer) as client:
             client.drive({sid: script[2:] for sid, script in scripts.items()})
             assert client.session_ids() == sorted(scripts)
             for session_id, script in scripts.items():
@@ -384,8 +405,7 @@ class TestWorkloadDriverOnPods:
         single = PodService(build_friendly(), catalog.as_database())
         with PodServer(
             build_friendly, catalog.as_database(), workers=4
-        ) as server:
-            sharded = PodClient(server.url, build_friendly())
+        ) as server, PodClient(server.url, build_friendly()) as sharded:
             for service in (single, sharded):
                 scripts = drive_customers(service, catalog, 12, 4, seed=5)
             assert len({shard_of(sid, 4) for sid in scripts}) > 1

@@ -273,8 +273,7 @@ class TestServiceSurfaces:
             scenario_database("feed-delivery", seed=4),
             workers=2,
             auditor_factory=feed_delivery_auditor,
-        ) as server:
-            client = PodClient(server.url, scenario_transducer("feed-delivery"))
+        ) as server, PodClient(server.url, scenario_transducer("feed-delivery")) as client:
             sharded = run_scenario(
                 "feed-delivery", service=client, sessions=8, steps=5, seed=4
             )
@@ -293,8 +292,7 @@ class TestServiceSurfaces:
             partial(scenario_transducer, name),
             scenario_database(name, seed=seed),
             workers=1,
-        ) as server:
-            client = PodClient(server.url, scenario_transducer(name))
+        ) as server, PodClient(server.url, scenario_transducer(name)) as client:
             remote = run_scenario(name, service=client, seed=seed, **size)
         assert remote.log_digest == local.log_digest
         assert remote.total_steps == local.total_steps
@@ -322,10 +320,10 @@ class TestServiceSurfaces:
             line = proc.stdout.readline()
             assert "listening on" in line
             url = line.strip().split()[-1]
-            client = PodClient(url, scenario_transducer("auction"))
-            remote = run_scenario(
-                "auction", service=client, sessions=4, steps=4, seed=seed
-            )
+            with PodClient(url, scenario_transducer("auction")) as client:
+                remote = run_scenario(
+                    "auction", service=client, sessions=4, steps=4, seed=seed
+                )
             local = run_scenario("auction", sessions=4, steps=4, seed=seed)
             assert remote.log_digest == local.log_digest
             proc.send_signal(signal.SIGTERM)

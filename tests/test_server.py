@@ -27,6 +27,7 @@ import itertools
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -86,7 +87,8 @@ def parity_server():
 
 @pytest.fixture(scope="module")
 def client(parity_server):
-    return PodClient(parity_server.url, build_friendly())
+    with PodClient(parity_server.url, build_friendly()) as client:
+        yield client
 
 
 # -- serial-vs-server parity ---------------------------------------------------
@@ -166,8 +168,7 @@ class TestParity:
         reference = PodService(build_friendly(), CATALOG.as_database())
         with PodServer(
             build_friendly, CATALOG.as_database(), workers=2
-        ) as server:
-            remote = PodClient(server.url, build_friendly())
+        ) as server, PodClient(server.url, build_friendly()) as remote:
             for service in (reference, remote):
                 scripts = drive_customers(service, CATALOG, 12, 4, seed=3)
             assert {shard_of(sid, 2) for sid in scripts} == {0, 1}
@@ -263,6 +264,7 @@ class TestTypedErrors:
             urllib.request.urlopen(request, timeout=10)
         assert caught.value.code == 400
         envelope = json.loads(caught.value.read())
+        caught.value.close()
         assert envelope["body"]["code"] == "wire-error"
 
     def test_unknown_wire_version_rejected(self, parity_server):
@@ -275,6 +277,7 @@ class TestTypedErrors:
             urllib.request.urlopen(request, timeout=10)
         assert caught.value.code == 400
         assert json.loads(caught.value.read())["body"]["code"] == "wire-error"
+        caught.value.close()
 
     def test_unknown_endpoint_is_404(self, parity_server):
         with pytest.raises(urllib.error.HTTPError) as caught:
@@ -282,6 +285,7 @@ class TestTypedErrors:
                 parity_server.url + "/v1/nonsense", timeout=10
             )
         assert caught.value.code == 404
+        caught.value.close()
 
     def test_audit_violation_crosses_the_wire(self):
         with PodServer(
@@ -289,8 +293,7 @@ class TestTypedErrors:
             default_database(),
             workers=1,
             auditor_factory=strict_short_auditor,
-        ) as server:
-            client = PodClient(server.url, build_buggy_store())
+        ) as server, PodClient(server.url, build_buggy_store()) as client:
             handle = client.create_session("alice")
             client.submit(StepRequest(handle, {"order": {("time",)}}))
             # the buggy store delivers unpaid on an empty step: the
@@ -352,8 +355,7 @@ class TestTypedErrors:
             store_root=str(root),
             store_kind="sqlite",
             auditor_factory=strict_short_auditor,
-        ) as server:
-            client = PodClient(server.url, build_buggy_store())
+        ) as server, PodClient(server.url, build_buggy_store()) as client:
             for session_id in ("alice", "bob"):
                 client.create_session(session_id)
             with pytest.raises(AuditViolation) as caught:
@@ -434,8 +436,7 @@ class TestBackpressure:
     def test_queue_overflow_is_typed_429_not_a_hang(self):
         with PodServer(
             build_short, default_database(), workers=1, queue_depth=2
-        ) as server:
-            client = PodClient(server.url, build_short())
+        ) as server, PodClient(server.url, build_short()) as client:
             handle = client.create_session("bp")
             worker = server.worker(0)
 
@@ -490,8 +491,51 @@ class TestBackpressure:
                 urllib.request.urlopen(request, timeout=10)
             assert caught.value.code == 429
             envelope = json.loads(caught.value.read())
+            caught.value.close()
             assert envelope["body"]["code"] == "backpressure"
             thread.join()
+
+
+# -- the worker pipe: one call on it at a time ---------------------------------
+
+
+class TestWorkerPipe:
+    def test_timed_out_call_leaves_a_late_reply_that_is_dropped(self):
+        with PodServer(build_short, default_database(), workers=1) as server:
+            worker = server.worker(0)
+            with pytest.raises(ServerError, match="timed out"):
+                worker.call("sleep", {"seconds": 1.0}, timeout=0.2)
+            # The late "slept" reply is read and dropped: the ping gets
+            # its own "pong", and the replies after it stay aligned.
+            assert worker.call("ping", {}) == {"shard": 0}
+            assert worker.call("ids", {}) == {"session_ids": []}
+            assert worker.restarts == 0
+
+    def test_kill_during_a_call_fails_it_and_the_restart_serves_the_next(
+        self,
+    ):
+        with PodServer(build_short, default_database(), workers=1) as server:
+            worker = server.worker(0)
+            first_pid = worker.pid()
+            errors = []
+
+            def sleeper():
+                try:
+                    worker.call("sleep", {"seconds": 10.0})
+                except ServerError as error:
+                    errors.append(error)
+
+            thread = threading.Thread(target=sleeper, daemon=True)
+            thread.start()
+            time.sleep(0.5)  # the sleep op is on the pipe
+            started = time.monotonic()
+            worker.kill()
+            thread.join(30)
+            assert time.monotonic() - started < 10.0
+            assert len(errors) == 1 and "died" in str(errors[0])
+            assert worker.call("ping", {}) == {"shard": 0}
+            assert worker.pid() != first_pid
+            assert worker.restarts == 1
 
 
 # -- supervision: crash, restart, rehydrate ------------------------------------
@@ -502,8 +546,7 @@ class TestSupervision:
         script = SessionGenerator(CATALOG, seed=9).session(6)
         with PodServer(
             build_friendly, CATALOG.as_database(), workers=1
-        ) as server:
-            client = PodClient(server.url, build_friendly())
+        ) as server, PodClient(server.url, build_friendly()) as client:
             handle = client.create_session("crashy")
             client.run_session(handle, script[:3])
             worker = server.worker(0)
@@ -531,14 +574,12 @@ class TestSupervision:
         root = str(tmp_path / "pods")
         with PodServer(
             build_friendly, CATALOG.as_database(), workers=2, store_root=root
-        ) as server:
-            client = PodClient(server.url, build_friendly())
+        ) as server, PodClient(server.url, build_friendly()) as client:
             handle = client.create_session("durable")
             client.run_session(handle, script[:2])
         with PodServer(
             build_friendly, CATALOG.as_database(), workers=2, store_root=root
-        ) as server:
-            client = PodClient(server.url, build_friendly())
+        ) as server, PodClient(server.url, build_friendly()) as client:
             client.run_session("durable", script[2:])
             view = client.session("durable")
         reference = PodService(build_friendly(), CATALOG.as_database())
@@ -553,15 +594,13 @@ class TestSupervision:
         ids = [f"s{index}" for index in range(6)]
         with PodServer(
             build_short, default_database(), workers=2, store_root=root
-        ) as server:
-            client = PodClient(server.url, build_short())
+        ) as server, PodClient(server.url, build_short()) as client:
             for session_id in ids:
                 client.create_session(session_id)
             assert client.session_ids() == ids
         with PodServer(
             build_short, default_database(), workers=2, store_root=root
-        ) as server:
-            client = PodClient(server.url, build_short())
+        ) as server, PodClient(server.url, build_short()) as client:
             assert client.session_ids() == ids
             assert {shard_of(session_id, 2) for session_id in ids} == {0, 1}
 
@@ -584,9 +623,11 @@ class TestKeepAlive:
         return accepted
 
     def test_one_thread_one_connection(self):
-        with PodServer(build_short, default_database(), workers=1) as server:
+        with (
+            PodServer(build_short, default_database(), workers=1) as server,
+            PodClient(server.url, build_short()) as client,
+        ):
             accepted = self.count_connections(server)
-            client = PodClient(server.url, build_short())
             handle = client.create_session("alice")
             for _ in range(5):
                 client.submit(StepRequest(handle, {"order": {("time",)}}))
@@ -598,9 +639,11 @@ class TestKeepAlive:
             assert len(accepted) == 1
 
     def test_two_threads_two_connections(self):
-        with PodServer(build_short, default_database(), workers=1) as server:
+        with (
+            PodServer(build_short, default_database(), workers=1) as server,
+            PodClient(server.url, build_short()) as client,
+        ):
             accepted = self.count_connections(server)
-            client = PodClient(server.url, build_short())
             errors = []
 
             def traffic(session_id):
@@ -625,8 +668,10 @@ class TestKeepAlive:
             assert len(accepted) == 2
 
     def test_unknown_post_endpoint_keeps_the_connection_usable(self):
-        with PodServer(build_short, default_database(), workers=1) as server:
-            client = PodClient(server.url, build_short())
+        with (
+            PodServer(build_short, default_database(), workers=1) as server,
+            PodClient(server.url, build_short()) as client,
+        ):
             with pytest.raises(ServerError, match="no such endpoint"):
                 client._request(
                     "POST", "/v1/nope", wire.message("flush", {"pad": "x" * 99})
@@ -657,6 +702,153 @@ class TestKeepAlive:
             assert client.session(handle).steps == 2
         with pytest.raises(ServerError):
             client.healthz()
+        client.close()
+
+    def test_server_closed_connection_is_replaced_by_the_next_call(self):
+        with (
+            PodServer(build_short, default_database(), workers=1) as server,
+            PodClient(server.url, build_short()) as client,
+        ):
+            accepted = self.count_connections(server)
+            client.create_session("alice")
+            server._httpd.close_connections()
+            # The call on the closed connection fails; it is never
+            # re-sent ...
+            with pytest.raises(ServerError):
+                client.submit(StepRequest("alice", {"order": {("time",)}}))
+            # ... and the next call reconnects.
+            assert client.session("alice").steps == 0
+            assert len(accepted) == 2
+
+    def test_close_closes_the_sockets_of_every_thread(self):
+        with (
+            PodServer(build_short, default_database(), workers=1) as server,
+            PodClient(server.url, build_short()) as client,
+        ):
+            accepted = self.count_connections(server)
+            sockets = []
+
+            def call():
+                client.healthz()
+                sockets.append(client._local.socket)
+
+            threads = [threading.Thread(target=call) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+            call()
+            assert len(sockets) == 3 and len(accepted) == 3
+            client.close()
+            assert [sock.fileno() for sock in sockets] == [-1, -1, -1]
+            # A closed client reconnects on its next call.
+            assert client.healthz()["status"] == "ok"
+            assert len(accepted) == 4
+
+
+def _health_reply(*headers: str) -> bytes:
+    body = json.dumps(wire.message("health", {"status": "ok"})).encode()
+    head = ["HTTP/1.1 200 OK", f"Content-Length: {len(body)}", *headers]
+    return ("\r\n".join(head) + "\r\n\r\n").encode() + body
+
+
+class CannedServer:
+    """A one-thread HTTP stand-in: answers each request it reads with
+    the next canned ``(reply bytes, close after)`` pair."""
+
+    def __init__(self, replies) -> None:
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.url = f"http://127.0.0.1:{self.listener.getsockname()[1]}"
+        self.accepted = 0
+        self.thread = threading.Thread(
+            target=self._serve, args=(list(replies),), daemon=True
+        )
+        self.thread.start()
+
+    def _serve(self, replies) -> None:
+        with self.listener:
+            while replies:
+                conn, _ = self.listener.accept()
+                self.accepted += 1
+                with conn:
+                    while replies and self._read_request(conn):
+                        reply, close = replies.pop(0)
+                        conn.sendall(reply)
+                        if close:
+                            break
+
+    @staticmethod
+    def _read_request(conn) -> bool:
+        data = b""
+        while b"\r\n\r\n" not in data:
+            chunk = conn.recv(65536)
+            if not chunk:
+                return False
+            data += chunk
+        head, _, body = data.partition(b"\r\n\r\n")
+        length = 0
+        for line in head.split(b"\r\n")[1:]:
+            name, _, value = line.partition(b":")
+            if name.strip().lower() == b"content-length":
+                length = int(value)
+        while len(body) < length:
+            body += conn.recv(65536)
+        return True
+
+    def __enter__(self) -> "CannedServer":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.thread.join(10)
+        assert not self.thread.is_alive()
+
+
+class TestClientReplies:
+    """What the client accepts from a server, against canned replies."""
+
+    def test_connection_close_reply_reconnects_on_the_next_call(self):
+        replies = [
+            (_health_reply("Connection: close"), True),
+            (_health_reply(), False),
+        ]
+        with CannedServer(replies) as server, PodClient(
+            server.url, build_short()
+        ) as client:
+            assert client.healthz() == {"status": "ok"}
+            assert client.healthz() == {"status": "ok"}
+        assert server.accepted == 2
+
+    @pytest.mark.parametrize("status", [404, 502])
+    def test_non_json_error_body_is_a_server_error(self, status):
+        reply = (
+            f"HTTP/1.1 {status} Oops\r\nContent-Length: 9\r\n\r\nnot json!"
+        ).encode()
+        with CannedServer([(reply, False)]) as server, PodClient(
+            server.url, build_short()
+        ) as client:
+            with pytest.raises(ServerError, match=f"HTTP {status}"):
+                client.healthz()
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+            b"2\r\n{}\r\n0\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\n\r\n{}",
+            b"HTTP/1.1 200 OK\r\nContent-Length: 99\r\n\r\n{}",
+            b"SPDY/3 200 OK\r\nContent-Length: 2\r\n\r\n{}",
+        ],
+        ids=["chunked", "no-length", "cut-short", "not-http"],
+    )
+    def test_unframeable_reply_closes_and_raises(self, reply):
+        replies = [(reply, True), (_health_reply(), False)]
+        with CannedServer(replies) as server, PodClient(
+            server.url, build_short()
+        ) as client:
+            with pytest.raises(ServerError, match="cannot reach"):
+                client.healthz()
+            assert client.healthz() == {"status": "ok"}
+        assert server.accepted == 2
 
 
 # -- configuration knobs -------------------------------------------------------

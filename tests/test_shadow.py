@@ -516,8 +516,7 @@ class TestHttpAudits:
         )
         with PodServer(
             build_buggy_store, default_database(), **server_kwargs
-        ) as server:
-            client = PodClient(server.url, build_buggy_store())
+        ) as server, PodClient(server.url, build_buggy_store()) as client:
             assert client.audit_findings() == []
             for index in range(3):
                 handle = client.create_session(f"audit-{index}")
@@ -539,8 +538,8 @@ class TestHttpAudits:
         # are rehydrated into each worker's auditor and served again.
         with PodServer(
             build_buggy_store, default_database(), **server_kwargs
-        ) as reborn:
-            after = PodClient(reborn.url, build_buggy_store()).audit_findings()
+        ) as reborn, PodClient(reborn.url, build_buggy_store()) as client:
+            after = client.audit_findings()
             assert after == before
 
 
@@ -602,9 +601,12 @@ class TestLogEntryReuse:
         drive_two_orders(parent)
         calls = counting_log_of_step(monkeypatch)
         db = default_database()
-        with PodServer(build_short, db, workers=1, queue_depth=8) as server:
+        with (
+            PodServer(build_short, db, workers=1, queue_depth=8) as server,
+            PodClient(server.url, build_short()) as incumbent,
+        ):
             remote = ShadowService(
-                PodClient(server.url, build_short()),
+                incumbent,
                 PodService(build_buggy_store(), db),
                 database=db,
             )

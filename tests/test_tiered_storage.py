@@ -443,8 +443,7 @@ class TestResidencyKnob:
         with PodServer(
             build_short, default_database(), workers=2,
             max_resident_sessions=1,
-        ) as server:
-            client = PodClient(server.url, build_short())
+        ) as server, PodClient(server.url, build_short()) as client:
             for index in range(6):
                 client.create_session(f"s{index}")
             per_worker = client.metrics_payload()["per_worker"]

@@ -297,8 +297,7 @@ class TestCheckRunAndAuditorAgree:
             catalog_db,
             workers=2,
             auditor_factory=short_log_auditor,
-        ) as server:
-            service = PodClient(server.url, buggy)
+        ) as server, PodClient(server.url, buggy) as service:
             handles = [service.create_session(f"c{n}") for n in range(6)]
             for handle in handles:
                 service.run_session(handle, [{"order": {("time",)}}, {}])
