@@ -17,10 +17,9 @@ keeps :class:`WorkerConfig` honest: a worker is rebuilt from scratch
 
 A worker steps serially, so one call in flight is all it can use.  The
 calling thread takes the handle's lock, writes its request to the pipe
-and reads its own reply: there is no reader thread and no table of
-pending calls.  Requests carry ids; a call that times out leaves its
-reply owed, and the next call reads and drops that late reply before
-it writes its own request.
+and reads its own reply.  Requests carry ids; a call that times out
+leaves its reply owed, and the next call reads and drops that late
+reply before it writes its own request.
 
 Backpressure is enforced on the *parent* side: each
 :class:`WorkerHandle` holds a semaphore of ``queue_depth`` admission
